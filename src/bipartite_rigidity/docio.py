@@ -57,6 +57,40 @@ def _float_to_str(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _float_from(value: Any, locus: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{locus}: expected a floating-point number") from None
+
+
+def _int_from(value: Any, locus: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{locus}: expected an integer")
+    return value
+
+
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value: Any, shape: type, locus: str) -> Any:
+    if not isinstance(value, shape):
+        raise ParseError(f"{locus}: expected {_SHAPES[shape]}")
+    return value
+
+
+def _rats_from(value: Any, locus: str) -> tuple[Fraction, ...]:
+    return tuple(
+        _rat_from(v, f"{locus}[{k}]") for k, v in enumerate(_typed(value, list, locus))
+    )
+
+
+def _ints_from(value: Any, locus: str) -> tuple[int, ...]:
+    return tuple(
+        _int_from(v, f"{locus}[{k}]") for k, v in enumerate(_typed(value, list, locus))
+    )
+
+
 # -- framework documents -----------------------------------------------------
 
 
@@ -143,14 +177,13 @@ def _matrix_to_doc(matrix: SymmetricMatrix) -> dict:
     }
 
 
-def _matrix_from(doc: dict, locus: str) -> SymmetricMatrix:
-    order = doc.get("order")
-    upper = doc.get("upper")
-    if not isinstance(order, int) or not isinstance(upper, list):
-        raise ParseError(f"{locus}: malformed symmetric matrix")
-    return SymmetricMatrix.from_upper(
-        order, [_rat_from(v, f"{locus}.upper[{k}]") for k, v in enumerate(upper)]
-    )
+def _matrix_from(doc: Any, locus: str) -> SymmetricMatrix:
+    doc = _typed(doc, dict, locus)
+    order = _int_from(doc.get("order"), f"{locus}.order")
+    upper = _rats_from(doc.get("upper"), f"{locus}.upper")
+    if order < 0 or len(upper) != order * (order + 1) // 2:
+        raise ParseError(f"{locus}: {len(upper)} upper entries for order {order}")
+    return SymmetricMatrix(order, upper)
 
 
 def _record_to_doc(rec: IterationRecord) -> dict:
@@ -192,69 +225,60 @@ def _record_to_doc(rec: IterationRecord) -> dict:
     return doc
 
 
-def _record_from(doc: dict, locus: str) -> IterationRecord:
-    def rats(key: str):
-        return tuple(
-            _rat_from(v, f"{locus}.{key}[{k}]") for k, v in enumerate(doc.get(key, []))
-        )
+def _radon_from(doc: Any, locus: str) -> RadonCertificate:
+    doc = _typed(doc, dict, locus)
+    return RadonCertificate(
+        lambdas=_rats_from(doc.get("lambdas", []), f"{locus}.lambdas"),
+        mus=_rats_from(doc.get("mus", []), f"{locus}.mus"),
+    )
 
-    radon = None
-    if "balance" in doc:
-        bal = doc["balance"]
-        radon = RadonCertificate(
-            lambdas=tuple(
-                _rat_from(v, f"{locus}.balance.lambdas[{k}]")
-                for k, v in enumerate(bal.get("lambdas", []))
-            ),
-            mus=tuple(
-                _rat_from(v, f"{locus}.balance.mus[{k}]")
-                for k, v in enumerate(bal.get("mus", []))
-            ),
-        )
-    separation = None
-    if "separation" in doc:
-        sep = doc["separation"]
-        separation = SeparationCertificate(
-            matrix=_matrix_from(sep.get("matrix", {}), f"{locus}.separation.matrix"),
-            delta=_rat_from(sep.get("delta"), f"{locus}.separation.delta"),
-        )
-    stress = None
-    if "stress" in doc:
-        st = doc["stress"]
-        try:
-            omega = np.array([[float(v) for v in row] for row in st["omega"]])
-        except (TypeError, ValueError, KeyError):
-            raise ParseError(f"{locus}.stress.omega: malformed matrix") from None
-        stress = StressCertificate(
-            omega=omega,
-            rank=int(st["rank"]),
-            min_eigenvalue=float(st["min_eigenvalue"]),
-            residual=float(st["residual"]),
-            lambdas=tuple(
-                _rat_from(v, f"{locus}.stress.lambdas[{k}]")
-                for k, v in enumerate(st.get("lambdas", []))
-            ),
-            mus=tuple(
-                _rat_from(v, f"{locus}.stress.mus[{k}]")
-                for k, v in enumerate(st.get("mus", []))
-            ),
-        )
-    margin = None
-    if "margin" in doc:
-        margin = _rat_from(doc["margin"], f"{locus}.margin")
+
+def _separation_from(doc: Any, locus: str) -> SeparationCertificate:
+    doc = _typed(doc, dict, locus)
+    return SeparationCertificate(
+        matrix=_matrix_from(doc.get("matrix", {}), f"{locus}.matrix"),
+        delta=_rat_from(doc.get("delta"), f"{locus}.delta"),
+    )
+
+
+def _stress_from(doc: Any, locus: str) -> StressCertificate:
+    doc = _typed(doc, dict, locus)
+    rows = _typed(doc.get("omega"), list, f"{locus}.omega")
+    if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ParseError(f"{locus}.omega: expected a square matrix")
+    try:
+        values = [[float(v) for v in row] for row in rows]
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{locus}.omega: expected floating-point entries") from None
+    return StressCertificate(
+        omega=np.array(values).reshape(len(rows), len(rows)),
+        rank=_int_from(doc.get("rank"), f"{locus}.rank"),
+        min_eigenvalue=_float_from(doc.get("min_eigenvalue"), f"{locus}.min_eigenvalue"),
+        residual=_float_from(doc.get("residual"), f"{locus}.residual"),
+        lambdas=_rats_from(doc.get("lambdas", []), f"{locus}.lambdas"),
+        mus=_rats_from(doc.get("mus", []), f"{locus}.mus"),
+    )
+
+
+def _record_from(doc: Any, locus: str) -> IterationRecord:
+    doc = _typed(doc, dict, locus)
+
+    def optional(key: str, parse):
+        return parse(doc[key], f"{locus}.{key}") if key in doc else None
+
     return IterationRecord(
-        index=int(doc.get("index", -1)),
-        kind=str(doc.get("kind", "")),
-        known_p=tuple(int(v) for v in doc.get("known_p", [])),
-        known_q=tuple(int(v) for v in doc.get("known_q", [])),
-        cone_point=rats("cone_point") if "cone_point" in doc else None,
-        functional=rats("functional") if "functional" in doc else None,
-        support_p=tuple(int(v) for v in doc.get("support_p", [])),
-        support_q=tuple(int(v) for v in doc.get("support_q", [])),
-        radon=radon,
-        separation=separation,
-        margin=margin,
-        stress=stress,
+        index=_int_from(doc.get("index", -1), f"{locus}.index"),
+        kind=_typed(doc.get("kind", ""), str, f"{locus}.kind"),
+        known_p=_ints_from(doc.get("known_p", []), f"{locus}.known_p"),
+        known_q=_ints_from(doc.get("known_q", []), f"{locus}.known_q"),
+        cone_point=optional("cone_point", _rats_from),
+        functional=optional("functional", _rats_from),
+        support_p=_ints_from(doc.get("support_p", []), f"{locus}.support_p"),
+        support_q=_ints_from(doc.get("support_q", []), f"{locus}.support_q"),
+        radon=optional("balance", _radon_from),
+        separation=optional("separation", _separation_from),
+        margin=optional("margin", _rat_from),
+        stress=optional("stress", _stress_from),
     )
 
 
@@ -287,7 +311,10 @@ def parse_chain(text: str) -> CertificateChain:
     input_doc = doc.get("input")
     if not isinstance(input_doc, dict):
         raise ParseError("input: expected the framework echo")
-    fw, _ = parse_framework_document(json.dumps(input_doc))
+    try:
+        fw, _ = parse_framework_document(json.dumps(input_doc))
+    except ParseError as exc:
+        raise type(exc)(f"input.{exc}") from None
     raw_records = doc.get("iterations")
     if not isinstance(raw_records, list):
         raise ParseError("iterations: expected a list")

@@ -25,7 +25,6 @@ all floating stress certificates at their declared tolerance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -318,9 +317,10 @@ def rigidity_test_batch(
 ) -> list[BatchResult]:
     """Elementwise :func:`rigidity_test`, order preserving.
 
-    Items run concurrently; a per-item :class:`InvalidInput` or
-    :class:`NumericalFailure` is returned in place of that item's result
-    instead of aborting the batch.
+    Items run one after another in the calling thread (the exact arithmetic
+    holds the interpreter lock, so threads would only add overhead); a
+    per-item :class:`InvalidInput` or :class:`NumericalFailure` is returned
+    in place of that item's result instead of aborting the batch.
     """
 
     def one(fw: BipartiteFramework) -> BatchResult:
@@ -329,7 +329,4 @@ def rigidity_test_batch(
         except (InvalidInput, NumericalFailure, ValueError) as exc:
             return exc
 
-    if not frameworks:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(frameworks))) as pool:
-        return list(pool.map(one, frameworks))
+    return [one(fw) for fw in frameworks]

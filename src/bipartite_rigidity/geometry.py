@@ -1,8 +1,9 @@
 """Configurations, the Veronese lift, and exact affine-span utilities.
 
-Points are tuples of ``Fraction``; every rank and span computation here is
-done by fraction-free Gaussian elimination, so dimension comparisons are
-exact.  The Veronese lift sends a point ``v`` of d-space to the rank-one
+Points are tuples of ``Fraction``; every rank, span and null-space
+computation here runs on the shared exact Gauss-Jordan kernel
+(:func:`row_reduce` over :func:`~.lp.pivot_rows`), so dimension comparisons
+are exact.  The Veronese lift sends a point ``v`` of d-space to the rank-one
 symmetric matrix ``v^ v^T`` (with a trailing 1 appended to ``v``), turning
 questions about separating quadrics into questions about separating
 hyperplanes in the space of symmetric matrices.
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lp import ZERO, ONE, _frac
+from .lp import ZERO, ONE, _frac, pivot_rows
 
 Point = tuple[Fraction, ...]
 
@@ -189,39 +190,29 @@ def lift_coordinates(v: Sequence) -> tuple[Fraction, ...]:
 # -- exact elimination -------------------------------------------------------
 
 
-def _echelon_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination; destroys ``rows``."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        prow = rows[rank]
-        piv = prow[col]
-        for r in range(len(rows)):
-            if r == rank:
-                continue
-            f = rows[r][col]
-            if f:
-                ratio = f / piv
-                rows[r] = [a - ratio * b if b else a for a, b in zip(rows[r], prow)]
-        rank += 1
+def row_reduce(rows: list[list[Fraction]]) -> list[int]:
+    """Bring ``rows`` to reduced row echelon form in place.
+
+    Returns the pivot columns: row ``k`` has its leading one in column
+    ``pivots[k]`` and every row past ``len(pivots)`` is zero.
+    """
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         if rank == len(rows):
             break
-    return rank
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        pivot_rows(rows, rank, col)
+        pivots.append(col)
+    return pivots
 
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Exact linear rank of a list of rational vectors."""
-    return _echelon_rank([list(v) for v in vectors])
+    return len(row_reduce([list(v) for v in vectors]))
 
 
 def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
@@ -333,34 +324,12 @@ def _null_space_vector(
 ) -> Optional[list[Fraction]]:
     """One nonzero solution of ``rows @ x = 0``, or None if only x = 0."""
     work = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    for col in range(n_unknowns):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        prow = work[rank]
-        piv = prow[col]
-        work[rank] = prow = [v / piv for v in prow]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b if b else a for a, b in zip(work[r], prow)]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == len(work):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_col = next((c for c in range(n_unknowns) if c not in pivot_cols), None)
+    pivots = row_reduce(work)
+    free_col = next((c for c in range(n_unknowns) if c not in pivots), None)
     if free_col is None:
         return None
     sol = [ZERO] * n_unknowns
     sol[free_col] = ONE
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         sol[c] = -work[r][free_col]
     return sol

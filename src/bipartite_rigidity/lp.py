@@ -157,11 +157,36 @@ def farkas_refutes(prob: LPProblem, y: Sequence[Fraction]) -> bool:
     return lhs - cap > 0
 
 
+def pivot_rows(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Gauss-Jordan pivot on entry ``(r, c)``, in place.
+
+    Scales row ``r`` so that its entry ``c`` is one, then subtracts
+    multiples of it from every other row so that column ``c`` is zero
+    outside row ``r``.  Zero entries are skipped, which keeps sparse rows
+    cheap.  The entry ``rows[r][c]`` must be nonzero.  This is the one row
+    operation behind the simplex, ranks, null spaces and projectors.
+    """
+    pivot = rows[r]
+    piv = pivot[c]
+    if piv != 1:
+        inv = ONE / piv
+        rows[r] = pivot = [v * inv if v else v for v in pivot]
+    for k, row in enumerate(rows):
+        if k != r:
+            f = row[c]
+            if f:
+                rows[k] = [a - f * b if b else a for a, b in zip(row, pivot)]
+
+
 _BASIC, _LOWER, _UPPER = 0, 1, 2
 
 
 class _Simplex:
-    """Bounded-variable tableau simplex over Fractions (internal)."""
+    """Bounded-variable tableau simplex over Fractions (internal).
+
+    ``T`` holds the ``m`` constraint rows followed by the reduced-cost row,
+    so one :func:`pivot_rows` call updates both.
+    """
 
     def __init__(self, rows, rhs, upper):
         self.m = len(rows)
@@ -184,20 +209,21 @@ class _Simplex:
             art[i] = ONE
             T.append(r + art)
             xB.append(b)
+        T.append([ZERO] * self.n)
         self.T = T
         self.xB = xB
         self.basis = [self.nx + i for i in range(self.m)]
         self.status = [_LOWER] * self.nx + [_BASIC] * self.m
-        self.rc: list[Fraction] = [ZERO] * self.n
         self.obj = ZERO
 
     # -- pivoting core ---------------------------------------------------
 
     def _run(self, stop_at_zero: bool = False) -> str:
-        T, xB, rc = self.T, self.xB, self.rc
+        T, xB = self.T, self.xB
         status, basis, upper = self.status, self.basis, self.upper
         m, limit = self.m, self.nx
         while True:
+            rc = T[-1]
             if stop_at_zero and not self.obj:
                 return "optimal"
             enter = -1
@@ -257,27 +283,12 @@ class _Simplex:
             self._pivot(i, j, start + delta, best_side)
 
     def _pivot(self, i: int, j: int, value, leave_side: int) -> None:
-        T, rc = self.T, self.rc
         leave = self.basis[i]
         self.status[leave] = leave_side
         self.basis[i] = j
         self.status[j] = _BASIC
         self.xB[i] = value
-        rowi = T[i]
-        piv = rowi[j]
-        if piv != 1:
-            inv = ONE / piv
-            T[i] = rowi = [v * inv if v else v for v in rowi]
-        for k in range(self.m):
-            if k == i:
-                continue
-            f = T[k][j]
-            if f:
-                rk = T[k]
-                T[k] = [a - f * b if b else a for a, b in zip(rk, rowi)]
-        f = rc[j]
-        if f:
-            rc[:] = [a - f * b if b else a for a, b in zip(rc, rowi)]
+        pivot_rows(self.T, i, j)
 
     # -- phases ----------------------------------------------------------
 
@@ -286,7 +297,7 @@ class _Simplex:
         for j in range(self.nx):
             rc.append(-sum((self.T[i][j] for i in range(self.m)), ZERO))
         rc.extend([ZERO] * self.m)
-        self.rc = rc
+        self.T[-1] = rc
         self.obj = sum(self.xB, ZERO)
         # The artificial sum is bounded below by zero, so hitting zero is
         # already optimal; this skips degenerate pivots on homogeneous rows.
@@ -303,7 +314,7 @@ class _Simplex:
     def farkas(self) -> tuple[Fraction, ...]:
         # Phase-1 duals read off the artificial columns: rc = 1 - y_i.
         return tuple(
-            (ONE - self.rc[self.nx + i]) * self.flip[i] for i in range(self.m)
+            (ONE - self.T[-1][self.nx + i]) * self.flip[i] for i in range(self.m)
         )
 
     def _drive_out_artificials(self) -> None:
@@ -328,7 +339,7 @@ class _Simplex:
                     if v:
                         acc -= ci * v
             rc.append(acc)
-        self.rc = rc
+        self.T[-1] = rc
         obj = ZERO
         for i in range(self.m):
             if cb[i]:
@@ -341,7 +352,7 @@ class _Simplex:
 
     def duals(self) -> tuple[Fraction, ...]:
         # rc of artificial column i is -y_i once its phase-2 cost is zero.
-        return tuple(-self.rc[self.nx + i] * self.flip[i] for i in range(self.m))
+        return tuple(-self.T[-1][self.nx + i] * self.flip[i] for i in range(self.m))
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.nx

@@ -20,7 +20,8 @@ from .geometry import (
     Point,
     affine_spans_equal,
     in_affine_span,
-    linear_rank,
+    linear_rank,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    row_reduce,
 )
 from .lp import ZERO, ONE
 
@@ -82,61 +83,33 @@ def span_invariant_holds(fw: BipartiteFramework, known: KnownSet) -> bool:
     return affine_spans_equal(a, b)
 
 
-def _direction_basis(points: Sequence[Point]) -> list[Point]:
-    """An exact basis of the direction space of the points' affine hull."""
-    base = points[0]
-    basis: list[Point] = []
-    for pt in points[1:]:
-        diff = tuple(a - b for a, b in zip(pt, base))
-        if all(c == 0 for c in diff):
-            continue
-        if linear_rank(basis + [diff]) == len(basis) + 1:
-            basis.append(diff)
-    return basis
-
-
-def _gram_inverse(basis: Sequence[Point]) -> list[list[Fraction]]:
-    """Exact inverse of the Gram matrix of the basis vectors."""
-    k = len(basis)
-    g = [[sum((a * b for a, b in zip(basis[i], basis[j])), ZERO) for j in range(k)]
-         for i in range(k)]
-    aug = [list(g[i]) + [ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
 def orthogonal_projector(points: Sequence[Point]) -> list[list[Fraction]]:
     """The exact matrix projecting along the affine hull's directions.
 
+    With ``B`` the nonzero rows of the reduced echelon form of the hull's
+    difference vectors, the projector is ``I - B^T (B B^T)^{-1} B``; the
+    product ``(B B^T)^{-1} B`` is solved by row reducing ``[B B^T | B]``.
     For a single point the hull has no directions and the projector is the
     identity.
     """
     d = len(points[0])
-    basis = _direction_basis(points)
-    proj = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-    if not basis:
-        return proj
-    ginv = _gram_inverse(basis)
+    base = points[0]
+    diffs = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
+    basis = diffs[: len(row_reduce(diffs))]
+    system = [
+        [sum((a * b for a, b in zip(u, v) if a and b), ZERO) for v in basis] + u
+        for u in basis
+    ]
+    row_reduce(system)
     k = len(basis)
-    for i in range(d):
-        for j in range(d):
-            acc = ZERO
-            for a in range(k):
-                if basis[a][i]:
-                    for b in range(k):
-                        if basis[b][j] and ginv[a][b]:
-                            acc += basis[a][i] * ginv[a][b] * basis[b][j]
-            if acc:
-                proj[i][j] -= acc
-    return proj
+    return [
+        [
+            (ONE if i == j else ZERO)
+            - sum((basis[a][i] * system[a][k + j] for a in range(k) if basis[a][i]), ZERO)
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
 
 
 def _apply(matrix: Sequence[Sequence[Fraction]], v: Point) -> Point:

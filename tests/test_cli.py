@@ -85,6 +85,17 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
     doc["iterations"][0]["balance"]["lambdas"][0] = "-1/4"
     cert_path.write_text(json.dumps(doc))
     assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 1
+    # a field of the wrong shape is an input error, located, not a rejection
+    for key, value in (("index", "x"), ("balance", [1]), (None, 5)):
+        bad = json.loads(json.dumps(doc))
+        if key is None:
+            bad["iterations"][0] = value
+        else:
+            bad["iterations"][0][key] = value
+        cert_path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 2
+        assert "iterations[0]" in capsys.readouterr().err
 
 
 def test_check_many_files(corpus, capsys):

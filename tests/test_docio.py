@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipartite_rigidity import docio
 from bipartite_rigidity.engine import rigidity_test, verify_chain
@@ -98,6 +100,66 @@ def test_parse_chain_errors():
         docio.parse_chain("[]")
     with pytest.raises(docio.ParseError):
         docio.parse_chain('{"verdict": "nonsense", "input": {}, "iterations": []}')
+    # A record of the wrong shape fails with the locus of the bad field.
+    text = docio.serialize_chain(rigidity_test(fixture("k22_line").framework)[1])
+    for path, value, locus in (
+        (("iterations", 0, "index"), "x", "iterations[0].index:"),
+        (("iterations", 0, "balance"), [1], "iterations[0].balance:"),
+        (("iterations", 0), 5, "iterations[0]:"),
+        (("iterations", 0, "kind"), ["balanced"], "iterations[0].kind:"),
+        (("iterations", 0, "stress", "residual"), 10**400,
+         "iterations[0].stress.residual:"),
+        (("iterations", 0, "stress", "omega"), "12", "iterations[0].stress.omega:"),
+        (("input", "P"), 1, "input.P:"),
+    ):
+        with pytest.raises(docio.ParseError, match=re.escape(locus)):
+            docio.parse_chain(_replaced(text, path, value))
+
+
+def _replaced(text, path, value):
+    """The JSON document ``text`` with the value at ``path`` replaced."""
+    doc = json.loads(text)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _paths(node, path=()):
+    """The path to every value in a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_FUZZ_CHAINS = [
+    docio.serialize_chain(rigidity_test(fixture(name).framework)[1])
+    for name in ("projection_k44", "separated_line")
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1100), 2**1100)
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_chain_mutated_documents(data):
+    # Any value at any place either parses or raises ParseError, never
+    # another exception.
+    text = data.draw(st.sampled_from(_FUZZ_CHAINS))
+    path = data.draw(st.sampled_from(list(_paths(json.loads(text)))))
+    mutated = _replaced(text, path, data.draw(_JSON_VALUES))
+    try:
+        docio.parse_chain(mutated)
+    except docio.ParseError:
+        pass
 
 
 def test_emit_fixtures(tmp_path):

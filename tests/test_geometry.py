@@ -5,19 +5,25 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bipartite_rigidity.fixtures import fixture
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
     EmptyInput,
     SymmetricMatrix,
+    _null_space_vector,
     affine_span_dim,
     conic_at_infinity_witness,
     in_affine_span,
     is_general_position,
     is_quadric_general_position,
+    linear_rank,
     veronese,
 )
+
+# Small entries make rank-deficient matrices common.
+RATIONALS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 
 def test_veronese_scalar():
@@ -50,10 +56,28 @@ def test_veronese_rank_one_psd(rng):
             for j in range(d + 1):
                 assert rows[i][j] == hat[i] * hat[j]
         lifted = [list(row) for row in rows]
-        from bipartite_rigidity.geometry import linear_rank
-
         assert linear_rank(lifted) == 1
         assert m.entry(d, d) == 1
+
+
+@st.composite
+def matrices(draw):
+    """A column count and up to five rows of that width."""
+    cols = draw(st.integers(1, 5))
+    row = st.lists(RATIONALS, min_size=cols, max_size=cols)
+    return cols, draw(st.lists(row, max_size=5))
+
+
+@given(matrices())
+def test_rank_and_null_vector(matrix):
+    cols, rows = matrix
+    rank = linear_rank(rows)
+    assert rank == linear_rank([list(col) for col in zip(*rows)])
+    x = _null_space_vector(rows, cols)
+    assert (x is None) == (rank == cols)
+    if x is not None:
+        assert any(x)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
 
 
 def test_affine_span_dims():

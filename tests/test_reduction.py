@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bipartite_rigidity.engine import Verdict, rigidity_test
 from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
@@ -21,6 +22,8 @@ from bipartite_rigidity.reduction import (
     slide_to_hyperplane,
     span_invariant_holds,
 )
+
+RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 
 
 def fw_collinear_with_offline():
@@ -46,25 +49,29 @@ def test_projection_closure_violation():
         project_out_known_set(fw, known)
 
 
-def test_projector_idempotent(rng):
-    for _ in range(20):
-        d = rng.randint(1, 4)
-        pts = [
-            tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
-            for _ in range(rng.randint(1, d + 1))
-        ]
-        proj = orthogonal_projector(pts)
+@st.composite
+def point_sets(draw):
+    """One to d + 2 points in d-space, d up to 4."""
+    d = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=d + 2))
 
-        def times(mat, other):
-            return [
-                [
-                    sum(mat[i][k] * other[k][j] for k in range(d))
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
 
-        assert times(proj, proj) == proj
+@given(point_sets())
+def test_projector_idempotent(pts):
+    # Symmetric, idempotent, kills the hull's directions, and its trace is
+    # the codimension of the hull.
+    d = len(pts[0])
+    proj = orthogonal_projector(pts)
+    times = [
+        [sum(proj[i][k] * proj[k][j] for k in range(d)) for j in range(d)]
+        for i in range(d)
+    ]
+    assert times == proj
+    assert all(proj[i][j] == proj[j][i] for i in range(d) for j in range(d))
+    for pt in pts[1:]:
+        diff = [a - b for a, b in zip(pt, pts[0])]
+        assert all(sum(row[j] * diff[j] for j in range(d)) == 0 for row in proj)
+    assert sum(proj[i][i] for i in range(d)) == d - affine_span_dim(pts)
 
 
 def test_slide_examples():
