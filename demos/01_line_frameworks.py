@@ -20,7 +20,7 @@ split = BipartiteFramework.from_lists(1, [[0], [1]], [[2], [3]])
 verdict, chain = rigidity_test(split)
 print("split 0,1 vs 2,3:", verdict.value)
 terminal = chain.records[-1]
-print("  separating quadric margin:", terminal.margin)
+print("  separating quadric margin:", terminal.separation.delta)
 print("  quadric matrix rows:", terminal.separation.matrix.rows())
 
 # Interleaving only partially is already enough to pin everything:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 from bipartite_rigidity import (
     BipartiteFramework,
+    RadonCertificate,
     max_margin_quadric,
     maximal_support_radon,
     verify_radon,
@@ -30,7 +31,10 @@ alternating = BipartiteFramework.from_lists(
     [circle(F(1, 2)), circle(2), circle(-1)],
 )
 cert = maximal_support_radon(alternating)
-print("\nalternating hexagon on the circle: hulls intersect?", cert is not None)
+print(
+    "\nalternating hexagon on the circle: hulls intersect?",
+    isinstance(cert, RadonCertificate),
+)
 print("  coefficients:", cert.lambdas, cert.mus)
 print("  re-verifies exactly:", verify_radon(alternating, cert))
 

@@ -34,7 +34,6 @@ from .separation import (
     SeparationCertificate,
     max_margin_quadric,
     maximal_support_radon,
-    radon_coefficients,
     verify_radon,
     verify_separation,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "is_quadric_general_position",
     "max_margin_quadric",
     "maximal_support_radon",
-    "radon_coefficients",
     "rigidity_test",
     "rigidity_test_batch",
     "verify_chain",

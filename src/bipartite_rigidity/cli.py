@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``check <file>... [--certificate OUT] [--tol T] [--trace] [--dump-coords]``
+* ``check <file>... [--certificate OUT] [--trace] [--dump-coords]``
   prints one verdict per input file and optionally writes the certificate
   chain.
 * ``verify <framework> <certificate>`` replays a chain against a framework.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import docio, fixtures
 from .engine import InvalidInput, rigidity_test, rigidity_test_batch, verify_chain
-from .separation import max_margin_quadric, maximal_support_radon
+from .separation import RadonCertificate, max_margin_quadric, maximal_support_radon
 from .stress import NumericalFailure, build_super_stable_stress
 
 EXIT_OK = 0
@@ -61,22 +61,22 @@ def _cmd_check(args) -> int:
         for fw in frameworks:
             _dump_coords(fw, sys.stdout)
     if len(frameworks) == 1:
-        verdict, chain = rigidity_test(frameworks[0], tol=args.tol)
+        verdict, chain = rigidity_test(frameworks[0])
         if args.trace:
             for rec in chain.records:
                 detail = ""
                 if rec.kind == "balanced":
                     detail = f" support=P{list(rec.support_p)} Q{list(rec.support_q)}"
                 elif rec.kind == "separated":
-                    detail = f" margin={rec.margin}"
+                    detail = f" margin={rec.separation.delta}"
                 print(f"iteration {rec.index}: {rec.kind}{detail}")
         if args.certificate:
             Path(args.certificate).write_text(
-                docio.serialize_chain(chain, tol=args.tol), encoding="utf-8"
+                docio.serialize_chain(chain), encoding="utf-8"
             )
         print(verdict.value)
         return EXIT_OK
-    results = rigidity_test_batch(frameworks, tol=args.tol)
+    results = rigidity_test_batch(frameworks)
     failed_numeric = False
     for path, result in zip(args.files, results):
         if isinstance(result, Exception):
@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
 def _cmd_separate(args) -> int:
     fw = _read_framework(args.file)
     cert = maximal_support_radon(fw)
-    if cert is not None:
+    if isinstance(cert, RadonCertificate):
         print("balanced (lifted hulls intersect); coefficients:")
         for i, v in enumerate(cert.lambdas):
             print(f"  lambda[{i}] = {v}")
@@ -122,9 +122,8 @@ def _cmd_separate(args) -> int:
 def _cmd_stress(args) -> int:
     fw = _read_framework(args.file)
     cert = maximal_support_radon(fw)
-    if cert is None:
-        matrix, delta = max_margin_quadric(fw)
-        print(f"no positive stress: classes strictly separated (margin {delta})")
+    if not isinstance(cert, RadonCertificate):
+        print(f"no positive stress: classes strictly separated (margin {cert.delta})")
         return EXIT_OK
     sub = fw.subframework(cert.support_p, cert.support_q)
     stress = build_super_stable_stress(
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a framework file")
     check.add_argument("files", nargs="+")
     check.add_argument("--certificate", help="write the certificate chain here")
-    check.add_argument("--tol", type=float, default=1e-8)
     check.add_argument("--trace", action="store_true")
     check.add_argument("--dump-coords", action="store_true",
                        help="print plot-ready coordinate and edge tables")

@@ -209,8 +209,6 @@ def _record_to_doc(rec: IterationRecord) -> dict:
             "matrix": _matrix_to_doc(rec.separation.matrix),
             "delta": _rat_to_str(rec.separation.delta),
         }
-    if rec.margin is not None:
-        doc["margin"] = _rat_to_str(rec.margin)
     if rec.stress is not None:
         doc["stress"] = {
             "omega": [
@@ -277,23 +275,21 @@ def _record_from(doc: Any, locus: str) -> IterationRecord:
         support_q=_ints_from(doc.get("support_q", []), f"{locus}.support_q"),
         radon=optional("balance", _radon_from),
         separation=optional("separation", _separation_from),
-        margin=optional("margin", _rat_from),
         stress=optional("stress", _stress_from),
     )
 
 
-def chain_to_document(chain: CertificateChain, tol: float = 1e-8) -> dict:
+def chain_to_document(chain: CertificateChain) -> dict:
     return {
         "format": FORMAT_VERSION,
         "verdict": chain.verdict.value,
-        "tolerance": _float_to_str(tol),
         "input": framework_to_document(chain.framework),
         "iterations": [_record_to_doc(rec) for rec in chain.records],
     }
 
 
-def serialize_chain(chain: CertificateChain, tol: float = 1e-8) -> str:
-    return canonical_json(chain_to_document(chain, tol))
+def serialize_chain(chain: CertificateChain) -> str:
+    return canonical_json(chain_to_document(chain))
 
 
 def parse_chain(text: str) -> CertificateChain:

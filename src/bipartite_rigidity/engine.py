@@ -10,9 +10,10 @@ The test maintains a set of vertices already certified rigid.  Each pass:
 3. declares the framework dimensionally rigid but not universally rigid
    when the reduced vertices are affinely independent;
 4. solves the exact balance LP on the reduced vertices: infeasibility
-   (witnessed by a strict separating quadric, or trivially by a one-sided
-   complement) means not dimensionally rigid, while a solution adds its
-   maximal positive support to the certified set;
+   (witnessed by the strict separating quadric read off that LP's Farkas
+   vector, or trivially by a one-sided complement) means not dimensionally
+   rigid, while a solution adds its maximal positive support to the
+   certified set;
 5. absorbs every vertex lying in the certified set's affine hull and
    repeats, always restarting the geometry from the original input
    coordinates so rational bit lengths cannot cascade.
@@ -42,7 +43,7 @@ from .reduction import (
 from .separation import (
     RadonCertificate,
     SeparationCertificate,
-    max_margin_quadric,
+    max_margin_quadric,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     maximal_support_radon,
     verify_radon,
     verify_separation,
@@ -85,7 +86,6 @@ class IterationRecord:
     support_q: tuple[int, ...]
     radon: Optional[RadonCertificate]
     separation: Optional[SeparationCertificate]
-    margin: Optional[Fraction]
     stress: Optional[StressCertificate]
 
 
@@ -123,14 +123,11 @@ def _reduce(
     return p0, functional, slid[: len(proj_p)], slid[len(proj_p) :]
 
 
-def rigidity_test(
-    fw: BipartiteFramework, tol: float = 1e-8
-) -> tuple[Verdict, CertificateChain]:
+def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
     """Decide the rigidity class of a complete bipartite framework.
 
-    Returns the verdict together with a replayable certificate chain.
-    ``tol`` governs only the floating stress certificates attached to the
-    chain; the verdict itself is driven entirely by exact LP outcomes.
+    Returns the verdict together with a replayable certificate chain.  The
+    verdict is driven entirely by exact LP outcomes.
     """
     _validate(fw)
     known = KnownSet.empty()
@@ -149,7 +146,6 @@ def rigidity_test(
                 support_q=kw.get("support_q", ()),
                 radon=kw.get("radon"),
                 separation=kw.get("separation"),
-                margin=kw.get("margin"),
                 stress=kw.get("stress"),
             )
         )
@@ -175,15 +171,12 @@ def rigidity_test(
             return finish(Verdict.NOT_DIMENSIONALLY_RIGID)
         sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
         cert = maximal_support_radon(sub)
-        if cert is None:
-            matrix, margin = max_margin_quadric(sub)
-            assert margin > 0, "balance and strict separation are exclusive"
+        if isinstance(cert, SeparationCertificate):
             record(
                 "separated",
                 cone_point=cone_point,
                 functional=functional,
-                separation=SeparationCertificate(matrix=matrix, delta=margin),
-                margin=margin,
+                separation=cert,
             )
             return finish(Verdict.NOT_DIMENSIONALLY_RIGID)
         local_p = cert.support_p
@@ -273,9 +266,7 @@ def _verify_chain(fw: BipartiteFramework, chain: CertificateChain, tol: float) -
             return False
         sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
         if rec.kind == "separated":
-            if rec.separation is None or rec.margin != rec.separation.delta:
-                return False
-            if not verify_separation(rec.separation, sub):
+            if rec.separation is None or not verify_separation(rec.separation, sub):
                 return False
             return chain.verdict is Verdict.NOT_DIMENSIONALLY_RIGID
         if rec.kind != "balanced":
@@ -312,9 +303,7 @@ def _verify_chain(fw: BipartiteFramework, chain: CertificateChain, tol: float) -
 BatchResult = Union[tuple[Verdict, CertificateChain], Exception]
 
 
-def rigidity_test_batch(
-    frameworks: Sequence[BipartiteFramework], tol: float = 1e-8
-) -> list[BatchResult]:
+def rigidity_test_batch(frameworks: Sequence[BipartiteFramework]) -> list[BatchResult]:
     """Elementwise :func:`rigidity_test`, order preserving.
 
     Items run one after another in the calling thread (the exact arithmetic
@@ -325,7 +314,7 @@ def rigidity_test_batch(
 
     def one(fw: BipartiteFramework) -> BatchResult:
         try:
-            return rigidity_test(fw, tol=tol)
+            return rigidity_test(fw)
         except (InvalidInput, NumericalFailure, ValueError) as exc:
             return exc
 

@@ -9,15 +9,17 @@ For a framework with classes P and Q, exactly one of the following holds:
   symmetric matrix whose form is at least ``delta > 0`` on P and at most
   ``-delta`` on Q.
 
-Both witnesses are computed by exact rational linear programming and both
-re-verify with zero residual.
+One exact LP decides which: the balance LP either has a solution, or its
+Farkas vector, read as a quadratic form, is the separating quadric.  Both
+witnesses re-verify with zero residual.  :func:`max_margin_quadric` solves
+a separate, wider LP for the separating quadric of largest margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Sequence, Union
 
 from . import lp
 from .geometry import BipartiteFramework, SymmetricMatrix, veronese
@@ -83,23 +85,37 @@ def _radon_problem(fw: BipartiteFramework) -> LPProblem:
     return LPProblem.create(rows, rhs, n + m)
 
 
-def radon_coefficients(fw: BipartiteFramework) -> Optional[RadonCertificate]:
-    """A Radon certificate if the lifted hulls intersect, else None."""
-    if fw.n < 1 or fw.m < 1:
-        raise EmptySide("both classes must be nonempty")
-    outcome = lp.solve_feasibility(_radon_problem(fw))
-    if outcome.status is not LPStatus.FEASIBLE:
-        return None
-    point = outcome.point
-    cert = RadonCertificate(lambdas=point[: fw.n], mus=point[fw.n :])
-    assert sum(cert.mus) == 1, "mu normalization is forced by the corner entry"
-    return cert
+def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
+    """The separating quadric read off a Farkas vector of the balance LP.
+
+    ``y`` refutes :func:`_radon_problem`: ``y^T A <= 0`` and
+    ``y^T b = y_norm > 0``, where ``y_norm`` is the multiplier of the
+    normalization row.  Read as a form (off-diagonal entries halved), the
+    entries before it are ``<= -y_norm`` on P and ``>= 0`` on Q.  Negating
+    them and taking ``y_norm/2`` off the constant (corner) entry gives a form
+    ``>= y_norm/2`` on P and ``<= -y_norm/2`` on Q, which is then scaled
+    into the [-1, 1] box.
+    """
+    hat = d + 1
+    pairs = [(i, j) for i in range(hat) for j in range(i, hat)]
+    upper = [-y[k] if i == j else -y[k] / 2 for k, (i, j) in enumerate(pairs)]
+    y_norm = y[len(upper)]
+    upper[-1] -= y_norm / 2
+    scale = max(abs(v) for v in upper)
+    return SeparationCertificate(
+        matrix=SymmetricMatrix.from_upper(hat, tuple(v / scale for v in upper)),
+        delta=y_norm / (2 * scale),
+    )
 
 
-def maximal_support_radon(fw: BipartiteFramework) -> Optional[RadonCertificate]:
-    """A Radon certificate with the unique maximal support, or None.
+def maximal_support_radon(
+    fw: BipartiteFramework,
+) -> Union[RadonCertificate, SeparationCertificate]:
+    """A Radon certificate with the unique maximal support, or a separation.
 
-    The support of a relative-interior point of the feasible region is
+    When the balance LP is infeasible its Farkas vector yields the strict
+    separating quadric (:func:`_farkas_quadric`); no further LP runs.  The
+    support of a relative-interior point of the feasible region is
     found by maximizing every coordinate that the first feasible point
     leaves at zero and averaging all resulting feasible points with equal
     positive weights.  A coordinate whose maximum is exactly zero is zero
@@ -110,7 +126,7 @@ def maximal_support_radon(fw: BipartiteFramework) -> Optional[RadonCertificate]:
     base = _radon_problem(fw)
     outcome = lp.solve_feasibility(base)
     if outcome.status is not LPStatus.FEASIBLE:
-        return None
+        return _farkas_quadric(fw.dimension, outcome.dual)
     points = [outcome.point]
     total = fw.n + fw.m
     for coord in range(total):

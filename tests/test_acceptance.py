@@ -18,6 +18,7 @@ from bipartite_rigidity.fixtures import fixture
 from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.separation import (
+    RadonCertificate,
     SeparationCertificate,
     max_margin_quadric,
     maximal_support_radon,
@@ -71,7 +72,7 @@ def test_criterion_1_fixture_verdicts():
     chains = {}
     for name, expected in FIXTURE_VERDICTS:
         fw = fixture(name).framework
-        verdict, chain = rigidity_test(fw, tol=1e-8)
+        verdict, chain = rigidity_test(fw)
         chains[name] = (fw, chain)
         if verdict is not expected:
             problems.append(f"{name}: {verdict.value} != {expected.value}")
@@ -100,7 +101,7 @@ def test_criterion_2_dichotomy():
         fw = random_framework(rng, d_max=3, nm_max=12, coord_bound=16)
         cert = maximal_support_radon(fw)
         matrix, delta = max_margin_quadric(fw)
-        balanced = cert is not None
+        balanced = isinstance(cert, RadonCertificate)
         separated = delta > 0
         if balanced == separated:
             problems.append(f"instance {k}: balanced={balanced} separated={separated}")
@@ -112,6 +113,9 @@ def test_criterion_2_dichotomy():
             SeparationCertificate(matrix=matrix, delta=delta), fw
         ):
             problems.append(f"instance {k}: separation certificate failed")
+            break
+        if separated and not (verify_separation(cert, fw) and cert.delta <= delta):
+            problems.append(f"instance {k}: Farkas separation certificate failed")
             break
     elapsed = time.time() - start
     if elapsed >= 60:
@@ -171,7 +175,7 @@ def test_criterion_5_coupling_sweep():
     problems = []
     fw = fixture("k65").framework
     cert = maximal_support_radon(fw)
-    if cert is None or len(cert.support_p) != 6 or len(cert.support_q) != 5:
+    if not isinstance(cert, RadonCertificate) or len(cert.support_p) != 6 or len(cert.support_q) != 5:
         problems.append("space fixture lost its full support")
     else:
         flags = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 2
         assert "iterations[0]" in capsys.readouterr().err
+    # a separating quadric whose stated margin is doubled no longer holds
+    main(["check", str(corpus / "separated_line.json"), "--certificate", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    separation = doc["iterations"][-1]["separation"]
+    separation["delta"] = str(2 * F(separation["delta"]))
+    cert_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(corpus / "separated_line.json"), str(cert_path)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid"
 
 
 def test_check_many_files(corpus, capsys):

@@ -80,8 +80,16 @@ def test_chain_round_trip():
 def test_chain_round_trip_with_separation():
     fw = BipartiteFramework.from_lists(1, [[0], [1]], [[2], [3]])
     _, chain = rigidity_test(fw)
-    parsed = docio.parse_chain(docio.serialize_chain(chain))
-    assert verify_chain(fw, parsed)
+    text = docio.serialize_chain(chain)
+    # documents from earlier releases also carry a top-level "tolerance"
+    # and a per-record "margin" equal to the separation's delta
+    legacy = json.loads(text)
+    legacy["tolerance"] = "1e-08"
+    legacy["iterations"][-1]["margin"] = legacy["iterations"][-1]["separation"]["delta"]
+    for doc in (text, json.dumps(legacy)):
+        parsed = docio.parse_chain(doc)
+        assert verify_chain(fw, parsed)
+        assert docio.serialize_chain(parsed) == text
 
 
 def test_chain_round_trip_space_example():

@@ -14,7 +14,6 @@ from bipartite_rigidity.separation import (
     SeparationCertificate,
     max_margin_quadric,
     maximal_support_radon,
-    radon_coefficients,
     verify_radon,
     verify_separation,
 )
@@ -71,8 +70,8 @@ def test_conic_two_lines_separates_plane_classes():
 
 
 def test_radon_alternating_line_exact_values():
-    cert = radon_coefficients(ALTERNATING)
-    assert cert is not None
+    cert = maximal_support_radon(ALTERNATING)
+    assert isinstance(cert, RadonCertificate)
     assert cert.lambdas == (F(1, 4), F(3, 4))
     assert cert.mus == (F(3, 4), F(1, 4))
     assert verify_radon(ALTERNATING, cert)
@@ -85,13 +84,18 @@ def test_radon_alternating_line_exact_values():
 
 
 def test_radon_absent_for_split_line():
-    assert radon_coefficients(SPLIT) is None
-    assert maximal_support_radon(SPLIT) is None
+    cert = maximal_support_radon(SPLIT)
+    assert isinstance(cert, SeparationCertificate)
+    assert verify_separation(cert, SPLIT)
+    _, delta = max_margin_quadric(SPLIT)
+    assert cert.delta <= delta
 
 
 def test_radon_absent_for_distinct_pair():
     fw = BipartiteFramework.from_lists(2, [[0, 0]], [[1, 0]])
-    assert radon_coefficients(fw) is None
+    cert = maximal_support_radon(fw)
+    assert isinstance(cert, SeparationCertificate)
+    assert verify_separation(cert, fw)
 
 
 def test_maximal_support_full_on_alternating_line():
@@ -111,7 +115,7 @@ def test_maximal_support_omits_conic_center():
         [circle(F(1, 2)), circle(2), circle(-1)],
     )
     cert = maximal_support_radon(fw)
-    assert cert is not None
+    assert isinstance(cert, RadonCertificate)
     assert cert.support_p == (0, 1, 2)  # the center vertex carries nothing
     assert cert.support_q == (0, 1, 2)
     assert verify_radon(fw, cert)
@@ -135,7 +139,8 @@ def test_support_maximality_is_exact(rng):
     checked = 0
     for fw in cases:
         cert = maximal_support_radon(fw)
-        if cert is None:
+        if isinstance(cert, SeparationCertificate):
+            assert verify_separation(cert, fw)
             continue
         base = _radon_problem(fw)
         values = cert.lambdas + cert.mus
@@ -163,13 +168,15 @@ def test_dichotomy_random(rng):
         fw = random_framework(rng, d_max=3, nm_max=9)
         cert = maximal_support_radon(fw)
         matrix, delta = max_margin_quadric(fw)
-        assert (cert is not None) == (delta == 0)
-        if cert is not None:
-            assert verify_radon(fw, cert)
-        else:
+        assert isinstance(cert, SeparationCertificate) == (delta > 0)
+        if isinstance(cert, SeparationCertificate):
+            assert verify_separation(cert, fw)
+            assert cert.delta <= delta
             assert verify_separation(
                 SeparationCertificate(matrix=matrix, delta=delta), fw
             )
+        else:
+            assert verify_radon(fw, cert)
 
 
 def test_certificate_existence_affine_invariant(rng):
@@ -190,8 +197,8 @@ def test_certificate_existence_affine_invariant(rng):
             tuple(apply(p) for p in fw.points_p),
             tuple(apply(q) for q in fw.points_q),
         )
-        assert (maximal_support_radon(fw) is None) == (
-            maximal_support_radon(mapped) is None
+        assert isinstance(maximal_support_radon(fw), SeparationCertificate) == (
+            isinstance(maximal_support_radon(mapped), SeparationCertificate)
         )
 
 
@@ -200,13 +207,11 @@ def test_empty_side_rejected():
     with pytest.raises(EmptySide):
         max_margin_quadric(fw)
     with pytest.raises(EmptySide):
-        radon_coefficients(fw)
-    with pytest.raises(EmptySide):
         maximal_support_radon(fw)
 
 
 def test_verify_radon_rejects_corruption():
-    cert = radon_coefficients(ALTERNATING)
+    cert = maximal_support_radon(ALTERNATING)
     bad = RadonCertificate(lambdas=(-cert.lambdas[0], cert.lambdas[1]), mus=cert.mus)
     assert not verify_radon(ALTERNATING, bad)
     bad2 = RadonCertificate(lambdas=cert.mus, mus=cert.lambdas)
