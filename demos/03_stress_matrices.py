@@ -1,9 +1,9 @@
 # Building maximum-rank PSD stress matrices, and the coupling family.
 #
 # Positive balance coefficients turn directly into a PSD equilibrium
-# stress matrix of rank n + m - d' - 1 through a shared singular
-# factorization of the two weighted configuration matrices.  A diagonal
-# coupling between the leftover factor directions sweeps out the whole
+# stress matrix of rank n + m - d' - 1: the coefficients on its diagonal
+# and the exact closed-form cross block -L P^^T G^- Q^ M beside them.  A
+# diagonal coupling between the leftover null directions sweeps out the whole
 # family of positive-diagonal equilibrium stresses: PSD while every
 # coupling value stays within [-1, 1], with a rank drop at the boundary.
 

@@ -95,7 +95,7 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         raise docio.ParseError(f"{args.certificate}: {exc}") from None
     chain = docio.parse_chain(text)
-    if verify_chain(fw, chain, tol=args.tol):
+    if verify_chain(fw, chain):
         print("valid")
         return EXIT_OK
     print("invalid")
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="replay a certificate chain")
     verify.add_argument("framework")
     verify.add_argument("certificate")
-    verify.add_argument("--tol", type=float, default=1e-8)
     verify.set_defaults(func=_cmd_verify)
 
     separate = sub.add_parser("separate", help="print balance or quadric evidence")

@@ -299,6 +299,8 @@ def parse_chain(text: str) -> CertificateChain:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
+    if _int_from(doc.get("format"), "format") != FORMAT_VERSION:
+        raise ParseError(f"format: unsupported version {doc['format']}")
     verdict_raw = doc.get("verdict")
     try:
         verdict = Verdict(verdict_raw)

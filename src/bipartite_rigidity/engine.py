@@ -203,22 +203,21 @@ def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
     raise AssertionError("loop exceeded its progress bound")  # pragma: no cover
 
 
-def verify_chain(
-    fw: BipartiteFramework, chain: CertificateChain, tol: float = 1e-8
-) -> bool:
+def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
     """Replay a chain against a framework; True iff every record checks out.
 
     Rational evidence (balance certificates, separating quadrics, known-set
     growth, span invariants, reduction geometry) is re-verified exactly;
-    stress certificates are re-verified numerically at ``tol``.
+    stress certificates are re-verified numerically at
+    :data:`~.stress.RESIDUAL_TOL`.
     """
     try:
-        return _verify_chain(fw, chain, tol)
+        return _verify_chain(fw, chain)
     except Exception:
         return False
 
 
-def _verify_chain(fw: BipartiteFramework, chain: CertificateChain, tol: float) -> bool:
+def _verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
     if chain.framework != fw:
         return False
     if not chain.records:
@@ -289,7 +288,7 @@ def _verify_chain(fw: BipartiteFramework, chain: CertificateChain, tol: float) -
             return False
         if tuple(rec.stress.mus) != tuple(cert.mus[j] for j in local_q):
             return False
-        if not verify_super_stable_certificate(sub_support, rec.stress, tol):
+        if not verify_super_stable_certificate(sub_support, rec.stress):
             return False
         grown = known.union(rec.support_p, rec.support_q)
         if grown.size <= known.size:

@@ -225,16 +225,22 @@ def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test that ``v`` lies in the affine span of ``points``."""
+    """Exact test that ``v`` lies in the affine span of ``points``.
+
+    The hull's difference rows are reduced once; ``v - points[0]`` is then
+    cleared against their pivots and lies in their span iff nothing is left.
+    """
     if not points:
         raise EmptyInput("affine span of an empty point set")
     if len(v) != len(points[0]):
         raise ValueError("dimension mismatch")
     base = points[0]
-    diffs = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
-    r = linear_rank(diffs)
-    diffs.append([a - b for a, b in zip(v, base)])
-    return linear_rank(diffs) == r
+    rows = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
+    pivots = row_reduce(rows)
+    rows[len(pivots):] = [[a - b for a, b in zip(v, base)]]
+    for r, c in enumerate(pivots):
+        pivot_rows(rows, r, c)
+    return not any(rows[-1])
 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:

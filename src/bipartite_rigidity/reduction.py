@@ -218,27 +218,19 @@ def slide_to_hyperplane(
 def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
     """Absorb every unmarked vertex lying in the certified affine hull.
 
-    Iterates to a fixpoint; exact membership tests make the result
-    independent of processing order.
+    One round suffices: an absorbed vertex already lies in the hull, so the
+    hull does not grow.  Exact membership tests make the result independent
+    of processing order.
     """
     if known.is_empty():
         return known
-    current = known
-    while True:
-        hull_points = current.points(fw)
-        added_p = [
-            i
-            for i in range(fw.n)
-            if i not in current.p_indices and in_affine_span(fw.points_p[i], hull_points)
-        ]
-        added_q = [
-            j
-            for j in range(fw.m)
-            if j not in current.q_indices and in_affine_span(fw.points_q[j], hull_points)
-        ]
-        if not added_p and not added_q:
-            return current
-        current = current.union(added_p, added_q)
+    hull = known.points(fw)
+    return known.union(
+        [i for i in range(fw.n)
+         if i not in known.p_indices and in_affine_span(fw.points_p[i], hull)],
+        [j for j in range(fw.m)
+         if j not in known.q_indices and in_affine_span(fw.points_q[j], hull)],
+    )
 
 
 def cone_over(fw: BipartiteFramework, apex: Sequence) -> BipartiteFramework:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from . import lp
@@ -117,9 +118,15 @@ def maximal_support_radon(
     separating quadric (:func:`_farkas_quadric`); no further LP runs.  The
     support of a relative-interior point of the feasible region is
     found by maximizing every coordinate that the first feasible point
-    leaves at zero and averaging all resulting feasible points with equal
-    positive weights.  A coordinate whose maximum is exactly zero is zero
-    across the whole region and stays outside the support.
+    leaves at zero and averaging all resulting feasible points with positive
+    weights.  A coordinate whose maximum is exactly zero is zero across the
+    whole region and stays outside the support.
+
+    Each point is weighted by the multiple ``den * ceil(top / den)`` of its
+    common denominator ``den`` (``top`` the largest of them), so every
+    weighted point is integral, the weights stay within a factor two of
+    each other, and the one division by their sum keeps the coefficients
+    short.
     """
     if fw.n < 1 or fw.m < 1:
         raise EmptySide("both classes must be nonempty")
@@ -145,8 +152,13 @@ def maximal_support_radon(
         assert best.status is LPStatus.OPTIMAL, "region is nonempty and bounded"
         if best.value > 0:
             points.append(best.point)
-    weight = Fraction(1, len(points))
-    avg = tuple(sum((pt[k] for pt in points), ZERO) * weight for k in range(total))
+    dens = [lcm(*(v.denominator for v in pt)) for pt in points]
+    top = max(dens)
+    weights = [den * -(-top // den) for den in dens]
+    avg = tuple(
+        sum((w * pt[k] for w, pt in zip(weights, points)), ZERO) / sum(weights)
+        for k in range(total)
+    )
     return RadonCertificate(lambdas=avg[: fw.n], mus=avg[fw.n :])
 
 

@@ -1,30 +1,36 @@
 """Maximum-rank PSD equilibrium stress matrices for bipartite frameworks.
 
 Given strictly positive coefficients ``(lambdas, mus)`` that balance the
-lifted classes exactly, the two weighted configuration matrices share their
-left singular structure.  Writing ``X_n = P^ L^{1/2}`` and
-``X_m = Q^ M^{1/2}`` (``P^``/``Q^`` are the configuration matrices with a
-row of ones appended, ``L``/``M`` the diagonal coefficient matrices), both
-``X_n X_n^T`` and ``X_m X_m^T`` equal the same exactly-computed Gram matrix.
-One eigendecomposition of that Gram matrix therefore yields a shared left
-factor ``U`` and singular values ``D`` for both.
+lifted classes exactly, the two weighted Gram matrices agree:
+``G = P^ L P^^T = Q^ M Q^^T``, where ``P^``/``Q^`` are the configuration
+matrices with a row of ones appended and ``L``/``M`` the diagonal
+coefficient matrices.  The stress matrix has the coefficients on its
+diagonal and the closed-form cross block
 
-The stress matrix is assembled from the right factors: with ``V_n``/``V_m``
-the completed right singular bases and a coupling block ``psi`` that pairs
-the leading r = (span dimension + 1) right directions of both sides,
+    omega = [[L, B], [B^T, M]],    B = -L P^^T G^- Q^ M,
 
-    omega = diag(L^{1/2}, M^{1/2}) diag(V_n, V_m) psi diag(V_n, V_m)^T
-            diag(L^{1/2}, M^{1/2})
+for any generalized inverse ``G^-``.  The columns of ``Q^ M`` lie in the
+range of ``G`` and ``P^^T`` vanishes on the kernel of ``G``, so every
+solution ``X`` of ``G X = Q^ M`` gives the same ``B = -L P^^T X``; one is
+read off the exact row reduction of ``[G | Q^ M]``, and only the finished
+block is converted to floating point.  Equilibrium then holds exactly
+(``P^ L + Q^ B^T = 0`` and ``P^ B + Q^ M = 0``), and the Schur complement
+``M^{1/2} (I - Pi) M^{1/2}``, with ``Pi`` the orthogonal projector onto
+the row space of ``Q^ M^{1/2}``, makes omega PSD of rank
+``n + m - d' - 1`` (``d'`` the span dimension).
 
-which expands to diagonal blocks exactly ``diag(lambdas)`` and
-``diag(mus)`` and a dense bipartite block.  The result is PSD of rank
-``n + m - r``, annihilates every row of the hatted configuration matrix,
-and its diagonal carries the input coefficients.
+``B`` is affine invariant: an invertible affine map of the coordinates acts
+on every hatted point by one invertible matrix ``T``, which turns ``G``
+into ``T G T^T`` and ``G^-`` into ``T^-T G^- T^-1``, and the factors
+cancel.  Thin, flat or large configurations therefore need no rescaling
+before the build.
 
-An optional diagonal coupling ``C`` between the trailing right directions
-generalizes the construction: the result stays PSD while every coupling
-value has magnitude at most one, and the rank drops by one for each value
-of magnitude exactly one.
+An optional diagonal coupling ``C`` generalizes the construction: with
+``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
+``Q^ M^{1/2}`` (trailing right singular directions, taken in floating
+point), the cross block gains ``L^{1/2} N_P C N_Q^T M^{1/2}``.  The result
+stays PSD while every coupling value has magnitude at most one, and the
+rank drops by one for each value of magnitude exactly one.
 
 Certificates are floating point with declared tolerances; verdicts in the
 decision engine never depend on them.
@@ -39,7 +45,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BipartiteFramework, affine_span_dim, affine_spans_equal
+from .geometry import (
+    BipartiteFramework,
+    Point,
+    affine_span_dim,
+    affine_spans_equal,
+    row_reduce,
+)
 from .lp import ZERO, ONE
 
 #: Relative eigenvalue threshold for numerical rank decisions.
@@ -57,7 +69,7 @@ class DegenerateInput(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Floating-point factorization failed its internal residual check."""
+    """A floating certificate failed its own rank check."""
 
 
 class ShapeMismatch(ValueError):
@@ -92,9 +104,6 @@ class StressCertificate:
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self.omega, 2))
 
-    def is_psd(self, tol: float = RANK_TOL) -> bool:
-        return self.min_eigenvalue >= -tol * max(self.spectral_norm(), 1.0)
-
 
 def prescale(fw: BipartiteFramework) -> BipartiteFramework:
     """Rescale coordinates for floating conversion, exactly.
@@ -102,8 +111,8 @@ def prescale(fw: BipartiteFramework) -> BipartiteFramework:
     Clears the common denominator and then halves until the largest
     coordinate magnitude is at most ``COORD_CAP``.  Scaling the
     configuration leaves equilibrium kernels and balance certificates
-    untouched, so a stress built for the scaled copy certifies the
-    original.
+    untouched, so the floating checks and the coupling directions read the
+    scaled copy.
     """
     coords = [c for pt in fw.all_points() for c in pt]
     if not coords or all(c == 0 for c in coords):
@@ -125,17 +134,13 @@ def prescale(fw: BipartiteFramework) -> BipartiteFramework:
     )
 
 
-def _hatted(fw: BipartiteFramework) -> np.ndarray:
-    """The (d+1) x (n+m) configuration matrix with a row of ones."""
-    cols = []
-    for pt in fw.all_points():
-        cols.append([float(c) for c in pt] + [1.0])
-    return np.array(cols).T
+def _hatted(points: Sequence[Point]) -> np.ndarray:
+    """The (d+1) x k configuration matrix of ``points`` with a row of ones."""
+    return np.array([[float(c) for c in pt] + [1.0] for pt in points]).T
 
 
-def _exact_gram(points: Sequence, coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
+def _exact_gram(d: int, points: Sequence[Point], coeffs) -> list[list[Fraction]]:
     """The exact (d+1) x (d+1) matrix sum of coeff * hat(p) hat(p)^T."""
-    d = len(points[0])
     g = [[ZERO] * (d + 1) for _ in range(d + 1)]
     for pt, w in zip(points, coeffs):
         hat = tuple(pt) + (ONE,)
@@ -150,84 +155,66 @@ def _exact_gram(points: Sequence, coeffs: Sequence[Fraction]) -> list[list[Fract
     return g
 
 
-def _balance_residual(fw: BipartiteFramework, lambdas, mus) -> bool:
-    gp = _exact_gram(fw.points_p, lambdas)
-    gq = _exact_gram(fw.points_q, mus)
-    return all(a == b for ra, rb in zip(gp, gq) for a, b in zip(ra, rb))
+def _cross_block(fw: BipartiteFramework, lambdas, mus, gram) -> list[list[Fraction]]:
+    """The exact cross block ``B = -L P^^T X`` for a solution of ``G X = Q^ M``.
 
-
-def _shared_factors(fw: BipartiteFramework, lambdas, mus, r: int):
-    """Shared-left-factor decomposition of both weighted sides.
-
-    Returns (Vn_lead, Vm_lead, Vn_rest, Vm_rest) where the leading blocks
-    have r orthonormal columns and the rests span the orthogonal
-    complements.
+    ``[G | Q^ M]`` is row reduced; ``X`` takes the reduced right side in
+    its pivot rows and zeros elsewhere.  Exact balance puts every column of
+    ``Q^ M`` in the range of ``G``, so no pivot lands on the right side.
     """
-    gram = np.array([[float(v) for v in row] for row in _exact_gram(fw.points_p, lambdas)])
-    evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    scale = max(float(evals[0]), 1.0)
-    if evals[r - 1] <= RANK_TOL * scale:
-        raise NumericalFailure("shared factor lost rank in floating point")
-    u_lead = evecs[:, :r]
-    d_lead = np.sqrt(evals[:r])
-    sqrt_l = np.sqrt([float(v) for v in lambdas])
-    sqrt_m = np.sqrt([float(v) for v in mus])
-    xn = _hatted(BipartiteFramework(fw.dimension, fw.points_p, ())) * sqrt_l
-    xm_pts = np.array([[float(c) for c in pt] + [1.0] for pt in fw.points_q]).T
-    xm = xm_pts * sqrt_m
-    vn_lead = xn.T @ u_lead / d_lead
-    vm_lead = xm.T @ u_lead / d_lead
-    for x, v in ((xn, vn_lead), (xm, vm_lead)):
-        resid = float(np.max(np.abs(x - (u_lead * d_lead) @ v.T)))
-        if resid > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(x)))):
-            raise NumericalFailure("factorization residual above tolerance")
-    return vn_lead, vm_lead, _complement(vn_lead), _complement(vm_lead)
+    hat = fw.dimension + 1
+    q_hats = [tuple(q) + (ONE,) for q in fw.points_q]
+    system = [gram[i] + [mu * q[i] for q, mu in zip(q_hats, mus)] for i in range(hat)]
+    x = [[ZERO] * fw.m for _ in range(hat)]
+    for row, col in zip(system, row_reduce(system)):
+        x[col] = row[hat:]
+    return [
+        [
+            -lam * sum((a * x[i][j] for i, a in enumerate(tuple(p) + (ONE,)) if a), ZERO)
+            for j in range(fw.m)
+        ]
+        for p, lam in zip(fw.points_p, lambdas)
+    ]
 
 
-def _complement(v_lead: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the columns."""
-    n, r = v_lead.shape
-    if n == r:
-        return np.zeros((n, 0))
-    u, _, _ = np.linalg.svd(v_lead, full_matrices=True)
-    return u[:, r:]
+def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal columns spanning the null space of a rank-``rank`` matrix."""
+    _, _, vt = np.linalg.svd(matrix, full_matrices=True)
+    return vt[rank:].T
 
 
 def _assemble(
     fw: BipartiteFramework,
-    lambdas,
-    mus,
+    lambdas: Sequence[Fraction],
+    mus: Sequence[Fraction],
     coupling: Optional[Sequence[float]],
 ) -> StressCertificate:
     n, m = fw.n, fw.m
-    scaled = prescale(fw)
-    d_span = affine_span_dim(scaled.all_points())
-    r = d_span + 1
-    if n < r or m < r:
-        raise DegenerateInput(
-            "balanced coefficients force each class to span the full space"
-        )
-    vn_lead, vm_lead, vn_rest, vm_rest = _shared_factors(scaled, lambdas, mus, r)
-    cross = -vn_lead @ vm_lead.T
-    n_rest = vn_rest.shape[1]
-    m_rest = vm_rest.shape[1]
-    pairs = min(n_rest, m_rest)
+    if len(lambdas) != n or len(mus) != m:
+        raise ShapeMismatch("coefficient lengths must match the class sizes")
+    if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
+        raise DegenerateInput("all coefficients must be strictly positive")
+    gram = _exact_gram(fw.dimension, fw.points_p, lambdas)
+    if gram != _exact_gram(fw.dimension, fw.points_q, mus):
+        raise DegenerateInput("coefficients do not balance the lifted classes")
+    bipartite = np.array(
+        [[float(v) for v in row] for row in _cross_block(fw, lambdas, mus, gram)]
+    )
     if coupling is not None:
+        r = affine_span_dim(fw.all_points()) + 1
+        pairs = min(n - r, m - r)
         if len(coupling) != pairs:
             raise ShapeMismatch(
                 f"coupling expects {pairs} diagonal values, got {len(coupling)}"
             )
         if pairs:
-            c_block = np.zeros((n_rest, m_rest))
-            for k, value in enumerate(coupling):
-                c_block[k, k] = float(value)
-            cross = cross + vn_rest @ c_block @ vm_rest.T
-    sqrt_l = np.sqrt([float(v) for v in lambdas])
-    sqrt_m = np.sqrt([float(v) for v in mus])
-    bipartite = (cross * sqrt_m) * sqrt_l[:, None]
+            scaled = prescale(fw)
+            sqrt_l = np.sqrt([float(v) for v in lambdas])
+            sqrt_m = np.sqrt([float(v) for v in mus])
+            null_p = _null_basis(_hatted(scaled.points_p) * sqrt_l, r)[:, :pairs]
+            null_q = _null_basis(_hatted(scaled.points_q) * sqrt_m, r)[:, :pairs]
+            values = np.array([float(v) for v in coupling])
+            bipartite += (sqrt_l[:, None] * null_p * values) @ (sqrt_m[:, None] * null_q).T
     omega = np.zeros((n + m, n + m))
     omega[np.arange(n), np.arange(n)] = [float(v) for v in lambdas]
     omega[np.arange(n, n + m), np.arange(n, n + m)] = [float(v) for v in mus]
@@ -259,12 +246,6 @@ def build_super_stable_stress(
     coefficients on its diagonal, and annihilates the hatted configuration
     matrix up to floating round-off.
     """
-    if len(lambdas) != fw.n or len(mus) != fw.m:
-        raise ShapeMismatch("coefficient lengths must match the class sizes")
-    if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
-        raise DegenerateInput("all coefficients must be strictly positive")
-    if not _balance_residual(prescale(fw), lambdas, mus):
-        raise DegenerateInput("coefficients do not balance the lifted classes")
     cert = _assemble(fw, lambdas, mus, coupling=None)
     expected = fw.n + fw.m - affine_span_dim(fw.all_points()) - 1
     if cert.rank != expected:
@@ -288,12 +269,6 @@ def generalized_stress(
     positive semidefiniteness, and each value of magnitude exactly one
     drops the rank by one.
     """
-    if len(lambdas) != fw.n or len(mus) != fw.m:
-        raise ShapeMismatch("coefficient lengths must match the class sizes")
-    if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
-        raise DegenerateInput("all coefficients must be strictly positive")
-    if not _balance_residual(prescale(fw), lambdas, mus):
-        raise DegenerateInput("coefficients do not balance the lifted classes")
     return _assemble(fw, lambdas, mus, coupling=list(coupling))
 
 
@@ -307,7 +282,7 @@ def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
-    hatted = _hatted(prescale(fw))
+    hatted = _hatted(prescale(fw).all_points())
     return float(np.max(np.abs(hatted @ omega)))
 
 
@@ -334,8 +309,8 @@ def extract_balanced_diagonals(
     lambdas = np.diag(p_block).copy()
     mus = np.diag(q_block).copy()
     scaled = prescale(fw)
-    hp = _hatted(BipartiteFramework(scaled.dimension, scaled.points_p, ()))
-    hq = np.array([[float(c) for c in pt] + [1.0] for pt in scaled.points_q]).T
+    hp = _hatted(scaled.points_p)
+    hq = _hatted(scaled.points_q)
     gap = hp @ np.diag(lambdas) @ hp.T - hq @ np.diag(mus) @ hq.T
     return lambdas, mus, bool(np.max(np.abs(gap)) <= tol)
 

@@ -32,6 +32,17 @@ def random_framework(
     return BipartiteFramework(d, tuple(pt() for _ in range(n)), tuple(pt() for _ in range(m)))
 
 
+def thin_image(fw: BipartiteFramework, factor=F(1, 10**5)) -> BipartiteFramework:
+    """The affine image of ``fw`` with its last coordinate multiplied by ``factor``."""
+
+    def squash(pt):
+        return pt[:-1] + (pt[-1] * factor,)
+
+    return BipartiteFramework(
+        fw.dimension, tuple(map(squash, fw.points_p)), tuple(map(squash, fw.points_q))
+    )
+
+
 def random_line_framework(rng: random.Random, n_max: int = 5) -> BipartiteFramework:
     """Distinct-point line framework with at least two vertices per class."""
     n = rng.randint(2, n_max)

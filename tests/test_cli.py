@@ -11,7 +11,8 @@ import pytest
 
 from bipartite_rigidity import docio
 from bipartite_rigidity.cli import main
-from bipartite_rigidity.fixtures import emit_fixtures
+from bipartite_rigidity.fixtures import emit_fixtures, fixture
+from conftest import thin_image
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,17 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 2
         assert "iterations[0]" in capsys.readouterr().err
+    # so is a document of a format this reader does not know, or of none
+    for value in (None, "1", 1.0, True, 0, 2):
+        bad = dict(doc)
+        if value is None:
+            del bad["format"]
+        else:
+            bad["format"] = value
+        cert_path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 2
+        assert "format" in capsys.readouterr().err
     # a separating quadric whose stated margin is doubled no longer holds
     main(["check", str(corpus / "separated_line.json"), "--certificate", str(cert_path)])
     doc = json.loads(cert_path.read_text())
@@ -106,6 +118,13 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(corpus / "separated_line.json"), str(cert_path)]) == 1
     assert capsys.readouterr().out.strip() == "invalid"
+
+
+def test_check_thin_cube(tmp_path, capsys):
+    path = tmp_path / "thin_cube.json"
+    path.write_text(docio.serialize_framework(thin_image(fixture("cube_k44").framework)))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "universally-rigid"
 
 
 def test_check_many_files(corpus, capsys):

@@ -119,9 +119,17 @@ def test_parse_chain_errors():
          "iterations[0].stress.residual:"),
         (("iterations", 0, "stress", "omega"), "12", "iterations[0].stress.omega:"),
         (("input", "P"), 1, "input.P:"),
+        (("format",), "1", "format:"),
+        (("format",), True, "format:"),
+        (("format",), 1.0, "format:"),
+        (("format",), docio.FORMAT_VERSION + 1, "format:"),
     ):
         with pytest.raises(docio.ParseError, match=re.escape(locus)):
             docio.parse_chain(_replaced(text, path, value))
+    missing = json.loads(text)
+    del missing["format"]
+    with pytest.raises(docio.ParseError, match="format:"):
+        docio.parse_chain(json.dumps(missing))
 
 
 def _replaced(text, path, value):

@@ -15,9 +15,15 @@ from bipartite_rigidity.engine import (
     rigidity_test_batch,
     verify_chain,
 )
+from bipartite_rigidity.fixtures import fixture
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.stress import verify_super_stable_certificate
-from conftest import line_strictly_separable, random_framework, random_line_framework
+from conftest import (
+    line_strictly_separable,
+    random_framework,
+    random_line_framework,
+    thin_image,
+)
 
 
 def line_fw(p_vals, q_vals):
@@ -268,3 +274,34 @@ def test_monotone_certainty(rng):
             continue
         sub = fw.subframework(known_p, known_q)
         assert rigidity_test(sub)[0] is Verdict.UNIVERSALLY_RIGID
+
+
+@pytest.mark.parametrize("name", ["k33_conic", "cube_k44", "k65", "k55"])
+def test_thin_affine_image_stays_rigid(name):
+    # Universal rigidity is affine invariant; squashing one axis by 10^-5
+    # must not cost the verdict or its certificate.
+    fw = thin_image(fixture(name).framework)
+    verdict, chain = rigidity_test(fw)
+    assert verdict is Verdict.UNIVERSALLY_RIGID
+    assert verify_chain(fw, chain)
+
+
+def test_balance_coefficients_stay_short():
+    # K(10,10) in d=3 with the coordinates of acceptance 6; the seeds give
+    # rigid instances whose balanced passes maximize several coordinates.
+    def bits(x):
+        return x.numerator.bit_length() + x.denominator.bit_length()
+
+    for seed in (1, 2, 4):
+        rng = random.Random(seed)
+
+        def pt():
+            return tuple(F(rng.randint(-16, 16), rng.randint(1, 16)) for _ in range(3))
+
+        fw = BipartiteFramework(3, tuple(pt() for _ in range(10)), tuple(pt() for _ in range(10)))
+        verdict, chain = rigidity_test(fw)
+        assert verdict is Verdict.UNIVERSALLY_RIGID
+        coefficients = [
+            v for rec in chain.records if rec.radon for v in rec.radon.lambdas + rec.radon.mus
+        ]
+        assert coefficients and max(map(bits, coefficients)) <= 600

@@ -7,15 +7,18 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bipartite_rigidity.fixtures import fixture
+from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
-from bipartite_rigidity.separation import maximal_support_radon
+from bipartite_rigidity.lp import ONE
+from bipartite_rigidity.separation import RadonCertificate, maximal_support_radon
 from bipartite_rigidity.stress import (
     RANK_TOL,
     DegenerateInput,
     PatternViolation,
     ShapeMismatch,
     StressCertificate,
+    _cross_block,
+    _exact_gram,
     build_super_stable_stress,
     equilibrium_residual,
     extract_balanced_diagonals,
@@ -177,3 +180,32 @@ def test_coupling_sweep_psd_and_rank():
     assert ranks[1] == ranks[3] - 1  # rank drops by one at coupling -1
     assert ranks[5] == ranks[3] - 1  # and at +1
     assert ranks[3] == 11 - 3 - 1
+
+
+def test_cross_block_exact_equilibrium():
+    # lambda_i p^_i + sum_j B_ij q^_j = 0 and sum_i B_ij p^_i + mu_j q^_j = 0,
+    # in rationals, on the balanced support of every balanced fixture.
+    balanced = 0
+    for fx in all_fixtures().values():
+        if fx.framework.m == 0:
+            continue
+        cert = maximal_support_radon(fx.framework)
+        if not isinstance(cert, RadonCertificate):
+            continue
+        balanced += 1
+        fw = fx.framework.subframework(cert.support_p, cert.support_q)
+        lambdas = [cert.lambdas[i] for i in cert.support_p]
+        mus = [cert.mus[j] for j in cert.support_q]
+        cross = _cross_block(fw, lambdas, mus, _exact_gram(fw.dimension, fw.points_p, lambdas))
+        p_hat = [tuple(p) + (ONE,) for p in fw.points_p]
+        q_hat = [tuple(q) + (ONE,) for q in fw.points_q]
+        for k in range(fw.dimension + 1):
+            for i in range(fw.n):
+                assert lambdas[i] * p_hat[i][k] + sum(
+                    cross[i][j] * q_hat[j][k] for j in range(fw.m)
+                ) == 0
+            for j in range(fw.m):
+                assert sum(
+                    cross[i][j] * p_hat[i][k] for i in range(fw.n)
+                ) + mus[j] * q_hat[j][k] == 0
+    assert balanced >= 10
