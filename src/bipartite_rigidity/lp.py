@@ -16,14 +16,22 @@ which keeps the tableau small for box-constrained problems.
 Running the solver twice on the same problem produces the identical outcome:
 entering and leaving variables are chosen by Bland's smallest-index rule and
 no randomization is used anywhere.
+
+Phase 1 never reads the objective, so every problem with the same rows, rhs
+and bounds ends phase 1 in the same basis.  A FEASIBLE outcome of
+:func:`solve_feasibility` keeps that state, and :func:`maximize` can start
+from a copy of it (``start=``): it then runs phase 2 only, takes exactly the
+pivots a cold solve would take after phase 1, and returns the identical
+outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,13 +131,16 @@ class LPOutcome:
     ``point`` is an exact solution for FEASIBLE/OPTIMAL.  ``dual`` holds the
     Farkas vector for INFEASIBLE (see :func:`farkas_refutes`) or the
     equality-row multipliers at an optimum.  ``value`` is the exact optimal
-    objective value for OPTIMAL.
+    objective value for OPTIMAL.  A FEASIBLE outcome of
+    :func:`solve_feasibility` also carries its phase-1 state, which
+    :func:`maximize` accepts as ``start``; it takes no part in comparisons.
     """
 
     status: LPStatus
     point: Optional[tuple[Fraction, ...]] = None
     dual: Optional[tuple[Fraction, ...]] = None
     value: Optional[Fraction] = None
+    phase_one: Optional[_PhaseOne] = field(default=None, compare=False, repr=False)
 
 
 def farkas_refutes(prob: LPProblem, y: Sequence[Fraction]) -> bool:
@@ -282,6 +293,16 @@ class _Simplex:
             start = ZERO if direction > 0 else upper[j]
             self._pivot(i, j, start + delta, best_side)
 
+    def copy(self) -> "_Simplex":
+        """An independent copy: no pivot on it changes this tableau."""
+        dup = copy.copy(self)
+        dup.T = [row[:] for row in self.T]
+        dup.xB = list(self.xB)
+        dup.basis = list(self.basis)
+        dup.status = list(self.status)
+        dup.upper = list(self.upper)
+        return dup
+
     def _pivot(self, i: int, j: int, value, leave_side: int) -> None:
         leave = self.basis[i]
         self.status[leave] = leave_side
@@ -406,31 +427,71 @@ def _recover(prob: LPProblem, col_plus, col_minus, x_std) -> tuple[Fraction, ...
     return tuple(out)
 
 
+class _PhaseOne(NamedTuple):
+    """A problem's standard form after phase 1 (internal)."""
+
+    constraints: tuple  # (rows, rhs, nonnegative, upper) of the problem
+    col_plus: list[int]
+    col_minus: list[Optional[int]]
+    splx: _Simplex
+    feasible: bool
+
+
+def _constraints(prob: LPProblem) -> tuple:
+    return (prob.rows, prob.rhs, prob.nonnegative, prob.upper)
+
+
+def _phase_one(prob: LPProblem) -> _PhaseOne:
+    """Standardize ``prob`` and run phase 1; the objective is not read."""
+    col_plus, col_minus, std_rows, uppers = _standardize(prob)
+    splx = _Simplex(std_rows, list(prob.rhs), uppers)
+    feasible = splx.phase1()
+    return _PhaseOne(_constraints(prob), col_plus, col_minus, splx, feasible)
+
+
 def solve_feasibility(prob: LPProblem) -> LPOutcome:
     """Decide ``A x = b`` with the problem's bounds, exactly.
 
     Returns FEASIBLE with an exact basic solution, or INFEASIBLE with a
     Farkas vector for the equality rows.  Deterministic for a fixed input.
+    A FEASIBLE outcome can be passed to :func:`maximize` as ``start``.
     """
     if prob.objective is not None:
         raise MalformedProblem("feasibility problem must not carry an objective")
-    col_plus, col_minus, std_rows, uppers = _standardize(prob)
-    splx = _Simplex(std_rows, list(prob.rhs), uppers)
-    if not splx.phase1():
-        return LPOutcome(status=LPStatus.INFEASIBLE, dual=splx.farkas())
-    point = _recover(prob, col_plus, col_minus, splx.solution())
-    return LPOutcome(status=LPStatus.FEASIBLE, point=point)
+    state = _phase_one(prob)
+    if not state.feasible:
+        return LPOutcome(status=LPStatus.INFEASIBLE, dual=state.splx.farkas())
+    point = _recover(prob, state.col_plus, state.col_minus, state.splx.solution())
+    return LPOutcome(status=LPStatus.FEASIBLE, point=point, phase_one=state)
 
 
-def maximize(prob: LPProblem) -> LPOutcome:
-    """Maximize the objective over the problem's feasible region, exactly."""
+def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
+    """Maximize the objective over the problem's feasible region, exactly.
+
+    ``start`` may be a FEASIBLE outcome of :func:`solve_feasibility` on a
+    problem with the same rows, rhs and bounds as ``prob``.  Phase 1 never
+    reads the objective and is deterministic, so it would end in exactly the
+    basis that outcome holds; the solve copies that tableau and runs phase 2
+    only.  The outcome is identical to a solve without ``start``, which is
+    never modified and can start any number of solves.  Any other ``start``
+    raises :class:`MalformedProblem`.
+    """
     if prob.objective is None:
         raise MalformedProblem("maximize requires an objective")
-    col_plus, col_minus, std_rows, uppers = _standardize(prob)
-    splx = _Simplex(std_rows, list(prob.rhs), uppers)
-    if not splx.phase1():
-        return LPOutcome(status=LPStatus.INFEASIBLE, dual=splx.farkas())
-    cost = [ZERO] * len(uppers)
+    if start is None:
+        state = _phase_one(prob)
+        if not state.feasible:
+            return LPOutcome(status=LPStatus.INFEASIBLE, dual=state.splx.farkas())
+        splx = state.splx
+    else:
+        state = start.phase_one
+        if state is None or state.constraints != _constraints(prob):
+            raise MalformedProblem(
+                "start is not a feasible outcome of this problem's constraints"
+            )
+        splx = state.splx.copy()
+    col_plus, col_minus = state.col_plus, state.col_minus
+    cost = [ZERO] * splx.nx
     for j, v in enumerate(prob.objective):
         if not v:
             continue

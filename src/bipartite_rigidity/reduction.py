@@ -134,7 +134,8 @@ def project_out_known_set(
     proj = orthogonal_projector(anchor_pts)
     p0 = _apply(proj, anchor_pts[0])
     for pt in anchor_pts[1:]:
-        assert _apply(proj, pt) == p0, "projector must collapse the certified hull"
+        if _apply(proj, pt) != p0:
+            raise AssertionError("projector must collapse the certified hull")
     marked_p = set(known.p_indices)
     marked_q = set(known.q_indices)
     out_p: list[Point] = []

@@ -120,7 +120,9 @@ def maximal_support_radon(
     found by maximizing every coordinate that the first feasible point
     leaves at zero and averaging all resulting feasible points with positive
     weights.  A coordinate whose maximum is exactly zero is zero across the
-    whole region and stays outside the support.
+    whole region and stays outside the support.  Every maximization starts
+    from the feasibility solve's phase-1 basis (``lp.maximize(start=...)``),
+    so phase 1 runs once per call however many coordinates are zero.
 
     Each point is weighted by the multiple ``den * ceil(top / den)`` of its
     common denominator ``den`` (``top`` the largest of them), so every
@@ -148,8 +150,9 @@ def maximal_support_radon(
             upper=base.upper,
             objective=tuple(obj),
         )
-        best = lp.maximize(lifted)
-        assert best.status is LPStatus.OPTIMAL, "region is nonempty and bounded"
+        best = lp.maximize(lifted, start=outcome)
+        if best.status is not LPStatus.OPTIMAL:
+            raise AssertionError("the balance region is nonempty and bounded")
         if best.value > 0:
             points.append(best.point)
     dens = [lcm(*(v.denominator for v in pt)) for pt in points]
@@ -229,7 +232,8 @@ def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fractio
     objective[delta_col] = ONE
     prob = LPProblem.create(rows, rhs, n_vars, upper=upper, objective=objective)
     outcome = lp.maximize(prob)
-    assert outcome.status is LPStatus.OPTIMAL, "margin LP is feasible and bounded"
+    if outcome.status is not LPStatus.OPTIMAL:
+        raise AssertionError("the margin LP is feasible and bounded")
     point = outcome.point
     entries = tuple(point[k] - point[k_entries + k] for k in range(k_entries))
     return SymmetricMatrix.from_upper(hat, entries), outcome.value

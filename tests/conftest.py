@@ -32,6 +32,16 @@ def random_framework(
     return BipartiteFramework(d, tuple(pt() for _ in range(n)), tuple(pt() for _ in range(m)))
 
 
+def k10x10(seed: int) -> BipartiteFramework:
+    """K(10,10) in d=3 with the coordinates of acceptance 6, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+
+    def pt():
+        return tuple(F(rng.randint(-16, 16), rng.randint(1, 16)) for _ in range(3))
+
+    return BipartiteFramework(3, tuple(pt() for _ in range(10)), tuple(pt() for _ in range(10)))
+
+
 def thin_image(fw: BipartiteFramework, factor=F(1, 10**5)) -> BipartiteFramework:
     """The affine image of ``fw`` with its last coordinate multiplied by ``factor``."""
 

@@ -19,6 +19,7 @@ from bipartite_rigidity.fixtures import fixture
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
+    k10x10,
     line_strictly_separable,
     random_framework,
     random_line_framework,
@@ -293,13 +294,7 @@ def test_balance_coefficients_stay_short():
         return x.numerator.bit_length() + x.denominator.bit_length()
 
     for seed in (1, 2, 4):
-        rng = random.Random(seed)
-
-        def pt():
-            return tuple(F(rng.randint(-16, 16), rng.randint(1, 16)) for _ in range(3))
-
-        fw = BipartiteFramework(3, tuple(pt() for _ in range(10)), tuple(pt() for _ in range(10)))
-        verdict, chain = rigidity_test(fw)
+        verdict, chain = rigidity_test(k10x10(seed))
         assert verdict is Verdict.UNIVERSALLY_RIGID
         coefficients = [
             v for rec in chain.records if rec.radon for v in rec.radon.lambdas + rec.radon.mus

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bipartite_rigidity.lp import (
     LPProblem,
@@ -238,3 +239,57 @@ def test_determinism():
         first = solve_feasibility(prob)
         second = solve_feasibility(prob)
         assert first == second
+
+
+@st.composite
+def feasible_constraints(draw):
+    """Rows, rhs, free set and upper bounds of an LP that ``x0`` satisfies.
+
+    Every nonnegative variable is boxed, so the region is bounded unless a
+    free variable runs along a direction the rows leave open.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    free = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    x0 = [draw(st.integers(-3, 3) if j in free else st.integers(0, 3)) for j in range(n)]
+    upper = {j: x0[j] + draw(st.integers(0, 3)) for j in range(n) if j not in free}
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    return rows, rhs, n, free, upper
+
+
+@given(
+    feasible_constraints(),
+    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=2, max_size=4),
+)
+def test_warm_start_matches_cold_solve(constraints, objectives):
+    rows, rhs, n, free, upper = constraints
+    start = solve_feasibility(LPProblem.create(rows, rhs, n, free=free, upper=upper))
+    assert start.status is LPStatus.FEASIBLE
+    # One start serves every objective in turn, so no warm solve may alter it.
+    for objective in objectives:
+        prob = LPProblem.create(rows, rhs, n, free=free, upper=upper, objective=objective[:n])
+        cold = maximize(prob)
+        warm = maximize(prob, start=start)
+        assert (warm.status, warm.point, warm.value, warm.dual) == (
+            cold.status, cold.point, cold.value, cold.dual)
+
+
+def test_maximize_rejects_foreign_start():
+    upper = {0: 3, 1: 3}
+    prob = LPProblem.create([[1, 1]], [2], 2, upper=upper, objective=[1, 0])
+    own = solve_feasibility(LPProblem.create([[1, 1]], [2], 2, upper=upper))
+    assert maximize(prob, start=own).value == 2
+    infeasible = LPProblem.create([[1, 1]], [-1], 2, upper=upper, objective=[1, 0])
+    cases = [
+        (prob, solve_feasibility(LPProblem.create([[1, 2]], [2], 2, upper=upper))),
+        (prob, solve_feasibility(LPProblem.create([[1, 1]], [1], 2, upper=upper))),
+        (prob, solve_feasibility(LPProblem.create([[1, 1]], [2], 2, upper={0: 3}))),
+        (infeasible, solve_feasibility(LPProblem.create([[1, 1]], [-1], 2, upper=upper))),
+        (prob, maximize(prob)),
+    ]
+    assert cases[3][1].status is LPStatus.INFEASIBLE
+    for target, start in cases:
+        with pytest.raises(MalformedProblem):
+            maximize(target, start=start)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from bipartite_rigidity import lp
 from bipartite_rigidity.geometry import BipartiteFramework, SymmetricMatrix, veronese
 from bipartite_rigidity.lp import ZERO
 from bipartite_rigidity.separation import (
     EmptySide,
+    _radon_problem,
     RadonCertificate,
     SeparationCertificate,
     max_margin_quadric,
@@ -17,7 +20,7 @@ from bipartite_rigidity.separation import (
     verify_radon,
     verify_separation,
 )
-from conftest import random_framework
+from conftest import k10x10, random_framework
 
 
 def line_fw(p_vals, q_vals):
@@ -216,3 +219,25 @@ def test_verify_radon_rejects_corruption():
     assert not verify_radon(ALTERNATING, bad)
     bad2 = RadonCertificate(lambdas=cert.mus, mus=cert.lambdas)
     assert not verify_radon(ALTERNATING, bad2)
+
+
+def test_phase_one_runs_once_per_radon_call(monkeypatch):
+    # A rigid K(10,10): the first balance point is basic, so it leaves
+    # coordinates at zero and every one of them is maximized.
+    fw = k10x10(1)
+    first = lp.solve_feasibility(_radon_problem(fw))
+    zeros = sum(1 for v in first.point if v == 0)
+    assert zeros > 0
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lp._Simplex, "phase1", counted("phase1", lp._Simplex.phase1))
+    monkeypatch.setattr(lp, "maximize", counted("maximize", lp.maximize))
+    assert isinstance(maximal_support_radon(fw), RadonCertificate)
+    assert counts == {"phase1": 1, "maximize": zeros}
