@@ -23,10 +23,7 @@ from .geometry import (
     BipartiteFramework,
     SymmetricMatrix,
     affine_span_dim,
-    conic_at_infinity_witness,
     in_affine_span,
-    is_general_position,
-    is_quadric_general_position,
     veronese,
 )
 from .separation import (
@@ -59,13 +56,10 @@ __all__ = [
     "Verdict",
     "affine_span_dim",
     "build_super_stable_stress",
-    "conic_at_infinity_witness",
     "equilibrium_residual",
     "extract_balanced_diagonals",
     "generalized_stress",
     "in_affine_span",
-    "is_general_position",
-    "is_quadric_general_position",
     "max_margin_quadric",
     "maximal_support_radon",
     "rigidity_test",

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .lp import ZERO, ONE, _frac, pivot_rows
 
@@ -84,8 +81,7 @@ class SymmetricMatrix:
     """A square symmetric matrix stored as its upper triangle (row-major).
 
     Entries are exact rationals; symmetry is structural, not checked per
-    access.  Used for lifted points, separating quadrics and direction
-    conics.
+    access.  Used for lifted points and separating quadrics.
     """
 
     order: int
@@ -128,19 +124,6 @@ class SymmetricMatrix:
     def rows(self) -> list[list[Fraction]]:
         return [[self.entry(i, j) for j in range(self.order)] for i in range(self.order)]
 
-    def inner(self, other: "SymmetricMatrix") -> Fraction:
-        """Trace inner product; off-diagonal entries count twice."""
-        if other.order != self.order:
-            raise ValueError("order mismatch")
-        acc = ZERO
-        k = 0
-        for i in range(self.order):
-            for j in range(i, self.order):
-                term = self.upper[k] * other.upper[k]
-                acc += term if i == j else 2 * term
-                k += 1
-        return acc
-
     def quadratic_form(self, vec: Sequence[Fraction]) -> Fraction:
         if len(vec) != self.order:
             raise ValueError("vector length mismatch")
@@ -159,17 +142,6 @@ class SymmetricMatrix:
         """Value of the quadric form at a point of (order-1)-space."""
         return self.quadratic_form(tuple(point) + (ONE,))
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.upper)
-
-    def scaled(self, factor) -> "SymmetricMatrix":
-        f = _frac(factor)
-        return SymmetricMatrix(self.order, tuple(f * v for v in self.upper))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[float(self.entry(i, j)) for j in range(self.order)]
-                         for i in range(self.order)])
-
 
 def veronese(v: Sequence) -> SymmetricMatrix:
     """Lift a point of d-space to the rank-one symmetric matrix of order d+1."""
@@ -180,11 +152,6 @@ def veronese(v: Sequence) -> SymmetricMatrix:
         for j in range(i, k):
             data.append(hat[i] * hat[j])
     return SymmetricMatrix(k, tuple(data))
-
-
-def lift_coordinates(v: Sequence) -> tuple[Fraction, ...]:
-    """The lifted point flattened to its upper-triangle coordinate vector."""
-    return veronese(v).upper
 
 
 # -- exact elimination -------------------------------------------------------
@@ -258,84 +225,3 @@ def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fra
     if da != db:
         return False
     return affine_span_dim(list(a) + list(b)) == da
-
-
-def is_general_position(points: Sequence[Sequence[Fraction]], d: int) -> bool:
-    """Every k+1 points span a k-dimensional affine subspace, k up to d.
-
-    Equivalent to every subset of size ``min(len(points), d+1)`` being
-    affinely independent; subsets of an affinely independent set are again
-    affinely independent.
-    """
-    pts = list(points)
-    size = min(len(pts), d + 1)
-    if size <= 1:
-        return True
-    for subset in combinations(pts, size):
-        if affine_span_dim(subset) != size - 1:
-            return False
-    return True
-
-
-def is_quadric_general_position(points: Sequence[Sequence[Fraction]], d: int) -> bool:
-    """General position of the lifted points in symmetric-matrix space.
-
-    When there are at least (d+1)(d+2)/2 points this says no
-    (d+1)(d+2)/2 of them lie on a common quadric.
-    """
-    lifted = [lift_coordinates(p) for p in points]
-    cap = (d + 1) * (d + 2) // 2
-    size = min(len(lifted), cap)
-    if size <= 1:
-        return True
-    for subset in combinations(lifted, size):
-        if affine_span_dim(subset) != size - 1:
-            return False
-    return True
-
-
-def conic_at_infinity_witness(
-    directions: Sequence[Sequence[Fraction]],
-) -> Optional[SymmetricMatrix]:
-    """A nonzero symmetric Q with ``v^T Q v = 0`` for every direction, or None.
-
-    Each direction contributes one linear equation on the upper-triangle
-    entries of Q; the witness is any nonzero exact null vector of that
-    system.
-    """
-    if not directions:
-        raise EmptyInput("no directions given")
-    d = len(directions[0])
-    for v in directions:
-        if len(v) != d:
-            raise ValueError("direction dimension mismatch")
-        if all(c == 0 for c in v):
-            raise ValueError("directions must be nonzero")
-    n_unknowns = d * (d + 1) // 2
-    rows = []
-    for v in directions:
-        row = []
-        for i in range(d):
-            for j in range(i, d):
-                row.append(v[i] * v[j] if i == j else 2 * v[i] * v[j])
-        rows.append(row)
-    sol = _null_space_vector(rows, n_unknowns)
-    if sol is None:
-        return None
-    return SymmetricMatrix.from_upper(d, sol)
-
-
-def _null_space_vector(
-    rows: list[list[Fraction]], n_unknowns: int
-) -> Optional[list[Fraction]]:
-    """One nonzero solution of ``rows @ x = 0``, or None if only x = 0."""
-    work = [list(r) for r in rows]
-    pivots = row_reduce(work)
-    free_col = next((c for c in range(n_unknowns) if c not in pivots), None)
-    if free_col is None:
-        return None
-    sol = [ZERO] * n_unknowns
-    sol[free_col] = ONE
-    for r, c in enumerate(pivots):
-        sol[c] = -work[r][free_col]
-    return sol

@@ -6,12 +6,10 @@ exact: feasible points satisfy every constraint with zero residual, optima
 are exact rational values, and infeasible problems come with a Farkas vector
 that refutes them identically.
 
-Problems are stated in equality form ``A x = b`` over variables that are
-either nonnegative or free, with optional finite upper bounds on the
-nonnegative ones.  Free variables are split internally into differences of
-two nonnegative variables.  Upper bounds are handled natively by the
-bounded-variable ratio test (nonbasic variables may sit at either bound),
-which keeps the tableau small for box-constrained problems.
+Problems are stated in equality form ``A x = b`` over nonnegative
+variables, with optional finite upper bounds.  Upper bounds are handled
+natively by the bounded-variable ratio test (nonbasic variables may sit at
+either bound), which keeps the tableau small for box-constrained problems.
 
 Running the solver twice on the same problem produces the identical outcome:
 entering and leaving variables are chosen by Bland's smallest-index rule and
@@ -60,25 +58,20 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """An equality-form LP: ``rows @ x = rhs`` with per-variable bounds.
+    """An equality-form LP: ``rows @ x = rhs`` with ``0 <= x``.
 
-    ``nonnegative[j]`` selects the lower bound of variable ``j``: ``True``
-    means ``x_j >= 0``, ``False`` means ``x_j`` is free.  ``upper[j]`` is an
-    optional finite upper bound and is only allowed on nonnegative
-    variables.  ``objective`` is an optional row of the same width, read as
-    "maximize" by :func:`maximize`.
+    ``upper[j]`` is an optional finite upper bound on variable ``j``.
+    ``objective`` is an optional row of the same width, read as "maximize"
+    by :func:`maximize`.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
-    nonnegative: tuple[bool, ...]
     upper: tuple[Optional[Fraction], ...]
     objective: Optional[tuple[Fraction, ...]]
 
     def __post_init__(self):
-        width = len(self.nonnegative)
-        if len(self.upper) != width:
-            raise MalformedProblem("bound vectors disagree on variable count")
+        width = len(self.upper)
         if len(self.rows) != len(self.rhs):
             raise MalformedProblem("row count does not match rhs count")
         for row in self.rows:
@@ -86,13 +79,8 @@ class LPProblem:
                 raise MalformedProblem("constraint row width mismatch")
         if self.objective is not None and len(self.objective) != width:
             raise MalformedProblem("objective width mismatch")
-        for j, u in enumerate(self.upper):
-            if u is None:
-                continue
-            if not self.nonnegative[j]:
-                raise MalformedProblem("upper bound on a free variable")
-            if u < 0:
-                raise MalformedProblem("negative upper bound")
+        if any(u is not None and u < 0 for u in self.upper):
+            raise MalformedProblem("negative upper bound")
 
     @classmethod
     def create(
@@ -101,18 +89,15 @@ class LPProblem:
         rhs: Iterable,
         n_vars: int,
         *,
-        free: Iterable[int] = (),
         upper: Optional[dict] = None,
         objective: Optional[Sequence] = None,
     ) -> "LPProblem":
-        free_set = set(free)
         ups: list[Optional[Fraction]] = [None] * n_vars
         for j, u in (upper or {}).items():
             ups[j] = _frac(u)
         return cls(
             rows=tuple(tuple(_frac(v) for v in row) for row in rows),
             rhs=tuple(_frac(v) for v in rhs),
-            nonnegative=tuple(j not in free_set for j in range(n_vars)),
             upper=tuple(ups),
             objective=None
             if objective is None
@@ -121,7 +106,7 @@ class LPProblem:
 
     @property
     def n_vars(self) -> int:
-        return len(self.nonnegative)
+        return len(self.upper)
 
 
 @dataclass(frozen=True)
@@ -129,8 +114,10 @@ class LPOutcome:
     """Solver result.
 
     ``point`` is an exact solution for FEASIBLE/OPTIMAL.  ``dual`` holds the
-    Farkas vector for INFEASIBLE (see :func:`farkas_refutes`) or the
-    equality-row multipliers at an optimum.  ``value`` is the exact optimal
+    equality-row multipliers at an optimum, or for INFEASIBLE a Farkas
+    vector ``y``: ``y^T A_j <= 0`` on every column without an upper bound,
+    and ``y^T b`` exceeds the sum of ``u_j * max(y^T A_j, 0)`` over the
+    columns with upper bound ``u_j``.  ``value`` is the exact optimal
     objective value for OPTIMAL.  A FEASIBLE outcome of
     :func:`solve_feasibility` also carries its phase-1 state, which
     :func:`maximize` accepts as ``start``; it takes no part in comparisons.
@@ -141,31 +128,6 @@ class LPOutcome:
     dual: Optional[tuple[Fraction, ...]] = None
     value: Optional[Fraction] = None
     phase_one: Optional[_PhaseOne] = field(default=None, compare=False, repr=False)
-
-
-def farkas_refutes(prob: LPProblem, y: Sequence[Fraction]) -> bool:
-    """Check a Farkas vector exactly.
-
-    For problems without upper bounds this is the classic test
-    ``y^T A <= 0`` componentwise and ``y^T b > 0``.  With upper bounds the
-    certificate generalizes: columns may have positive weight ``y^T A_j``
-    provided the bound caps their contribution, and infeasibility follows
-    from ``y^T b - sum_j u_j * max(y^T A_j, 0) > 0``.
-    """
-    n = prob.n_vars
-    cap = ZERO
-    for j in range(n):
-        col = sum((row[j] * y[i] for i, row in enumerate(prob.rows)), ZERO)
-        if not prob.nonnegative[j]:
-            if col != 0:
-                return False
-            continue
-        if col > 0:
-            if prob.upper[j] is None:
-                return False
-            cap += prob.upper[j] * col
-    lhs = sum((b * y[i] for i, b in enumerate(prob.rhs)), ZERO)
-    return lhs - cap > 0
 
 
 def pivot_rows(rows: list[list[Fraction]], r: int, c: int) -> None:
@@ -387,66 +349,23 @@ class _Simplex:
         return x
 
 
-def _standardize(prob: LPProblem):
-    """Split free variables; return (columns map, std rows, std uppers)."""
-    col_plus: list[int] = []
-    col_minus: list[Optional[int]] = []
-    uppers: list[Optional[Fraction]] = []
-    for j in range(prob.n_vars):
-        col_plus.append(len(uppers))
-        if prob.nonnegative[j]:
-            col_minus.append(None)
-            uppers.append(prob.upper[j])
-        else:
-            uppers.append(None)
-            col_minus.append(len(uppers))
-            uppers.append(None)
-    nx = len(uppers)
-    std_rows = []
-    for row in prob.rows:
-        r = [ZERO] * nx
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            r[col_plus[j]] = v
-            cm = col_minus[j]
-            if cm is not None:
-                r[cm] = -v
-        std_rows.append(r)
-    return col_plus, col_minus, std_rows, uppers
-
-
-def _recover(prob: LPProblem, col_plus, col_minus, x_std) -> tuple[Fraction, ...]:
-    out = []
-    for j in range(prob.n_vars):
-        v = x_std[col_plus[j]]
-        cm = col_minus[j]
-        if cm is not None:
-            v = v - x_std[cm]
-        out.append(v)
-    return tuple(out)
-
-
 class _PhaseOne(NamedTuple):
-    """A problem's standard form after phase 1 (internal)."""
+    """A problem's tableau after phase 1 (internal)."""
 
-    constraints: tuple  # (rows, rhs, nonnegative, upper) of the problem
-    col_plus: list[int]
-    col_minus: list[Optional[int]]
+    constraints: tuple  # (rows, rhs, upper) of the problem
     splx: _Simplex
     feasible: bool
 
 
 def _constraints(prob: LPProblem) -> tuple:
-    return (prob.rows, prob.rhs, prob.nonnegative, prob.upper)
+    return (prob.rows, prob.rhs, prob.upper)
 
 
 def _phase_one(prob: LPProblem) -> _PhaseOne:
-    """Standardize ``prob`` and run phase 1; the objective is not read."""
-    col_plus, col_minus, std_rows, uppers = _standardize(prob)
-    splx = _Simplex(std_rows, list(prob.rhs), uppers)
+    """Run phase 1 on ``prob``; the objective is not read."""
+    splx = _Simplex(prob.rows, prob.rhs, prob.upper)
     feasible = splx.phase1()
-    return _PhaseOne(_constraints(prob), col_plus, col_minus, splx, feasible)
+    return _PhaseOne(_constraints(prob), splx, feasible)
 
 
 def solve_feasibility(prob: LPProblem) -> LPOutcome:
@@ -461,7 +380,7 @@ def solve_feasibility(prob: LPProblem) -> LPOutcome:
     state = _phase_one(prob)
     if not state.feasible:
         return LPOutcome(status=LPStatus.INFEASIBLE, dual=state.splx.farkas())
-    point = _recover(prob, state.col_plus, state.col_minus, state.splx.solution())
+    point = tuple(state.splx.solution())
     return LPOutcome(status=LPStatus.FEASIBLE, point=point, phase_one=state)
 
 
@@ -490,37 +409,12 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
                 "start is not a feasible outcome of this problem's constraints"
             )
         splx = state.splx.copy()
-    col_plus, col_minus = state.col_plus, state.col_minus
-    cost = [ZERO] * splx.nx
-    for j, v in enumerate(prob.objective):
-        if not v:
-            continue
-        cost[col_plus[j]] = -v
-        cm = col_minus[j]
-        if cm is not None:
-            cost[cm] = v
-    outcome = splx.phase2(cost)
+    outcome = splx.phase2([-v for v in prob.objective])
     if outcome == "unbounded":
         return LPOutcome(status=LPStatus.UNBOUNDED)
-    point = _recover(prob, col_plus, col_minus, splx.solution())
+    point = tuple(splx.solution())
     value = sum(
         (c * x for c, x in zip(prob.objective, point) if c), ZERO
     )
     dual = tuple(-y for y in splx.duals())
     return LPOutcome(status=LPStatus.OPTIMAL, point=point, value=value, dual=dual)
-
-
-def check_feasible_point(prob: LPProblem, x: Sequence[Fraction]) -> bool:
-    """Exact re-verification that ``x`` satisfies all constraints and bounds."""
-    if len(x) != prob.n_vars:
-        return False
-    for j in range(prob.n_vars):
-        if prob.nonnegative[j] and x[j] < 0:
-            return False
-        u = prob.upper[j]
-        if u is not None and x[j] > u:
-            return False
-    for row, b in zip(prob.rows, prob.rhs):
-        if sum((c * v for c, v in zip(row, x) if c), ZERO) != b:
-            return False
-    return True

@@ -17,7 +17,7 @@ a separate, wider LP for the separating quadric of largest margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -143,14 +143,7 @@ def maximal_support_radon(
             continue
         obj = [ZERO] * total
         obj[coord] = ONE
-        lifted = LPProblem(
-            rows=base.rows,
-            rhs=base.rhs,
-            nonnegative=base.nonnegative,
-            upper=base.upper,
-            objective=tuple(obj),
-        )
-        best = lp.maximize(lifted, start=outcome)
+        best = lp.maximize(replace(base, objective=tuple(obj)), start=outcome)
         if best.status is not LPStatus.OPTIMAL:
             raise AssertionError("the balance region is nonempty and bounded")
         if best.value > 0:

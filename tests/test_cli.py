@@ -165,6 +165,16 @@ def test_stress_subcommand(corpus, capsys):
     assert "no positive stress" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["separate", "stress"])
+def test_evidence_subcommands_reject_empty_class(command, tmp_path, capsys):
+    path = tmp_path / "one_sided.json"
+    path.write_text('{"d": 1, "P": [["0"], ["2"]], "Q": []}')
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_dump_coords(corpus, capsys):
     assert main(["check", str(corpus / "k11.json"), "--dump-coords"]) == 0
     out = capsys.readouterr().out

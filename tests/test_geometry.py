@@ -1,8 +1,9 @@
-"""Lifts, spans, position predicates, and the direction-conic witness."""
+"""Lifts, exact ranks and affine spans, symmetric matrices, frameworks."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,13 +13,10 @@ from bipartite_rigidity.geometry import (
     BipartiteFramework,
     EmptyInput,
     SymmetricMatrix,
-    _null_space_vector,
     affine_span_dim,
-    conic_at_infinity_witness,
     in_affine_span,
-    is_general_position,
-    is_quadric_general_position,
     linear_rank,
+    row_reduce,
     veronese,
 )
 
@@ -73,10 +71,16 @@ def test_rank_and_null_vector(matrix):
     cols, rows = matrix
     rank = linear_rank(rows)
     assert rank == linear_rank([list(col) for col in zip(*rows)])
-    x = _null_space_vector(rows, cols)
-    assert (x is None) == (rank == cols)
-    if x is not None:
-        assert any(x)
+    # Each non-pivot column of the reduced form gives a null vector, so
+    # the null space has dimension ``cols - rank``.
+    reduced = [list(row) for row in rows]
+    pivots = row_reduce(reduced)
+    assert len(pivots) == rank
+    for free in (c for c in range(cols) if c not in pivots):
+        x = [F(0)] * cols
+        x[free] = F(1)
+        for r, c in enumerate(pivots):
+            x[c] = -reduced[r][free]
         assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
 
 
@@ -132,58 +136,17 @@ def test_in_affine_span_order_independent(rng):
         assert in_affine_span(v, shuffled) == expected
 
 
-def test_general_position_plane():
-    assert is_general_position([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], 2)
-    assert not is_general_position([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], 2)
-
-
-def test_quadric_general_position_line():
-    pts = [(F(0),), (F(1),), (F(2),)]
-    assert is_quadric_general_position(pts, 1)
-    assert not is_quadric_general_position([(F(0),), (F(1),), (F(1),)], 1)
-
-
-def test_six_points_on_conic_not_quadric_general():
-    def circle(t):
-        t = F(t)
-        return ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
-
-    pts = [circle(t) for t in (0, 1, 2, 3, F(1, 2), -1)]
-    assert not is_quadric_general_position(pts, 2)
-
-
 def test_k65_fixture_position_predicates():
+    # The fixture is in quadric general position (every ten of its eleven
+    # lifted points are affinely independent) but not in general position:
+    # three of its points are collinear.
     fw = fixture("k65").framework
     pts = fw.all_points()
-    assert not is_general_position(pts, 3)
-    assert is_quadric_general_position(pts, 3)
-
-
-def test_conic_witness_single_direction():
-    w = conic_at_infinity_witness([(F(1), F(0))])
-    assert w is not None and not w.is_zero()
-    assert w.quadratic_form((F(1), F(0))) == 0
-
-
-def test_conic_witness_absent_on_line():
-    assert conic_at_infinity_witness([(F(1),)]) is None
-
-
-def test_conic_witness_absent_for_coned_line_quadrilateral():
-    # Edge directions of the alternating line quadrilateral coned from
-    # (0, 1): four bar directions plus the cone edges; only the zero
-    # matrix is orthogonal to all of them.
-    base = [F(0), F(2), F(1), F(3)]
-    directions = [(F(1), F(0))]
-    directions += [(x - F(0), F(0) - F(1)) for x in base]
-    assert conic_at_infinity_witness(directions) is None
-
-
-def test_conic_witness_validates_input():
-    with pytest.raises(EmptyInput):
-        conic_at_infinity_witness([])
-    with pytest.raises(ValueError):
-        conic_at_infinity_witness([(F(0), F(0))])
+    lifted = [veronese(p).upper for p in pts]
+    cap = (fw.dimension + 1) * (fw.dimension + 2) // 2
+    size = min(len(lifted), cap)
+    assert all(affine_span_dim(sub) == size - 1 for sub in combinations(lifted, size))
+    assert any(affine_span_dim(triple) == 1 for triple in combinations(pts, 3))
 
 
 def test_symmetric_matrix_round_trip():

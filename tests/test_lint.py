@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import bipartite_rigidity
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipartite_rigidity"
 
 
@@ -19,4 +21,25 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in bipartite_rigidity.__all__
+               if not hasattr(bipartite_rigidity, name)]
+    assert missing == []
+
+
+def test_no_subset_enumeration():
+    # Enumerating every subset is exponential; the engine decides by exact
+    # LPs and elimination instead.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                        and any(alias.name == "combinations" for alias in node.names))
+            qualified = (isinstance(node, ast.Attribute) and node.attr == "combinations"
+                         and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+            if imported or qualified:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

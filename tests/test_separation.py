@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -152,14 +153,7 @@ def test_support_maximality_is_exact(rng):
                 continue
             obj = [ZERO] * (fw.n + fw.m)
             obj[coord] = F(1)
-            prob = lp.LPProblem(
-                rows=base.rows,
-                rhs=base.rhs,
-                nonnegative=base.nonnegative,
-                upper=base.upper,
-                objective=tuple(obj),
-            )
-            out = lp.maximize(prob)
+            out = lp.maximize(replace(base, objective=tuple(obj)))
             assert out.status is lp.LPStatus.OPTIMAL
             assert out.value == 0
             checked += 1
