@@ -92,24 +92,6 @@ class SymmetricMatrix:
             raise ValueError("upper triangle length does not match order")
 
     @classmethod
-    def zeros(cls, order: int) -> "SymmetricMatrix":
-        return cls(order, (ZERO,) * (order * (order + 1) // 2))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "SymmetricMatrix":
-        order = len(rows)
-        data = []
-        for i in range(order):
-            if len(rows[i]) != order:
-                raise ValueError("matrix is not square")
-            for j in range(i, order):
-                a = _frac(rows[i][j])
-                if _frac(rows[j][i]) != a:
-                    raise ValueError("matrix is not symmetric")
-                data.append(a)
-        return cls(order, tuple(data))
-
-    @classmethod
     def from_upper(cls, order: int, upper: Iterable) -> "SymmetricMatrix":
         return cls(order, tuple(_frac(v) for v in upper))
 

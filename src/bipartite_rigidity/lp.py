@@ -7,16 +7,15 @@ are exact rational values, and infeasible problems come with a Farkas vector
 that refutes them identically.
 
 Problems are stated in equality form ``A x = b`` over nonnegative
-variables, with optional finite upper bounds.  Upper bounds are handled
-natively by the bounded-variable ratio test (nonbasic variables may sit at
-either bound), which keeps the tableau small for box-constrained problems.
+variables and nothing else: a bound or an inequality is a row with a
+slack column.
 
 Running the solver twice on the same problem produces the identical outcome:
 entering and leaving variables are chosen by Bland's smallest-index rule and
 no randomization is used anywhere.
 
-Phase 1 never reads the objective, so every problem with the same rows, rhs
-and bounds ends phase 1 in the same basis.  A FEASIBLE outcome of
+Phase 1 never reads the objective, so every problem with the same rows and
+rhs ends phase 1 in the same basis.  A FEASIBLE outcome of
 :func:`solve_feasibility` keeps that state, and :func:`maximize` can start
 from a copy of it (``start=``): it then runs phase 2 only, takes exactly the
 pivots a cold solve would take after phase 1, and returns the identical
@@ -36,7 +35,7 @@ ONE = Fraction(1)
 
 
 class MalformedProblem(ValueError):
-    """Constraint widths, bounds or objective are inconsistent."""
+    """Constraint widths or objective are inconsistent."""
 
 
 class LPStatus(Enum):
@@ -60,27 +59,23 @@ def _frac(x) -> Fraction:
 class LPProblem:
     """An equality-form LP: ``rows @ x = rhs`` with ``0 <= x``.
 
-    ``upper[j]`` is an optional finite upper bound on variable ``j``.
-    ``objective`` is an optional row of the same width, read as "maximize"
-    by :func:`maximize`.
+    ``n_vars`` is the width of every row.  ``objective`` is an optional row
+    of the same width, read as "maximize" by :func:`maximize`.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
-    upper: tuple[Optional[Fraction], ...]
+    n_vars: int
     objective: Optional[tuple[Fraction, ...]]
 
     def __post_init__(self):
-        width = len(self.upper)
         if len(self.rows) != len(self.rhs):
             raise MalformedProblem("row count does not match rhs count")
         for row in self.rows:
-            if len(row) != width:
+            if len(row) != self.n_vars:
                 raise MalformedProblem("constraint row width mismatch")
-        if self.objective is not None and len(self.objective) != width:
+        if self.objective is not None and len(self.objective) != self.n_vars:
             raise MalformedProblem("objective width mismatch")
-        if any(u is not None and u < 0 for u in self.upper):
-            raise MalformedProblem("negative upper bound")
 
     @classmethod
     def create(
@@ -89,24 +84,16 @@ class LPProblem:
         rhs: Iterable,
         n_vars: int,
         *,
-        upper: Optional[dict] = None,
         objective: Optional[Sequence] = None,
     ) -> "LPProblem":
-        ups: list[Optional[Fraction]] = [None] * n_vars
-        for j, u in (upper or {}).items():
-            ups[j] = _frac(u)
         return cls(
             rows=tuple(tuple(_frac(v) for v in row) for row in rows),
             rhs=tuple(_frac(v) for v in rhs),
-            upper=tuple(ups),
+            n_vars=n_vars,
             objective=None
             if objective is None
             else tuple(_frac(v) for v in objective),
         )
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.upper)
 
 
 @dataclass(frozen=True)
@@ -114,11 +101,10 @@ class LPOutcome:
     """Solver result.
 
     ``point`` is an exact solution for FEASIBLE/OPTIMAL.  ``dual`` holds the
-    equality-row multipliers at an optimum, or for INFEASIBLE a Farkas
-    vector ``y``: ``y^T A_j <= 0`` on every column without an upper bound,
-    and ``y^T b`` exceeds the sum of ``u_j * max(y^T A_j, 0)`` over the
-    columns with upper bound ``u_j``.  ``value`` is the exact optimal
-    objective value for OPTIMAL.  A FEASIBLE outcome of
+    equality-row multipliers ``y`` at an optimum (``y^T b`` is the optimal
+    value and ``y^T A_j >= c_j`` on every column), or for INFEASIBLE a
+    Farkas vector ``y`` with ``y^T A <= 0`` and ``y^T b > 0``.  ``value`` is
+    the exact optimal objective value for OPTIMAL.  A FEASIBLE outcome of
     :func:`solve_feasibility` also carries its phase-1 state, which
     :func:`maximize` accepts as ``start``; it takes no part in comparisons.
     """
@@ -151,21 +137,20 @@ def pivot_rows(rows: list[list[Fraction]], r: int, c: int) -> None:
                 rows[k] = [a - f * b if b else a for a, b in zip(row, pivot)]
 
 
-_BASIC, _LOWER, _UPPER = 0, 1, 2
-
-
 class _Simplex:
-    """Bounded-variable tableau simplex over Fractions (internal).
+    """Tableau simplex over Fractions for ``A x = b, x >= 0`` (internal).
 
     ``T`` holds the ``m`` constraint rows followed by the reduced-cost row,
-    so one :func:`pivot_rows` call updates both.
+    so one :func:`pivot_rows` call updates both.  Columns ``nx`` onwards
+    are the artificials of phase 1.  Exact arithmetic keeps every basic
+    column a unit column with reduced cost zero, so no per-variable status
+    is stored: a column with a negative reduced cost, or with a nonzero
+    entry in another basic variable's row, is nonbasic.
     """
 
-    def __init__(self, rows, rhs, upper):
+    def __init__(self, rows, rhs, nx: int):
         self.m = len(rows)
-        self.nx = len(upper)
-        self.n = self.nx + self.m
-        self.upper: list[Optional[Fraction]] = list(upper) + [None] * self.m
+        self.nx = nx
         self.flip: list[int] = []
         T: list[list[Fraction]] = []
         xB: list[Fraction] = []
@@ -182,78 +167,43 @@ class _Simplex:
             art[i] = ONE
             T.append(r + art)
             xB.append(b)
-        T.append([ZERO] * self.n)
+        T.append([ZERO] * (nx + self.m))
         self.T = T
         self.xB = xB
-        self.basis = [self.nx + i for i in range(self.m)]
-        self.status = [_LOWER] * self.nx + [_BASIC] * self.m
-        self.obj = ZERO
+        self.basis = [nx + i for i in range(self.m)]
 
     # -- pivoting core ---------------------------------------------------
 
+    def _artificials_positive(self) -> bool:
+        return any(x for x, b in zip(self.xB, self.basis) if b >= self.nx)
+
     def _run(self, stop_at_zero: bool = False) -> str:
-        T, xB = self.T, self.xB
-        status, basis, upper = self.status, self.basis, self.upper
-        m, limit = self.m, self.nx
+        T, xB, basis = self.T, self.xB, self.basis
         while True:
+            if stop_at_zero and not self._artificials_positive():
+                return "optimal"
             rc = T[-1]
-            if stop_at_zero and not self.obj:
+            j = next((j for j in range(self.nx) if rc[j] < 0), -1)
+            if j < 0:
                 return "optimal"
-            enter = -1
-            direction = 0
-            for j in range(limit):
-                s = status[j]
-                if s == _LOWER:
-                    if rc[j] < 0:
-                        enter, direction = j, 1
-                        break
-                elif s == _UPPER:
-                    if rc[j] > 0:
-                        enter, direction = j, -1
-                        break
-            if enter < 0:
-                return "optimal"
-            j = enter
             best_t: Optional[Fraction] = None
-            best_var = -1
             best_row = -1
-            best_side = _LOWER
-            uj = upper[j]
-            if uj is not None:
-                best_t, best_var = uj, j
-            for i in range(m):
+            for i in range(self.m):
                 coef = T[i][j]
-                if direction < 0:
-                    coef = -coef
                 if coef > 0:
                     t = xB[i] / coef
-                    side = _LOWER
-                else:
-                    if coef == 0:
-                        continue
-                    ub = upper[basis[i]]
-                    if ub is None:
-                        continue
-                    t = (ub - xB[i]) / (-coef)
-                    side = _UPPER
-                bv = basis[i]
-                if best_t is None or t < best_t or (t == best_t and bv < best_var):
-                    best_t, best_var, best_row, best_side = t, bv, i, side
+                    if best_t is None or t < best_t or (
+                        t == best_t and basis[i] < basis[best_row]
+                    ):
+                        best_t, best_row = t, i
             if best_t is None:
                 return "unbounded"
-            delta = best_t if direction > 0 else -best_t
-            self.obj += rc[j] * delta
-            if delta:
-                for i in range(m):
+            if best_t:
+                for i in range(self.m):
                     c = T[i][j]
                     if c:
-                        xB[i] -= c * delta
-            if best_row < 0:
-                status[j] = _UPPER if direction > 0 else _LOWER
-                continue
-            i = best_row
-            start = ZERO if direction > 0 else upper[j]
-            self._pivot(i, j, start + delta, best_side)
+                        xB[i] -= c * best_t
+            self._pivot(best_row, j, best_t)
 
     def copy(self) -> "_Simplex":
         """An independent copy: no pivot on it changes this tableau."""
@@ -261,15 +211,10 @@ class _Simplex:
         dup.T = [row[:] for row in self.T]
         dup.xB = list(self.xB)
         dup.basis = list(self.basis)
-        dup.status = list(self.status)
-        dup.upper = list(self.upper)
         return dup
 
-    def _pivot(self, i: int, j: int, value, leave_side: int) -> None:
-        leave = self.basis[i]
-        self.status[leave] = leave_side
+    def _pivot(self, i: int, j: int, value) -> None:
         self.basis[i] = j
-        self.status[j] = _BASIC
         self.xB[i] = value
         pivot_rows(self.T, i, j)
 
@@ -281,16 +226,13 @@ class _Simplex:
             rc.append(-sum((self.T[i][j] for i in range(self.m)), ZERO))
         rc.extend([ZERO] * self.m)
         self.T[-1] = rc
-        self.obj = sum(self.xB, ZERO)
         # The artificial sum is bounded below by zero, so hitting zero is
         # already optimal; this skips degenerate pivots on homogeneous rows.
         outcome = self._run(stop_at_zero=True)
         if outcome != "optimal":  # pragma: no cover - sum of artificials >= 0
             raise AssertionError("phase-1 simplex cannot be unbounded")
-        if self.obj > 0:
+        if self._artificials_positive():
             return False
-        for k in range(self.nx, self.n):
-            self.upper[k] = ZERO
         self._drive_out_artificials()
         return True
 
@@ -301,19 +243,20 @@ class _Simplex:
         )
 
     def _drive_out_artificials(self) -> None:
+        # An artificial left basic sits on a row that is zero in every
+        # structural column, so no later pivot moves it off zero.
         for i in range(self.m):
             if self.basis[i] < self.nx:
                 continue
-            for j in range(self.nx):
-                if self.status[j] == _LOWER and self.T[i][j] != 0:
-                    self._pivot(i, j, ZERO, _LOWER)
-                    break
+            j = next((j for j in range(self.nx) if self.T[i][j]), -1)
+            if j >= 0:
+                self._pivot(i, j, ZERO)
 
     def phase2(self, cost: Sequence[Fraction]) -> str:
         c = list(cost) + [ZERO] * self.m
         cb = [c[b] for b in self.basis]
         rc = []
-        for j in range(self.n):
+        for j in range(self.nx + self.m):
             acc = c[j]
             for i in range(self.m):
                 ci = cb[i]
@@ -323,14 +266,6 @@ class _Simplex:
                         acc -= ci * v
             rc.append(acc)
         self.T[-1] = rc
-        obj = ZERO
-        for i in range(self.m):
-            if cb[i]:
-                obj += cb[i] * self.xB[i]
-        for j in range(self.nx):
-            if self.status[j] == _UPPER and c[j]:
-                obj += c[j] * self.upper[j]
-        self.obj = obj
         return self._run()
 
     def duals(self) -> tuple[Fraction, ...]:
@@ -339,40 +274,36 @@ class _Simplex:
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.nx
-        for j in range(self.nx):
-            if self.status[j] == _UPPER:
-                x[j] = self.upper[j]
-        for i in range(self.m):
-            b = self.basis[i]
+        for b, v in zip(self.basis, self.xB):
             if b < self.nx:
-                x[b] = self.xB[i]
+                x[b] = v
         return x
 
 
 class _PhaseOne(NamedTuple):
     """A problem's tableau after phase 1 (internal)."""
 
-    constraints: tuple  # (rows, rhs, upper) of the problem
+    constraints: tuple  # (rows, rhs, n_vars) of the problem
     splx: _Simplex
     feasible: bool
 
 
 def _constraints(prob: LPProblem) -> tuple:
-    return (prob.rows, prob.rhs, prob.upper)
+    return (prob.rows, prob.rhs, prob.n_vars)
 
 
 def _phase_one(prob: LPProblem) -> _PhaseOne:
     """Run phase 1 on ``prob``; the objective is not read."""
-    splx = _Simplex(prob.rows, prob.rhs, prob.upper)
+    splx = _Simplex(prob.rows, prob.rhs, prob.n_vars)
     feasible = splx.phase1()
     return _PhaseOne(_constraints(prob), splx, feasible)
 
 
 def solve_feasibility(prob: LPProblem) -> LPOutcome:
-    """Decide ``A x = b`` with the problem's bounds, exactly.
+    """Decide ``A x = b, x >= 0`` exactly.
 
     Returns FEASIBLE with an exact basic solution, or INFEASIBLE with a
-    Farkas vector for the equality rows.  Deterministic for a fixed input.
+    Farkas vector ``y``: ``y^T A <= 0`` and ``y^T b > 0``.  Deterministic for a fixed input.
     A FEASIBLE outcome can be passed to :func:`maximize` as ``start``.
     """
     if prob.objective is not None:
@@ -387,8 +318,12 @@ def solve_feasibility(prob: LPProblem) -> LPOutcome:
 def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     """Maximize the objective over the problem's feasible region, exactly.
 
+    An OPTIMAL outcome carries the optimal point, its value and a dual
+    ``y`` with ``y^T b`` equal to the value and ``y^T A_j >= c_j`` on every
+    column ``j``; an INFEASIBLE one carries a Farkas vector.
+
     ``start`` may be a FEASIBLE outcome of :func:`solve_feasibility` on a
-    problem with the same rows, rhs and bounds as ``prob``.  Phase 1 never
+    problem with the same rows and rhs as ``prob``.  Phase 1 never
     reads the objective and is deterministic, so it would end in exactly the
     basis that outcome holds; the solve copies that tableau and runs phase 2
     only.  The outcome is identical to a solve without ``start``, which is

@@ -11,8 +11,10 @@ For a framework with classes P and Q, exactly one of the following holds:
 
 One exact LP decides which: the balance LP either has a solution, or its
 Farkas vector, read as a quadratic form, is the separating quadric.  Both
-witnesses re-verify with zero residual.  :func:`max_margin_quadric` solves
-a separate, wider LP for the separating quadric of largest margin.
+witnesses re-verify with zero residual.  :func:`max_margin_quadric` finds
+the separating quadric of largest margin through the same duality: it
+solves the LP for the least weighted distance between the lifted hulls and
+reads the quadric off that LP's dual.
 """
 
 from __future__ import annotations
@@ -65,25 +67,42 @@ class SeparationCertificate:
     delta: Fraction
 
 
+def _balance_rows(fw: BipartiteFramework) -> list[list[Fraction]]:
+    """One row per upper-triangle entry of the lifted matrices.
+
+    Columns are the n lambdas followed by the m mus; a row's product with
+    them is that entry of ``sum lambda lift(p) - sum mu lift(q)``.
+    """
+    lifts_p = [veronese(p).upper for p in fw.points_p]
+    lifts_q = [veronese(q).upper for q in fw.points_q]
+    return [
+        [lift[k] for lift in lifts_p] + [-lift[k] for lift in lifts_q]
+        for k in range(len(lifts_p[0]))
+    ]
+
+
+def _quadric(hat: int, y: Sequence[Fraction]) -> list[Fraction]:
+    """The upper entries of the form whose value on a point is ``y . lift``.
+
+    ``y`` holds one multiplier per balance row; off-diagonal entries are
+    halved because each appears twice in the form.
+    """
+    pairs = [(i, j) for i in range(hat) for j in range(i, hat)]
+    return [y[k] if i == j else y[k] / 2 for k, (i, j) in enumerate(pairs)]
+
+
 def _radon_problem(fw: BipartiteFramework) -> LPProblem:
     """Feasibility LP: balance the lifted classes, normalize the P side.
 
     Variables are the n lambdas followed by the m mus, all nonnegative.
-    One equation per upper-triangle entry of the lifted matrices plus the
-    normalization row (which rules out the all-zero solution).
+    The balance rows (:func:`_balance_rows`) plus the normalization row,
+    which rules out the all-zero solution.
     """
-    lifts_p = [veronese(p).upper for p in fw.points_p]
-    lifts_q = [veronese(q).upper for q in fw.points_q]
-    n, m = fw.n, fw.m
-    n_entries = (fw.dimension + 1) * (fw.dimension + 2) // 2
-    rows = []
-    rhs = []
-    for k in range(n_entries):
-        rows.append([lifts_p[i][k] for i in range(n)] + [-lifts_q[j][k] for j in range(m)])
-        rhs.append(ZERO)
-    rows.append([ONE] * n + [ZERO] * m)
+    rows = _balance_rows(fw)
+    rhs = [ZERO] * len(rows)
+    rows.append([ONE] * fw.n + [ZERO] * fw.m)
     rhs.append(ONE)
-    return LPProblem.create(rows, rhs, n + m)
+    return LPProblem.create(rows, rhs, fw.n + fw.m)
 
 
 def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
@@ -91,20 +110,18 @@ def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
 
     ``y`` refutes :func:`_radon_problem`: ``y^T A <= 0`` and
     ``y^T b = y_norm > 0``, where ``y_norm`` is the multiplier of the
-    normalization row.  Read as a form (off-diagonal entries halved), the
-    entries before it are ``<= -y_norm`` on P and ``>= 0`` on Q.  Negating
-    them and taking ``y_norm/2`` off the constant (corner) entry gives a form
+    normalization row.  Read as a form (:func:`_quadric`), the entries
+    before it are ``<= -y_norm`` on P and ``>= 0`` on Q.  Negating them and
+    taking ``y_norm/2`` off the constant (corner) entry gives a form
     ``>= y_norm/2`` on P and ``<= -y_norm/2`` on Q, which is then scaled
     into the [-1, 1] box.
     """
-    hat = d + 1
-    pairs = [(i, j) for i in range(hat) for j in range(i, hat)]
-    upper = [-y[k] if i == j else -y[k] / 2 for k, (i, j) in enumerate(pairs)]
+    upper = [-v for v in _quadric(d + 1, y)]
     y_norm = y[len(upper)]
     upper[-1] -= y_norm / 2
     scale = max(abs(v) for v in upper)
     return SeparationCertificate(
-        matrix=SymmetricMatrix.from_upper(hat, tuple(v / scale for v in upper)),
+        matrix=SymmetricMatrix.from_upper(d + 1, tuple(v / scale for v in upper)),
         delta=y_norm / (2 * scale),
     )
 
@@ -182,54 +199,36 @@ def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
 def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fraction]:
     """The exact max-margin separating quadric for the two classes.
 
-    Maximizes ``delta`` subject to the form being ``>= delta`` on the first
-    class, ``<= -delta`` on the second, with every matrix entry in
-    [-1, 1].  The optimum is zero exactly when the lifted hulls intersect;
-    a positive optimum yields a strict separation certificate.
-
-    Matrix entries are modeled as differences of two [0, 1]-bounded
-    variables so the box normalization costs no extra constraint rows.
+    The largest ``delta`` for which some form with every matrix entry in
+    [-1, 1] is ``>= delta`` on the first class and ``<= -delta`` on the
+    second equals, by LP duality, the least weighted L1 norm of
+    ``sum lambda lift(p) - sum mu lift(q)`` over ``lambda, mu >= 0`` with
+    ``sum lambda + sum mu = 1`` (diagonal entries weigh 1, off-diagonal
+    ones 2).  That distance LP is solved with the residual split into
+    nonnegative columns ``r+`` and ``r-``; its dual on the balance rows,
+    read as a form (:func:`_quadric`), is a quadric of largest margin.  The
+    optimum is zero exactly when the lifted hulls intersect; a positive
+    optimum yields a strict separation certificate.
     """
     if fw.n < 1 or fw.m < 1:
         raise EmptySide("both classes must be nonempty")
-    d = fw.dimension
-    k_entries = (d + 1) * (d + 2) // 2
-    lifts_p = [veronese(p).upper for p in fw.points_p]
-    lifts_q = [veronese(q).upper for q in fw.points_q]
-    hat = d + 1
-    weights = []
-    for i in range(hat):
-        for j in range(i, hat):
-            weights.append(ONE if i == j else Fraction(2))
-    # Columns: a_plus (k), a_minus (k), delta, slacks (n + m).
-    n_slacks = fw.n + fw.m
-    n_vars = 2 * k_entries + 1 + n_slacks
-    delta_col = 2 * k_entries
-    rows = []
-    rhs = []
-    for s, lift in enumerate(lifts_p + lifts_q):
-        # P rows:  <A, lift> - delta - slack = 0   (form >= delta)
-        # Q rows: -<A, lift> - delta - slack = 0   (form <= -delta)
-        sign = 1 if s < fw.n else -1
-        row = [ZERO] * n_vars
-        for k in range(k_entries):
-            coef = weights[k] * lift[k]
-            row[k] = sign * coef
-            row[k_entries + k] = -sign * coef
-        row[delta_col] = -ONE
-        row[delta_col + 1 + s] = -ONE
-        rows.append(row)
-        rhs.append(ZERO)
-    upper = {k: ONE for k in range(2 * k_entries)}
-    objective = [ZERO] * n_vars
-    objective[delta_col] = ONE
-    prob = LPProblem.create(rows, rhs, n_vars, upper=upper, objective=objective)
+    hat = fw.dimension + 1
+    weights = [ONE if i == j else Fraction(2) for i in range(hat) for j in range(i, hat)]
+    k_entries = len(weights)
+    n_lm = fw.n + fw.m
+    # Columns: lambdas (n), mus (m), r+ (k), r- (k).
+    rows = _balance_rows(fw)
+    for k, row in enumerate(rows):
+        row += [ZERO] * (2 * k_entries)
+        row[n_lm + k], row[n_lm + k_entries + k] = -ONE, ONE
+    rows.append([ONE] * n_lm + [ZERO] * (2 * k_entries))
+    rhs = [ZERO] * k_entries + [ONE]
+    objective = [ZERO] * n_lm + [-w for w in weights] * 2
+    prob = LPProblem.create(rows, rhs, n_lm + 2 * k_entries, objective=objective)
     outcome = lp.maximize(prob)
     if outcome.status is not LPStatus.OPTIMAL:
-        raise AssertionError("the margin LP is feasible and bounded")
-    point = outcome.point
-    entries = tuple(point[k] - point[k_entries + k] for k in range(k_entries))
-    return SymmetricMatrix.from_upper(hat, entries), outcome.value
+        raise AssertionError("the distance LP is feasible and bounded")
+    return SymmetricMatrix.from_upper(hat, _quadric(hat, outcome.dual)), -outcome.value
 
 
 def verify_separation(cert: SeparationCertificate, fw: BipartiteFramework) -> bool:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,7 @@ def test_module_invocation_smoke(corpus):
         [sys.executable, "-m", "bipartite_rigidity", "check", str(corpus / "k11.json")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "universally-rigid"

@@ -150,11 +150,12 @@ def test_k65_fixture_position_predicates():
 
 
 def test_symmetric_matrix_round_trip():
-    m = SymmetricMatrix.from_rows([[1, 2], [2, 5]])
-    assert m.entry(0, 1) == 2
+    m = SymmetricMatrix.from_upper(2, [1, 2, 5])
+    assert m.entry(0, 1) == m.entry(1, 0) == 2
+    assert m.rows() == [[1, 2], [2, 5]]
     assert m.evaluate_point((F(1),)) == 1 + 2 + 2 + 5
     with pytest.raises(ValueError):
-        SymmetricMatrix.from_rows([[1, 2], [3, 5]])
+        SymmetricMatrix.from_upper(2, [1, 2])
 
 
 def test_framework_validation():

@@ -19,34 +19,25 @@ from bipartite_rigidity.lp import (
 from conftest import oracle_lp
 
 
-def farkas_refutes(prob: LPProblem, y) -> bool:
-    """Check a Farkas vector exactly.
+def column_products(prob: LPProblem, y) -> list:
+    """``y^T A_j`` for every column ``j`` of the problem."""
+    return [
+        sum((row[j] * y[i] for i, row in enumerate(prob.rows)), ZERO)
+        for j in range(prob.n_vars)
+    ]
 
-    For problems without upper bounds this is the classic test
-    ``y^T A <= 0`` componentwise and ``y^T b > 0``.  With upper bounds the
-    certificate generalizes: columns may have positive weight ``y^T A_j``
-    provided the bound caps their contribution, and infeasibility follows
-    from ``y^T b - sum_j u_j * max(y^T A_j, 0) > 0``.
-    """
-    cap = ZERO
-    for j in range(prob.n_vars):
-        col = sum((row[j] * y[i] for i, row in enumerate(prob.rows)), ZERO)
-        if col > 0:
-            if prob.upper[j] is None:
-                return False
-            cap += prob.upper[j] * col
-    lhs = sum((b * y[i] for i, b in enumerate(prob.rhs)), ZERO)
-    return lhs - cap > 0
+
+def farkas_refutes(prob: LPProblem, y) -> bool:
+    """Check a Farkas vector exactly: ``y^T A <= 0`` and ``y^T b > 0``."""
+    if any(col > 0 for col in column_products(prob, y)):
+        return False
+    return sum((b * y[i] for i, b in enumerate(prob.rhs)), ZERO) > 0
 
 
 def check_feasible_point(prob: LPProblem, x) -> bool:
-    """Exact re-verification that ``x`` satisfies all constraints and bounds."""
-    if len(x) != prob.n_vars:
+    """Exact re-verification that ``x >= 0`` satisfies every row."""
+    if len(x) != prob.n_vars or any(v < 0 for v in x):
         return False
-    for j in range(prob.n_vars):
-        u = prob.upper[j]
-        if x[j] < 0 or (u is not None and x[j] > u):
-            return False
     for row, b in zip(prob.rows, prob.rhs):
         if sum((c * v for c, v in zip(row, x) if c), ZERO) != b:
             return False
@@ -83,7 +74,8 @@ def test_radon_system_alternating_line():
 
 
 def test_maximize_box():
-    prob = LPProblem.create([], [], 1, upper={0: 1}, objective=[1])
+    # x <= 1 stated as the row x + s = 1.
+    prob = LPProblem.create([[1, 1]], [1], 2, objective=[1, 0])
     out = maximize(prob)
     assert out.status is LPStatus.OPTIMAL
     assert out.value == 1
@@ -188,8 +180,6 @@ def test_malformed_widths():
         LPProblem.create([[1, 2], [1]], [0, 0], 2)
     with pytest.raises(MalformedProblem):
         LPProblem.create([[1]], [0], 1, objective=[1, 2])
-    with pytest.raises(MalformedProblem):
-        LPProblem.create([[1]], [0], 1, upper={0: -1})
 
 
 def test_feasibility_rejects_objective():
@@ -236,8 +226,8 @@ def test_status_matches_vertex_enumeration_oracle(rng):
 
 
 def test_optimal_dual_matches_value(rng):
-    # For equality-form problems without upper bounds, strong duality
-    # pins dual . rhs to the optimal value.
+    # Strong duality pins dual . rhs to the optimal value, and the dual is
+    # feasible: y . A_j >= c_j on every column.
     count = 0
     for _ in range(120):
         n = rng.randint(1, 5)
@@ -249,8 +239,31 @@ def test_optimal_dual_matches_value(rng):
         out = maximize(prob)
         if out.status is LPStatus.OPTIMAL:
             assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == out.value
+            assert all(
+                col >= c for col, c in zip(column_products(prob, out.dual), prob.objective)
+            )
             count += 1
     assert count > 5
+
+
+def test_redundant_row_keeps_artificial_basic():
+    # The third row is the sum of the first two, so after phase 1 it is zero
+    # in every structural column and its artificial cannot be driven out.
+    rows = [[1, 1, 1, 0], [1, -1, 0, 1], [2, 0, 1, 1]]
+    rhs = [3, 1, 4]
+    objective = [1, 2, -1, 1]
+    start = solve_feasibility(LPProblem.create(rows, rhs, 4))
+    assert start.status is LPStatus.FEASIBLE
+    splx = start.phase_one.splx
+    assert any(b >= splx.nx for b in splx.basis)
+    prob = LPProblem.create(rows, rhs, 4, objective=objective)
+    assert oracle_lp(rows, rhs, objective) == ("optimal", F(10))
+    for out in (maximize(prob), maximize(prob, start=start)):
+        assert out.status is LPStatus.OPTIMAL
+        assert out.value == 10
+        assert check_feasible_point(prob, out.point)
+        assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == 10
+        assert all(col >= c for col, c in zip(column_products(prob, out.dual), objective))
 
 
 def test_determinism():
@@ -268,11 +281,12 @@ def test_determinism():
 
 @st.composite
 def feasible_constraints(draw):
-    """Rows, rhs and upper bounds of an LP that ``x0 >= 0`` satisfies.
+    """Rows, rhs and width of an LP that a drawn ``x0 >= 0`` satisfies.
 
-    Every variable outside a drawn ``unboxed`` subset gets an upper bound,
-    so the region is bounded unless an unboxed variable runs along a
-    direction the rows leave open.
+    Every variable outside a drawn ``unboxed`` subset gets a box
+    ``x_j <= u_j``, stated as the row ``x_j + s_j = u_j`` with a slack
+    column ``s_j``, so the region is bounded unless an unboxed variable runs
+    along a direction the rows leave open.
     """
     n = draw(st.integers(1, 5))
     m = draw(st.integers(0, 3))
@@ -280,22 +294,29 @@ def feasible_constraints(draw):
                          min_size=m, max_size=m))
     unboxed = draw(st.sets(st.integers(0, n - 1), max_size=2))
     x0 = [draw(st.integers(0, 3)) for _ in range(n)]
-    upper = {j: x0[j] + draw(st.integers(0, 3)) for j in range(n) if j not in unboxed}
     rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
-    return rows, rhs, n, upper
+    boxed = [j for j in range(n) if j not in unboxed]
+    width = n + len(boxed)
+    rows = [row + [0] * len(boxed) for row in rows]
+    for s, j in enumerate(boxed):
+        row = [0] * width
+        row[j] = row[n + s] = 1
+        rows.append(row)
+        rhs.append(x0[j] + draw(st.integers(0, 3)))
+    return rows, rhs, width
 
 
 @given(
     feasible_constraints(),
-    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=2, max_size=4),
+    st.lists(st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=2, max_size=4),
 )
 def test_warm_start_matches_cold_solve(constraints, objectives):
-    rows, rhs, n, upper = constraints
-    start = solve_feasibility(LPProblem.create(rows, rhs, n, upper=upper))
+    rows, rhs, width = constraints
+    start = solve_feasibility(LPProblem.create(rows, rhs, width))
     assert start.status is LPStatus.FEASIBLE
     # One start serves every objective in turn, so no warm solve may alter it.
     for objective in objectives:
-        prob = LPProblem.create(rows, rhs, n, upper=upper, objective=objective[:n])
+        prob = LPProblem.create(rows, rhs, width, objective=objective[:width])
         cold = maximize(prob)
         warm = maximize(prob, start=start)
         assert (warm.status, warm.point, warm.value, warm.dual) == (
@@ -303,16 +324,15 @@ def test_warm_start_matches_cold_solve(constraints, objectives):
 
 
 def test_maximize_rejects_foreign_start():
-    upper = {0: 3, 1: 3}
-    prob = LPProblem.create([[1, 1]], [2], 2, upper=upper, objective=[1, 0])
-    own = solve_feasibility(LPProblem.create([[1, 1]], [2], 2, upper=upper))
+    prob = LPProblem.create([[1, 1]], [2], 2, objective=[1, 0])
+    own = solve_feasibility(LPProblem.create([[1, 1]], [2], 2))
     assert maximize(prob, start=own).value == 2
-    infeasible = LPProblem.create([[1, 1]], [-1], 2, upper=upper, objective=[1, 0])
+    infeasible = LPProblem.create([[1, 1]], [-1], 2, objective=[1, 0])
     cases = [
-        (prob, solve_feasibility(LPProblem.create([[1, 2]], [2], 2, upper=upper))),
-        (prob, solve_feasibility(LPProblem.create([[1, 1]], [1], 2, upper=upper))),
-        (prob, solve_feasibility(LPProblem.create([[1, 1]], [2], 2, upper={0: 3}))),
-        (infeasible, solve_feasibility(LPProblem.create([[1, 1]], [-1], 2, upper=upper))),
+        (prob, solve_feasibility(LPProblem.create([[1, 2]], [2], 2))),
+        (prob, solve_feasibility(LPProblem.create([[1, 1]], [1], 2))),
+        (prob, solve_feasibility(LPProblem.create([[1, 1, 0]], [2], 3))),
+        (infeasible, solve_feasibility(LPProblem.create([[1, 1]], [-1], 2))),
         (prob, maximize(prob)),
     ]
     assert cases[3][1].status is LPStatus.INFEASIBLE

@@ -33,8 +33,10 @@ SPLIT = line_fw([0, 1], [2, 3])
 
 
 def test_margin_positive_for_split_line():
+    # -x^2 + x + 1 takes values (1, 1, -1, -5) on 0..3, and no form with
+    # entries in [-1, 1] does better.
     matrix, delta = max_margin_quadric(SPLIT)
-    assert delta >= F(1, 3)
+    assert delta == 1
     cert = SeparationCertificate(matrix=matrix, delta=delta)
     assert verify_separation(cert, SPLIT)
 
@@ -46,14 +48,14 @@ def test_margin_zero_for_alternating_line():
 
 def test_explicit_line_separator():
     # The quadric 1 - 2x/3 takes values (1, 1/3, -1/3, -1) on 0..3.
-    matrix = SymmetricMatrix.from_rows([[0, F(-1, 3)], [F(-1, 3), 1]])
+    matrix = SymmetricMatrix.from_upper(2, [0, F(-1, 3), 1])
     cert = SeparationCertificate(matrix=matrix, delta=F(1, 3))
     assert verify_separation(cert, SPLIT)
     assert not verify_separation(cert, ALTERNATING)
 
 
 def test_zero_matrix_never_separates():
-    cert = SeparationCertificate(matrix=SymmetricMatrix.zeros(2), delta=ZERO)
+    cert = SeparationCertificate(matrix=SymmetricMatrix.from_upper(2, [0, 0, 0]), delta=ZERO)
     assert not verify_separation(cert, SPLIT)
 
 
@@ -71,6 +73,56 @@ def test_conic_two_lines_separates_plane_classes():
     matrix, delta = max_margin_quadric(fw)
     assert delta > 0
     assert verify_separation(SeparationCertificate(matrix=matrix, delta=delta), fw)
+
+
+def primal_box_margin(fw: BipartiteFramework) -> F:
+    """The max margin from the primal LP, stated independently of the engine.
+
+    Columns: ``a+`` and ``a-`` (one per upper-triangle entry), ``delta``, a
+    margin slack per point and a box slack per entry.  Margin rows read
+    ``+-form(point) - delta - slack = 0``; box rows ``a+ + a- + s = 1`` keep
+    every entry ``a+ - a-`` in [-1, 1].
+    """
+    hat = fw.dimension + 1
+    weights = [1 if i == j else 2 for i in range(hat) for j in range(i, hat)]
+    k = len(weights)
+    n_pts = fw.n + fw.m
+    width = 2 * k + 1 + n_pts + k
+    rows, rhs = [], []
+    for s, pt in enumerate(fw.points_p + fw.points_q):
+        sign = 1 if s < fw.n else -1
+        row = [ZERO] * width
+        for e, v in enumerate(veronese(pt).upper):
+            row[e] = sign * weights[e] * v
+            row[k + e] = -row[e]
+        row[2 * k] = row[2 * k + 1 + s] = F(-1)
+        rows.append(row)
+        rhs.append(ZERO)
+    for e in range(k):
+        row = [ZERO] * width
+        row[e] = row[k + e] = row[2 * k + 1 + n_pts + e] = F(1)
+        rows.append(row)
+        rhs.append(F(1))
+    objective = [ZERO] * width
+    objective[2 * k] = F(1)
+    out = lp.maximize(lp.LPProblem.create(rows, rhs, width, objective=objective))
+    assert out.status is lp.LPStatus.OPTIMAL
+    return out.value
+
+
+def test_max_margin_matches_primal_box_lp(rng):
+    # The distance LP's optimum is the primal box LP's by duality; its
+    # dual, read as a form, must reach that margin inside the box.
+    positive = 0
+    for _ in range(40):
+        fw = random_framework(rng, d_max=3, nm_max=9)
+        matrix, delta = max_margin_quadric(fw)
+        assert delta == primal_box_margin(fw)
+        assert all(abs(v) <= 1 for v in matrix.upper)
+        if delta > 0:
+            assert verify_separation(SeparationCertificate(matrix=matrix, delta=delta), fw)
+            positive += 1
+    assert 0 < positive < 40  # sampling sanity: both sides of the dichotomy occur
 
 
 def test_radon_alternating_line_exact_values():
