@@ -12,6 +12,7 @@ reserializing a canonical document reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -58,10 +59,15 @@ def _float_to_str(v: float) -> str:
 
 
 def _float_from(value: Any, locus: str) -> float:
+    if isinstance(value, bool):
+        raise ParseError(f"{locus}: expected a floating-point number, got a boolean")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{locus}: expected a floating-point number") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{locus}: expected a finite number, got {value!r}")
+    return number
 
 
 def _int_from(value: Any, locus: str) -> int:
@@ -143,6 +149,17 @@ def _points_from(doc: dict, key: str, d: int) -> tuple[Point, ...]:
     return tuple(points)
 
 
+def _framework_from(doc: dict) -> BipartiteFramework:
+    d = doc.get("d")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ParseError("d: expected a nonnegative integer dimension")
+    points_p = _points_from(doc, "P", d)
+    points_q = _points_from(doc, "Q", d)
+    if len(points_p) < 1:
+        raise ParseError("P: must contain at least one point")
+    return BipartiteFramework(dimension=d, points_p=points_p, points_q=points_q)
+
+
 def parse_framework_document(text: str) -> tuple[BipartiteFramework, dict]:
     """Parse a framework document; returns the framework and its metadata."""
     try:
@@ -151,16 +168,8 @@ def parse_framework_document(text: str) -> tuple[BipartiteFramework, dict]:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
-    d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ParseError("d: expected a nonnegative integer dimension")
-    points_p = _points_from(doc, "P", d)
-    points_q = _points_from(doc, "Q", d)
-    if len(points_p) < 1:
-        raise ParseError("P: must contain at least one point")
-    fw = BipartiteFramework(dimension=d, points_p=points_p, points_q=points_q)
     meta = {k: doc[k] for k in ("name", "expected_verdict") if k in doc}
-    return fw, meta
+    return _framework_from(doc), meta
 
 
 def parse_framework(text: str) -> BipartiteFramework:
@@ -244,10 +253,10 @@ def _stress_from(doc: Any, locus: str) -> StressCertificate:
     rows = _typed(doc.get("omega"), list, f"{locus}.omega")
     if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
         raise ParseError(f"{locus}.omega: expected a square matrix")
-    try:
-        values = [[float(v) for v in row] for row in rows]
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{locus}.omega: expected floating-point entries") from None
+    values = [
+        [_float_from(v, f"{locus}.omega[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
     return StressCertificate(
         omega=np.array(values).reshape(len(rows), len(rows)),
         rank=_int_from(doc.get("rank"), f"{locus}.rank"),
@@ -310,7 +319,7 @@ def parse_chain(text: str) -> CertificateChain:
     if not isinstance(input_doc, dict):
         raise ParseError("input: expected the framework echo")
     try:
-        fw, _ = parse_framework_document(json.dumps(input_doc))
+        fw = _framework_from(input_doc)
     except ParseError as exc:
         raise type(exc)(f"input.{exc}") from None
     raw_records = doc.get("iterations")

@@ -20,8 +20,10 @@ The test maintains a set of vertices already certified rigid.  Each pass:
 
 Progress is guaranteed, so the loop runs at most n + m passes.  Every pass
 is recorded; the verdict can be replayed from the records alone by
-:func:`verify_chain`, which re-checks all rational certificates exactly and
-all floating stress certificates at their declared tolerance.
+:func:`verify_chain`.  Replay walks the same pass step as the decision
+(steps 1-3 and the one-sided case of step 4 come from one helper, given the
+certified set), then re-checks all rational certificates exactly and all
+floating stress certificates at their declared tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import BipartiteFramework, Point, affine_span_dim
 from .reduction import (
@@ -80,13 +82,13 @@ class IterationRecord:
     kind: RecordKind
     known_p: tuple[int, ...]
     known_q: tuple[int, ...]
-    cone_point: Optional[Point]
-    functional: Optional[tuple[Fraction, ...]]
-    support_p: tuple[int, ...]
-    support_q: tuple[int, ...]
-    radon: Optional[RadonCertificate]
-    separation: Optional[SeparationCertificate]
-    stress: Optional[StressCertificate]
+    cone_point: Optional[Point] = None
+    functional: Optional[tuple[Fraction, ...]] = None
+    support_p: tuple[int, ...] = ()
+    support_q: tuple[int, ...] = ()
+    radon: Optional[RadonCertificate] = None
+    separation: Optional[SeparationCertificate] = None
+    stress: Optional[StressCertificate] = None
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,13 @@ class CertificateChain:
     verdict: Verdict
 
 
-def _validate(fw: BipartiteFramework) -> None:
-    if not isinstance(fw, BipartiteFramework):
-        raise InvalidInput("expected a BipartiteFramework")
-    if fw.n < 1:
-        raise InvalidInput("the first class must be nonempty")
-    for pt in fw.all_points():
-        if len(pt) != fw.dimension:
-            raise InvalidInput("point dimension mismatch")
+#: The verdict each terminal record kind ends the chain with.
+_VERDICT = {
+    "exit": Verdict.UNIVERSALLY_RIGID,
+    "dimspan": Verdict.DIMENSIONALLY_RIGID_ONLY,
+    "separated": Verdict.NOT_DIMENSIONALLY_RIGID,
+    "one-sided": Verdict.NOT_DIMENSIONALLY_RIGID,
+}
 
 
 def _reduce(
@@ -123,79 +124,80 @@ def _reduce(
     return p0, functional, slid[: len(proj_p)], slid[len(proj_p) :]
 
 
+class _Step(NamedTuple):
+    """What the certified set alone fixes about a pass.
+
+    ``forced`` is the terminal kind the exit, dimspan or one-sided rule
+    forces; when it is None the balance LP on ``sub`` decides the pass.
+    """
+
+    comp_p: list[int]
+    comp_q: list[int]
+    cone_point: Optional[Point] = None
+    functional: Optional[tuple[Fraction, ...]] = None
+    sub: Optional[BipartiteFramework] = None
+    forced: Optional[RecordKind] = None
+
+
+def _pass(fw: BipartiteFramework, known: KnownSet) -> _Step:
+    """Steps 1-3 and the one-sided rule of one pass, for decide and replay."""
+    comp_p = [i for i in range(fw.n) if i not in known.p_indices]
+    comp_q = [j for j in range(fw.m) if j not in known.q_indices]
+    if len(comp_p) <= 1 and len(comp_q) <= 1:
+        return _Step(comp_p, comp_q, forced="exit")
+    cone_point, functional, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
+    reduced_all = red_p + red_q
+    if affine_span_dim(reduced_all) == len(reduced_all) - 1:
+        return _Step(comp_p, comp_q, cone_point, functional, forced="dimspan")
+    if not red_p or not red_q:
+        return _Step(comp_p, comp_q, cone_point, functional, forced="one-sided")
+    sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
+    return _Step(comp_p, comp_q, cone_point, functional, sub)
+
+
 def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
     """Decide the rigidity class of a complete bipartite framework.
 
     Returns the verdict together with a replayable certificate chain.  The
     verdict is driven entirely by exact LP outcomes.
     """
-    _validate(fw)
+    if not isinstance(fw, BipartiteFramework):
+        raise InvalidInput("expected a BipartiteFramework")
     known = KnownSet.empty()
     records: list[IterationRecord] = []
-
-    def record(kind: RecordKind, **kw) -> None:
-        records.append(
-            IterationRecord(
-                index=len(records),
-                kind=kind,
-                known_p=known.p_indices,
-                known_q=known.q_indices,
-                cone_point=kw.get("cone_point"),
-                functional=kw.get("functional"),
-                support_p=kw.get("support_p", ()),
-                support_q=kw.get("support_q", ()),
-                radon=kw.get("radon"),
-                separation=kw.get("separation"),
-                stress=kw.get("stress"),
-            )
-        )
-
-    def finish(verdict: Verdict) -> tuple[Verdict, CertificateChain]:
-        return verdict, CertificateChain(
-            framework=fw, records=tuple(records), verdict=verdict
-        )
-
     for _ in range(fw.n + fw.m + 1):
-        comp_p = [i for i in range(fw.n) if i not in known.p_indices]
-        comp_q = [j for j in range(fw.m) if j not in known.q_indices]
-        if len(comp_p) <= 1 and len(comp_q) <= 1:
-            record("exit")
-            return finish(Verdict.UNIVERSALLY_RIGID)
-        cone_point, functional, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
-        reduced_all = red_p + red_q
-        if affine_span_dim(reduced_all) == len(reduced_all) - 1:
-            record("dimspan", cone_point=cone_point, functional=functional)
-            return finish(Verdict.DIMENSIONALLY_RIGID_ONLY)
-        if not red_p or not red_q:
-            record("one-sided", cone_point=cone_point, functional=functional)
-            return finish(Verdict.NOT_DIMENSIONALLY_RIGID)
-        sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
-        cert = maximal_support_radon(sub)
-        if isinstance(cert, SeparationCertificate):
-            record(
-                "separated",
-                cone_point=cone_point,
-                functional=functional,
-                separation=cert,
-            )
-            return finish(Verdict.NOT_DIMENSIONALLY_RIGID)
+        step = _pass(fw, known)
+        header = dict(
+            index=len(records),
+            known_p=known.p_indices,
+            known_q=known.q_indices,
+            cone_point=step.cone_point,
+            functional=step.functional,
+        )
+        cert = None if step.forced else maximal_support_radon(step.sub)
+        if not isinstance(cert, RadonCertificate):
+            kind = step.forced or "separated"
+            records.append(IterationRecord(kind=kind, separation=cert, **header))
+            verdict = _VERDICT[kind]
+            return verdict, CertificateChain(fw, tuple(records), verdict)
         local_p = cert.support_p
         local_q = cert.support_q
         stress = build_super_stable_stress(
-            sub.subframework(local_p, local_q),
+            step.sub.subframework(local_p, local_q),
             [cert.lambdas[i] for i in local_p],
             [cert.mus[j] for j in local_q],
         )
-        support_p = tuple(comp_p[i] for i in local_p)
-        support_q = tuple(comp_q[j] for j in local_q)
-        record(
-            "balanced",
-            cone_point=cone_point,
-            functional=functional,
-            support_p=support_p,
-            support_q=support_q,
-            radon=cert,
-            stress=stress,
+        support_p = tuple(step.comp_p[i] for i in local_p)
+        support_q = tuple(step.comp_q[j] for j in local_q)
+        records.append(
+            IterationRecord(
+                kind="balanced",
+                support_p=support_p,
+                support_q=support_q,
+                radon=cert,
+                stress=stress,
+                **header,
+            )
         )
         known = affine_closure(fw, known.union(support_p, support_q))
         if not span_invariant_holds(fw, known):  # pragma: no cover - theory guard
@@ -218,72 +220,41 @@ def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
 
 
 def _verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
-    if chain.framework != fw:
-        return False
-    if not chain.records:
+    if chain.framework != fw or not chain.records:
         return False
     known = KnownSet.empty()
     last = len(chain.records) - 1
     for pos, rec in enumerate(chain.records):
-        if rec.index != pos:
+        if rec.index != pos or (rec.known_p, rec.known_q) != (known.p_indices, known.q_indices):
             return False
-        if rec.known_p != known.p_indices or rec.known_q != known.q_indices:
-            return False
-        comp_p = [i for i in range(fw.n) if i not in known.p_indices]
-        comp_q = [j for j in range(fw.m) if j not in known.q_indices]
         terminal = rec.kind != "balanced"
-        if terminal != (pos == last):
+        # Only the last record is terminal, and only a separated one carries a quadric.
+        if terminal != (pos == last) or (rec.kind == "separated") == (rec.separation is None):
             return False
-        if terminal and (rec.support_p or rec.support_q or rec.radon or rec.stress):
+        step = _pass(fw, known)
+        if (rec.cone_point, rec.functional) != (step.cone_point, step.functional):
             return False
-        if rec.kind != "separated" and rec.separation is not None:
-            return False
-        if rec.kind == "exit":
+        if terminal:
             return (
-                len(comp_p) <= 1
-                and len(comp_q) <= 1
-                and rec.cone_point is None
-                and rec.functional is None
-                and chain.verdict is Verdict.UNIVERSALLY_RIGID
+                not (rec.support_p or rec.support_q or rec.radon or rec.stress)
+                and rec.kind == (step.forced or "separated")
+                and chain.verdict is _VERDICT[rec.kind]
+                and (step.forced is not None or verify_separation(rec.separation, step.sub))
             )
-        if len(comp_p) <= 1 and len(comp_q) <= 1:
-            return False
-        cone_point, functional, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
-        if rec.cone_point != cone_point or rec.functional != functional:
-            return False
-        reduced_all = red_p + red_q
-        independent = affine_span_dim(reduced_all) == len(reduced_all) - 1
-        if rec.kind == "dimspan":
-            return independent and chain.verdict is Verdict.DIMENSIONALLY_RIGID_ONLY
-        if independent:
-            return False
-        if rec.kind == "one-sided":
-            return (not red_p or not red_q) and (
-                chain.verdict is Verdict.NOT_DIMENSIONALLY_RIGID
-            )
-        if not red_p or not red_q:
-            return False
-        sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
-        if rec.kind == "separated":
-            if rec.separation is None or not verify_separation(rec.separation, sub):
-                return False
-            return chain.verdict is Verdict.NOT_DIMENSIONALLY_RIGID
-        if rec.kind != "balanced":
-            return False
         cert = rec.radon
-        if cert is None or not verify_radon(sub, cert):
+        if step.forced or cert is None or not verify_radon(step.sub, cert):
             return False
         local_p = cert.support_p
         local_q = cert.support_q
         if not local_p or not local_q:
             return False
-        if rec.support_p != tuple(comp_p[i] for i in local_p):
+        if rec.support_p != tuple(step.comp_p[i] for i in local_p):
             return False
-        if rec.support_q != tuple(comp_q[j] for j in local_q):
+        if rec.support_q != tuple(step.comp_q[j] for j in local_q):
             return False
         if rec.stress is None:
             return False
-        sub_support = sub.subframework(local_p, local_q)
+        sub_support = step.sub.subframework(local_p, local_q)
         if tuple(rec.stress.lambdas) != tuple(cert.lambdas[i] for i in local_p):
             return False
         if tuple(rec.stress.mus) != tuple(cert.mus[j] for j in local_q):
@@ -307,14 +278,15 @@ def rigidity_test_batch(frameworks: Sequence[BipartiteFramework]) -> list[BatchR
 
     Items run one after another in the calling thread (the exact arithmetic
     holds the interpreter lock, so threads would only add overhead); a
-    per-item :class:`InvalidInput` or :class:`NumericalFailure` is returned
-    in place of that item's result instead of aborting the batch.
+    per-item :class:`ValueError` (:class:`InvalidInput` among them) or
+    :class:`NumericalFailure` is returned in place of that item's result
+    instead of aborting the batch.
     """
 
     def one(fw: BipartiteFramework) -> BatchResult:
         try:
             return rigidity_test(fw)
-        except (InvalidInput, NumericalFailure, ValueError) as exc:
+        except (NumericalFailure, ValueError) as exc:
             return exc
 
     return [one(fw) for fw in frameworks]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,10 +117,7 @@ def prescale(fw: BipartiteFramework) -> BipartiteFramework:
     coords = [c for pt in fw.all_points() for c in pt]
     if not coords or all(c == 0 for c in coords):
         return fw
-    denom = 1
-    for c in coords:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    scale = Fraction(denom)
+    scale = Fraction(lcm(*(c.denominator for c in coords)))
     peak = max(abs(c * scale) for c in coords)
     while peak > COORD_CAP:
         scale /= 2
@@ -183,6 +180,17 @@ def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     return vt[rank:].T
 
 
+def _spectrum(omega: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Ascending eigenvalues, spectral norm and numerical rank of ``omega``.
+
+    The rank counts eigenvalues above ``RANK_TOL`` relative to the spectral
+    norm (or to one, when the norm is smaller).
+    """
+    evals = np.linalg.eigvalsh(omega)
+    spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
+    return evals, spectral, int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
+
+
 def _assemble(
     fw: BipartiteFramework,
     lambdas: Sequence[Fraction],
@@ -220,10 +228,7 @@ def _assemble(
     omega[np.arange(n, n + m), np.arange(n, n + m)] = [float(v) for v in mus]
     omega[:n, n:] = bipartite
     omega[n:, :n] = bipartite.T
-    evals = np.linalg.eigvalsh(omega)
-    spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
-    threshold = RANK_TOL * max(spectral, 1.0)
-    rank = int(np.sum(evals > threshold))
+    evals, _, rank = _spectrum(omega)
     residual = equilibrium_residual(omega, fw)
     return StressCertificate(
         omega=omega,
@@ -320,22 +325,21 @@ def verify_super_stable_certificate(
 ) -> bool:
     """Full numerical-plus-exact check of a super-stability certificate.
 
-    Checks, in order: the equilibrium residual, positive semidefiniteness
-    relative to the spectral norm, the numerical rank against
-    ``n + m - d' - 1``, and (exactly, in rational arithmetic) that both
-    classes span the same affine subspace as the whole configuration,
-    which rules out degenerate edge-direction conics.
+    Checks, in order: that every entry is finite, the equilibrium residual
+    (a NaN residual fails), positive semidefiniteness relative to the
+    spectral norm, the numerical rank against ``n + m - d' - 1``, and
+    (exactly, in rational arithmetic) that both classes span the same
+    affine subspace as the whole configuration, which rules out degenerate
+    edge-direction conics.
     """
     total = fw.n + fw.m
-    if cert.omega.shape != (total, total):
+    if cert.omega.shape != (total, total) or not np.isfinite(cert.omega).all():
         return False
-    if equilibrium_residual(cert.omega, fw) > tol:
+    if not equilibrium_residual(cert.omega, fw) <= tol:  # a NaN residual fails too
         return False
-    evals = np.linalg.eigvalsh(cert.omega)
-    spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
+    evals, spectral, rank = _spectrum(cert.omega)
     if evals.size and float(evals[0]) < -tol * max(spectral, 1.0):
         return False
-    rank = int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
     d_span = affine_span_dim(fw.all_points())
     if rank != total - d_span - 1 or cert.rank != rank:
         return False

@@ -118,6 +118,13 @@ def test_parse_chain_errors():
         (("iterations", 0, "stress", "residual"), 10**400,
          "iterations[0].stress.residual:"),
         (("iterations", 0, "stress", "omega"), "12", "iterations[0].stress.omega:"),
+        (("iterations", 0, "stress", "residual"), "nan", "iterations[0].stress.residual:"),
+        (("iterations", 0, "stress", "min_eigenvalue"), True,
+         "iterations[0].stress.min_eigenvalue:"),
+        (("iterations", 0, "stress", "omega", 0, 1), "-inf",
+         "iterations[0].stress.omega[0][1]:"),
+        (("iterations", 0, "stress", "omega", 1, 0), False,
+         "iterations[0].stress.omega[1][0]:"),
         (("input", "P"), 1, "input.P:"),
         (("format",), "1", "format:"),
         (("format",), True, "format:"),
@@ -126,6 +133,15 @@ def test_parse_chain_errors():
     ):
         with pytest.raises(docio.ParseError, match=re.escape(locus)):
             docio.parse_chain(_replaced(text, path, value))
+    # JSON number tokens that read as NaN or an infinity.
+    for path, locus in (
+        (("iterations", 0, "stress", "residual"), "iterations[0].stress.residual:"),
+        (("iterations", 0, "stress", "omega", 0, 0), "iterations[0].stress.omega[0][0]:"),
+    ):
+        marked = _replaced(text, path, "TOKEN")
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(docio.ParseError, match=re.escape(locus)):
+                docio.parse_chain(marked.replace('"TOKEN"', token))
     missing = json.loads(text)
     del missing["format"]
     with pytest.raises(docio.ParseError, match="format:"):

@@ -15,7 +15,7 @@ from bipartite_rigidity.engine import (
     rigidity_test_batch,
     verify_chain,
 )
-from bipartite_rigidity.fixtures import fixture
+from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
@@ -89,12 +89,15 @@ def test_cube_parity_split():
     assert verify_chain(fw, chain)
 
 
+TWO_PASS = BipartiteFramework.from_lists(
+    3,
+    [[0, 0, 0], [0, 0, 2], [0, 2, 1], [4, 2, -1]],
+    [[0, 0, 1], [0, 0, 3], [3, 3, 2], [3, 1, 0]],
+)
+
+
 def test_two_pass_projection_example():
-    fw = BipartiteFramework.from_lists(
-        3,
-        [[0, 0, 0], [0, 0, 2], [0, 2, 1], [4, 2, -1]],
-        [[0, 0, 1], [0, 0, 3], [3, 3, 2], [3, 1, 0]],
-    )
+    fw = TWO_PASS
     verdict, chain = rigidity_test(fw)
     assert verdict is Verdict.UNIVERSALLY_RIGID
     assert [r.kind for r in chain.records] == ["balanced", "balanced", "exit"]
@@ -154,6 +157,38 @@ def test_chain_rejects_mutations():
     # verdict swapped
     bad_chain = dataclasses.replace(chain, verdict=Verdict.NOT_DIMENSIONALLY_RIGID)
     assert not verify_chain(fw, bad_chain)
+
+
+def test_chain_rejects_edited_terminal_and_reduction():
+    # Every decided chain: the terminal record relabelled (to each other
+    # kind, under each verdict), dropped, or followed by another record, or
+    # the chain given another verdict.
+    kinds = ("balanced", "separated", "exit", "dimspan", "one-sided")
+    for name, fx in all_fixtures().items():
+        fw = fx.framework
+        _, chain = rigidity_test(fw)
+        assert verify_chain(fw, chain)
+        *head, last = chain.records
+        edits = [
+            dataclasses.replace(
+                chain, records=(*head, dataclasses.replace(last, kind=kind)), verdict=verdict
+            )
+            for kind in kinds
+            if kind != last.kind
+            for verdict in Verdict
+        ]
+        edits += [dataclasses.replace(chain, verdict=v) for v in Verdict if v is not chain.verdict]
+        edits.append(dataclasses.replace(chain, records=tuple(head)))
+        extra = dataclasses.replace(last, index=last.index + 1)
+        edits.append(dataclasses.replace(chain, records=chain.records + (extra,)))
+        assert not any(verify_chain(fw, edited) for edited in edits), name
+    # The second pass of a two-pass chain with its reduction data cleared.
+    _, chain = rigidity_test(TWO_PASS)
+    for cleared in ({"cone_point": None}, {"functional": None},
+                    {"cone_point": None, "functional": None}):
+        rec = dataclasses.replace(chain.records[1], **cleared)
+        records = chain.records[:1] + (rec,) + chain.records[2:]
+        assert not verify_chain(TWO_PASS, dataclasses.replace(chain, records=records))
 
 
 def test_batch_matches_individual_and_isolates_errors():

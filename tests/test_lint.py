@@ -43,3 +43,29 @@ def test_no_subset_enumeration():
             if imported or qualified:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_chain_verifier_catches_everything():
+    # Replay turns any error into a rejected certificate; a broad handler
+    # anywhere else would hide faults.
+    found = []
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_ExceptHandler(self, node):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            broad = ("Exception", "BaseException")
+            if any(t is None or (isinstance(t, ast.Name) and t.id in broad) for t in caught):
+                found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        Scopes(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    assert found == ["engine.verify_chain"]

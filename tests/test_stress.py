@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -138,10 +139,21 @@ def test_verify_certificate_checks():
     assert verify_super_stable_certificate(ALTERNATING, cert)
     translated = BipartiteFramework.from_lists(1, [[7], [9]], [[8], [10]])
     assert verify_super_stable_certificate(translated, cert)
-    import dataclasses
-
     wrong_rank = dataclasses.replace(cert, rank=cert.rank + 1)
     assert not verify_super_stable_certificate(ALTERNATING, wrong_rank)
+
+
+def test_verify_rejects_non_finite_entries():
+    # NaN or an infinity on either side of the diagonal is a rejection, not
+    # an eigensolver error and not an acceptance.
+    fw = fixture("cube_k44").framework
+    cert = build_super_stable_stress(fw, (F(1, 4),) * 4, (F(1, 4),) * 4)
+    for value in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (0, 5), (5, 0)):
+            omega = cert.omega.copy()
+            omega[entry] = value
+            bad = dataclasses.replace(cert, omega=omega)
+            assert verify_super_stable_certificate(fw, bad) is False, (value, entry)
 
 
 def test_generalized_zero_coupling_matches_base():
