@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import docio, fixtures
-from .engine import InvalidInput, rigidity_test, rigidity_test_batch, verify_chain
+from .engine import rigidity_test, rigidity_test_batch, verify_chain
 from .separation import EmptySide, RadonCertificate, max_margin_quadric, maximal_support_radon
 from .stress import NumericalFailure, build_super_stable_stress
 
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (docio.ParseError, InvalidInput, EmptySide) as exc:
+    except (docio.ParseError, EmptySide) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -1,9 +1,9 @@
 """Configurations, the Veronese lift, and exact affine-span utilities.
 
 Points are tuples of ``Fraction``; every rank, span and null-space
-computation here runs on the shared exact Gauss-Jordan kernel
-(:func:`row_reduce` over :func:`~.lp.pivot_rows`), so dimension comparisons
-are exact.  The Veronese lift sends a point ``v`` of d-space to the rank-one
+computation here runs on the shared fraction-free Gauss-Jordan kernel
+(:func:`row_reduce` over :func:`~.lp.pivot_rows`, on integer rows with one
+common denominator), so dimension comparisons are exact.  The Veronese lift sends a point ``v`` of d-space to the rank-one
 symmetric matrix ``v^ v^T`` (with a trailing 1 appended to ``v``), turning
 questions about separating quadrics into questions about separating
 hyperplanes in the space of symmetric matrices.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lp import ZERO, ONE, _frac, pivot_rows
+from .lp import ZERO, ONE, _frac, _scale, pivot_rows
 
 Point = tuple[Fraction, ...]
 
@@ -143,19 +143,28 @@ def row_reduce(rows: list[list[Fraction]]) -> list[int]:
     """Bring ``rows`` to reduced row echelon form in place.
 
     Returns the pivot columns: row ``k`` has its leading one in column
-    ``pivots[k]`` and every row past ``len(pivots)`` is zero.
+    ``pivots[k]`` and every row past ``len(pivots)`` is zero.  Each row is
+    first scaled to integers, which keeps the row space; the reduction then
+    runs on integers over one common denominator and the rows are written
+    back as ``Fraction`` once.
     """
+    ints = []
+    for row in rows:
+        s = _scale(row)
+        ints.append([v.numerator * (s // v.denominator) for v in row])
     pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
+    den = 1
+    for col in range(len(ints[0]) if ints else 0):
         rank = len(pivots)
-        if rank == len(rows):
+        if rank == len(ints):
             break
-        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        src = next((r for r in range(rank, len(ints)) if ints[r][col]), None)
         if src is None:
             continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        pivot_rows(rows, rank, col)
+        ints[rank], ints[src] = ints[src], ints[rank]
+        den = pivot_rows(ints, rank, col, den)
         pivots.append(col)
+    rows[:] = [[Fraction(v, den) for v in row] for row in ints]
     return pivots
 
 
@@ -186,10 +195,11 @@ def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
     base = points[0]
     rows = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
     pivots = row_reduce(rows)
-    rows[len(pivots):] = [[a - b for a, b in zip(v, base)]]
-    for r, c in enumerate(pivots):
-        pivot_rows(rows, r, c)
-    return not any(rows[-1])
+    rest = [a - b for a, b in zip(v, base)]
+    for row, c in zip(rows, pivots):
+        f = rest[c]
+        rest = [a - f * b for a, b in zip(rest, row)]
+    return not any(rest)
 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:

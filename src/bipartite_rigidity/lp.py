@@ -1,9 +1,11 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex solver using Bland's anti-cycling rule.  All
-arithmetic is carried out with :class:`fractions.Fraction`, so outcomes are
-exact: feasible points satisfy every constraint with zero residual, optima
-are exact rational values, and infeasible problems come with a Farkas vector
+A dense two-phase simplex solver using Bland's anti-cycling rule.  Problems
+and outcomes are stated in :class:`fractions.Fraction`; the tableau itself
+holds Python ints over one common denominator and is pivoted fraction-free
+(:func:`pivot_rows`), so every division is exact and outcomes are exact:
+feasible points satisfy every constraint with zero residual, optima are
+exact rational values, and infeasible problems come with a Farkas vector
 that refutes them identically.
 
 Problems are stated in equality form ``A x = b`` over nonnegative
@@ -28,6 +30,7 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -116,69 +119,91 @@ class LPOutcome:
     phase_one: Optional[_PhaseOne] = field(default=None, compare=False, repr=False)
 
 
-def pivot_rows(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """Gauss-Jordan pivot on entry ``(r, c)``, in place.
+def pivot_rows(rows: list[list[int]], r: int, c: int, den: int) -> int:
+    """Fraction-free Gauss-Jordan pivot on entry ``(r, c)``, in place.
 
-    Scales row ``r`` so that its entry ``c`` is one, then subtracts
-    multiples of it from every other row so that column ``c`` is zero
-    outside row ``r``.  Zero entries are skipped, which keeps sparse rows
-    cheap.  The entry ``rows[r][c]`` must be nonzero.  This is the one row
-    operation behind the simplex, ranks, null spaces and projectors.
+    The integer ``rows`` stand for ``rows / den``.  With ``p = rows[r][c]``
+    every other row becomes ``(p * row - row[c] * rows[r]) // den``, or
+    ``row * p // den`` where ``row[c]`` is zero; row ``r`` stays, and ``p``
+    is returned as the new denominator (row ``r`` and ``p`` are negated
+    first if ``p`` is negative).  Started from integers with ``den = 1``,
+    every entry is a minor of the starting matrix up to sign (Edmonds 1967;
+    Bareiss 1968), so every division is exact.  ``rows[r][c]`` must be
+    nonzero.  This is the one row operation behind the simplex, ranks,
+    null spaces and projectors.
     """
     pivot = rows[r]
-    piv = pivot[c]
-    if piv != 1:
-        inv = ONE / piv
-        rows[r] = pivot = [v * inv if v else v for v in pivot]
+    p = pivot[c]
+    if p < 0:
+        rows[r] = pivot = [-v for v in pivot]
+        p = -p
     for k, row in enumerate(rows):
         if k != r:
             f = row[c]
             if f:
-                rows[k] = [a - f * b if b else a for a, b in zip(row, pivot)]
+                rows[k] = [(p * a - f * b) // den for a, b in zip(row, pivot)]
+            elif p != den:
+                rows[k] = [a * p // den for a in row]
+    return p
+
+
+def _scale(values) -> int:
+    """The least positive integer that makes every value integral."""
+    return lcm(*(v.denominator for v in values))
 
 
 class _Simplex:
-    """Tableau simplex over Fractions for ``A x = b, x >= 0`` (internal).
+    """Integer tableau simplex for ``A x = b, x >= 0`` (internal).
 
     ``T`` holds the ``m`` constraint rows followed by the reduced-cost row,
-    so one :func:`pivot_rows` call updates both.  Columns ``nx`` onwards
-    are the artificials of phase 1.  Exact arithmetic keeps every basic
-    column a unit column with reduced cost zero, so no per-variable status
-    is stored: a column with a negative reduced cost, or with a nonzero
-    entry in another basic variable's row, is nonbasic.
+    all over the one positive denominator ``den``, so one
+    :func:`pivot_rows` call updates them all.  Columns ``nx`` onwards are
+    the artificials of phase 1 and the last column is the rhs, which is
+    the basic solution.  Exact arithmetic keeps every basic column a unit
+    column with reduced cost zero, so no per-variable status is stored: a
+    column with a negative reduced cost, or with a nonzero entry in another
+    basic variable's row, is nonbasic.
+
+    Each structural column is scaled by the least common multiple of its
+    denominators, and the rhs and the objective by theirs, so the tableau
+    is integral from the start.  A positive column scale keeps the sign of
+    every reduced cost and the order of every ratio, so the pivots are
+    those of the unscaled problem; :meth:`solution` and :meth:`duals`
+    undo the scales, and the Farkas vector does not see them.
     """
 
     def __init__(self, rows, rhs, nx: int):
         self.m = len(rows)
         self.nx = nx
+        self.den = 1
+        self.col_scale = [_scale(col) for col in zip(*rows)] if rows else [1] * nx
+        self.rhs_scale = _scale(rhs)
+        self.cost_scale = 1
         self.flip: list[int] = []
-        T: list[list[Fraction]] = []
-        xB: list[Fraction] = []
+        T: list[list[int]] = []
         for i in range(self.m):
-            r = list(rows[i])
-            b = rhs[i]
+            r = [v.numerator * (s // v.denominator) for v, s in zip(rows[i], self.col_scale)]
+            b = rhs[i].numerator * (self.rhs_scale // rhs[i].denominator)
             if b < 0:
                 r = [-v for v in r]
                 b = -b
                 self.flip.append(-1)
             else:
                 self.flip.append(1)
-            art = [ZERO] * self.m
-            art[i] = ONE
-            T.append(r + art)
-            xB.append(b)
-        T.append([ZERO] * (nx + self.m))
+            art = [0] * self.m
+            art[i] = 1
+            T.append(r + art + [b])
+        T.append([0] * (nx + self.m + 1))
         self.T = T
-        self.xB = xB
         self.basis = [nx + i for i in range(self.m)]
 
     # -- pivoting core ---------------------------------------------------
 
     def _artificials_positive(self) -> bool:
-        return any(x for x, b in zip(self.xB, self.basis) if b >= self.nx)
+        return any(row[-1] for row, b in zip(self.T, self.basis) if b >= self.nx)
 
     def _run(self, stop_at_zero: bool = False) -> str:
-        T, xB, basis = self.T, self.xB, self.basis
+        T, basis = self.T, self.basis
         while True:
             if stop_at_zero and not self._artificials_positive():
                 return "optimal"
@@ -186,45 +211,40 @@ class _Simplex:
             j = next((j for j in range(self.nx) if rc[j] < 0), -1)
             if j < 0:
                 return "optimal"
-            best_t: Optional[Fraction] = None
-            best_row = -1
+            # Smallest ratio rhs_i / T_ij over T_ij > 0, compared by
+            # cross-multiplication; ties go to the smallest basic index.
+            best = -1
             for i in range(self.m):
                 coef = T[i][j]
                 if coef > 0:
-                    t = xB[i] / coef
-                    if best_t is None or t < best_t or (
-                        t == best_t and basis[i] < basis[best_row]
-                    ):
-                        best_t, best_row = t, i
-            if best_t is None:
+                    if best < 0:
+                        best = i
+                        continue
+                    left = T[i][-1] * T[best][j]
+                    right = T[best][-1] * coef
+                    if left < right or (left == right and basis[i] < basis[best]):
+                        best = i
+            if best < 0:
                 return "unbounded"
-            if best_t:
-                for i in range(self.m):
-                    c = T[i][j]
-                    if c:
-                        xB[i] -= c * best_t
-            self._pivot(best_row, j, best_t)
+            self._pivot(best, j)
 
     def copy(self) -> "_Simplex":
         """An independent copy: no pivot on it changes this tableau."""
         dup = copy.copy(self)
         dup.T = [row[:] for row in self.T]
-        dup.xB = list(self.xB)
         dup.basis = list(self.basis)
         return dup
 
-    def _pivot(self, i: int, j: int, value) -> None:
+    def _pivot(self, i: int, j: int) -> None:
         self.basis[i] = j
-        self.xB[i] = value
-        pivot_rows(self.T, i, j)
+        self.den = pivot_rows(self.T, i, j, self.den)
 
     # -- phases ----------------------------------------------------------
 
     def phase1(self) -> bool:
-        rc = []
-        for j in range(self.nx):
-            rc.append(-sum((self.T[i][j] for i in range(self.m)), ZERO))
-        rc.extend([ZERO] * self.m)
+        width = self.nx + self.m + 1
+        rc = [-sum(self.T[i][j] for i in range(self.m)) for j in range(width)]
+        rc[self.nx:-1] = [0] * self.m
         self.T[-1] = rc
         # The artificial sum is bounded below by zero, so hitting zero is
         # already optimal; this skips degenerate pivots on homogeneous rows.
@@ -238,8 +258,9 @@ class _Simplex:
 
     def farkas(self) -> tuple[Fraction, ...]:
         # Phase-1 duals read off the artificial columns: rc = 1 - y_i.
+        den, rc = self.den, self.T[-1]
         return tuple(
-            (ONE - self.T[-1][self.nx + i]) * self.flip[i] for i in range(self.m)
+            Fraction((den - rc[self.nx + i]) * self.flip[i], den) for i in range(self.m)
         )
 
     def _drive_out_artificials(self) -> None:
@@ -250,33 +271,32 @@ class _Simplex:
                 continue
             j = next((j for j in range(self.nx) if self.T[i][j]), -1)
             if j >= 0:
-                self._pivot(i, j, ZERO)
+                self._pivot(i, j)
 
     def phase2(self, cost: Sequence[Fraction]) -> str:
-        c = list(cost) + [ZERO] * self.m
-        cb = [c[b] for b in self.basis]
-        rc = []
-        for j in range(self.nx + self.m):
-            acc = c[j]
-            for i in range(self.m):
-                ci = cb[i]
-                if ci:
-                    v = self.T[i][j]
-                    if v:
-                        acc -= ci * v
-            rc.append(acc)
-        self.T[-1] = rc
+        scaled = [v * s for v, s in zip(cost, self.col_scale)]
+        self.cost_scale = _scale(scaled)
+        c = [v.numerator * (self.cost_scale // v.denominator) for v in scaled]
+        priced = [(c[b], row) for b, row in zip(self.basis, self.T) if b < self.nx and c[b]]
+        self.T[-1] = [
+            (c[j] * self.den if j < self.nx else 0) - sum(ci * row[j] for ci, row in priced)
+            for j in range(self.nx + self.m + 1)
+        ]
         return self._run()
 
     def duals(self) -> tuple[Fraction, ...]:
         # rc of artificial column i is -y_i once its phase-2 cost is zero.
-        return tuple(-self.T[-1][self.nx + i] * self.flip[i] for i in range(self.m))
+        den, rc = self.den * self.cost_scale, self.T[-1]
+        return tuple(
+            Fraction(-rc[self.nx + i] * self.flip[i], den) for i in range(self.m)
+        )
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.nx
-        for b, v in zip(self.basis, self.xB):
+        den = self.den * self.rhs_scale
+        for row, b in zip(self.T, self.basis):
             if b < self.nx:
-                x[b] = v
+                x[b] = Fraction(row[-1] * self.col_scale[b], den)
         return x
 
 

@@ -291,6 +291,13 @@ def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
     return float(np.max(np.abs(hatted @ omega)))
 
 
+def _class_blocks_diagonal(omega: np.ndarray, n: int) -> bool:
+    """Whether both class blocks of ``omega`` are exactly diagonal."""
+    return not any(
+        np.any(block != np.diag(np.diag(block))) for block in (omega[:n, :n], omega[n:, n:])
+    )
+
+
 def extract_balanced_diagonals(
     omega: np.ndarray, fw: BipartiteFramework, tol: float = RESIDUAL_TOL
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -304,15 +311,10 @@ def extract_balanced_diagonals(
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
-    n = fw.n
-    p_block = omega[:n, :n]
-    q_block = omega[n:, n:]
-    for block in (p_block, q_block):
-        off = block - np.diag(np.diag(block))
-        if np.any(off != 0):
-            raise PatternViolation("class blocks must be diagonal")
-    lambdas = np.diag(p_block).copy()
-    mus = np.diag(q_block).copy()
+    if not _class_blocks_diagonal(omega, fw.n):
+        raise PatternViolation("class blocks must be diagonal")
+    lambdas = np.diag(omega[: fw.n, : fw.n]).copy()
+    mus = np.diag(omega[fw.n :, fw.n :]).copy()
     scaled = prescale(fw)
     hp = _hatted(scaled.points_p)
     hq = _hatted(scaled.points_q)
@@ -325,7 +327,10 @@ def verify_super_stable_certificate(
 ) -> bool:
     """Full numerical-plus-exact check of a super-stability certificate.
 
-    Checks, in order: that every entry is finite, the equilibrium residual
+    Checks, in order: that every entry is finite, that the matrix is
+    exactly symmetric with diagonal class blocks (the eigensolver reads one
+    triangle and the residual reads columns, so neither sees an edit above
+    the diagonal that the configuration annihilates), the equilibrium residual
     (a NaN residual fails), positive semidefiniteness relative to the
     spectral norm, the numerical rank against ``n + m - d' - 1``, and
     (exactly, in rational arithmetic) that both classes span the same
@@ -334,6 +339,10 @@ def verify_super_stable_certificate(
     """
     total = fw.n + fw.m
     if cert.omega.shape != (total, total) or not np.isfinite(cert.omega).all():
+        return False
+    if not np.array_equal(cert.omega, cert.omega.T):
+        return False
+    if not _class_blocks_diagonal(cert.omega, fw.n):
         return False
     if not equilibrium_residual(cert.omega, fw) <= tol:  # a NaN residual fails too
         return False

@@ -76,6 +76,14 @@ def test_rank_and_null_vector(matrix):
     reduced = [list(row) for row in rows]
     pivots = row_reduce(reduced)
     assert len(pivots) == rank
+    # True reduced row echelon form, written back as Fractions: a leading
+    # one at each pivot, zeros elsewhere in its column, zero rows last.
+    assert pivots == sorted(set(pivots))
+    assert all(type(v) is F for row in reduced for v in row)
+    for r, c in enumerate(pivots):
+        assert not any(reduced[r][:c]) and reduced[r][c] == 1
+        assert all(row[c] == 0 for k, row in enumerate(reduced) if k != r)
+    assert not any(v for row in reduced[rank:] for v in row)
     for free in (c for c in range(cols) if c not in pivots):
         x = [F(0)] * cols
         x[free] = F(1)

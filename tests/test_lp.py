@@ -14,9 +14,11 @@ from bipartite_rigidity.lp import (
     MalformedProblem,
     ZERO,
     maximize,
+    pivot_rows,
     solve_feasibility,
 )
-from conftest import oracle_lp
+from bipartite_rigidity.separation import _radon_problem
+from conftest import k10x10, oracle_lp
 
 
 def column_products(prob: LPProblem, y) -> list:
@@ -42,6 +44,49 @@ def check_feasible_point(prob: LPProblem, x) -> bool:
         if sum((c * v for c, v in zip(row, x) if c), ZERO) != b:
             return False
     return True
+
+
+def dual_feasible(prob: LPProblem, y) -> bool:
+    """``y^T A_j >= c_j`` on every column of a problem with an objective."""
+    return all(col >= c for col, c in zip(column_products(prob, y), prob.objective))
+
+
+def test_pivot_rows_matches_fraction_gauss_jordan(rng):
+    # Random pivot sequences, including re-pivots on a row already used and
+    # negative pivots, against a Fraction Gauss-Jordan step written here.
+    negative = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        ref = [[F(v) for v in row] for row in rows]
+        den = 1
+        for _ in range(rng.randint(1, 8)):
+            nonzero = [(r, c) for r in range(m) for c in range(n) if rows[r][c]]
+            if not nonzero:
+                break
+            r, c = rng.choice(nonzero)
+            piv = rows[r][c]
+            negative += piv < 0
+            den = pivot_rows(rows, r, c, den)
+            assert den == abs(piv) and den > 0
+            assert all(type(v) is int for row in rows for v in row)
+            ref[r] = [v / ref[r][c] for v in ref[r]]
+            ref = [
+                row if k == r else [a - row[c] * b for a, b in zip(row, ref[r])]
+                for k, row in enumerate(ref)
+            ]
+            assert [[F(v, den) for v in row] for row in rows] == ref
+    assert negative > 10  # sampling sanity: negative pivots do occur
+
+
+def test_radon_tableau_stays_integral():
+    # The simplex pivots on ints over one denominator; a Fraction that slips
+    # back into the tableau would multiply the solve time several times.
+    out = solve_feasibility(_radon_problem(k10x10(1)))
+    assert out.status is LPStatus.FEASIBLE
+    splx = out.phase_one.splx
+    assert all(type(v) is int for row in splx.T for v in row)
+    assert type(splx.den) is int and splx.den > 0
 
 
 def test_single_variable_feasible():
@@ -239,9 +284,7 @@ def test_optimal_dual_matches_value(rng):
         out = maximize(prob)
         if out.status is LPStatus.OPTIMAL:
             assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == out.value
-            assert all(
-                col >= c for col, c in zip(column_products(prob, out.dual), prob.objective)
-            )
+            assert dual_feasible(prob, out.dual)
             count += 1
     assert count > 5
 
@@ -263,7 +306,7 @@ def test_redundant_row_keeps_artificial_basic():
         assert out.value == 10
         assert check_feasible_point(prob, out.point)
         assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == 10
-        assert all(col >= c for col, c in zip(column_products(prob, out.dual), objective))
+        assert dual_feasible(prob, out.dual)
 
 
 def test_determinism():
@@ -339,3 +382,70 @@ def test_maximize_rejects_foreign_start():
     for target, start in cases:
         with pytest.raises(MalformedProblem):
             maximize(target, start=start)
+
+
+@st.composite
+def random_constraints(draw):
+    """Rows, rhs and width of an LP that may be infeasible or unbounded."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return rows, rhs, n
+
+
+POSITIVE = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+@given(
+    st.one_of(feasible_constraints(), random_constraints()),
+    st.lists(st.integers(-3, 3), min_size=10, max_size=10),
+    st.lists(POSITIVE, min_size=10, max_size=10),
+    POSITIVE,
+    POSITIVE,
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_scaled_problems_solve_alike(constraints, objective, scales, t, w, negate):
+    # The solver clears denominators by scaling each column, the rhs and the
+    # objective by a positive integer.  Scaling them by positive rationals
+    # here must move the outcome by exactly that scale: a column scale
+    # divides its coordinate, the rhs scales the point and the value, and
+    # the objective scales the value and the dual.  Negated rows put
+    # negative entries in the rhs.
+    rows, rhs, width = constraints
+    signs = [-1 if flip else 1 for flip, _ in zip(negate, rows)]
+    rows = [[sign * v for v in row] for sign, row in zip(signs, rows)]
+    rhs = [sign * b for sign, b in zip(signs, rhs)]
+    objective = objective[:width]
+    s = scales[:width]
+    variants = [  # rows, rhs, objective, point map, value factor, dual factor
+        (rows, rhs, objective, list, 1, 1),
+        ([[v * sj for v, sj in zip(row, s)] for row in rows], rhs,
+         [c * sj for c, sj in zip(objective, s)],
+         lambda x: [v / sj for v, sj in zip(x, s)], 1, 1),
+        (rows, [b * t for b in rhs], objective, lambda x: [v * t for v in x], t, 1),
+        (rows, rhs, [c * w for c in objective], list, w, w),
+    ]
+    base = base_feasible = None
+    for v_rows, v_rhs, v_objective, move, value_factor, dual_factor in variants:
+        feasible = solve_feasibility(LPProblem.create(v_rows, v_rhs, width))
+        prob = LPProblem.create(v_rows, v_rhs, width, objective=v_objective)
+        out = maximize(prob)
+        base = base or out
+        base_feasible = base_feasible or feasible
+        assert (out.status, feasible.status) == (base.status, base_feasible.status)
+        if feasible.status is LPStatus.INFEASIBLE:
+            # A positive scale leaves the Farkas vector as it is.
+            assert feasible.dual == out.dual == base.dual
+            assert farkas_refutes(prob, out.dual)
+            continue
+        assert list(feasible.point) == move(base_feasible.point)
+        assert check_feasible_point(prob, feasible.point)
+        if out.status is LPStatus.OPTIMAL:
+            assert list(out.point) == move(base.point)
+            assert out.value == base.value * value_factor
+            assert list(out.dual) == [y * dual_factor for y in base.dual]
+            assert check_feasible_point(prob, out.point)
+            assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == out.value
+            assert dual_feasible(prob, out.dual)

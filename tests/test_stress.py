@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.lp import ONE
@@ -154,6 +155,28 @@ def test_verify_rejects_non_finite_entries():
             omega[entry] = value
             bad = dataclasses.replace(cert, omega=omega)
             assert verify_super_stable_certificate(fw, bad) is False, (value, entry)
+
+
+def test_verify_rejects_asymmetric_or_patterned_omega():
+    # On cube_k44, p0 + p1 - q0 - q1 = 0 on the hatted points, so adding a
+    # multiple of z to a column leaves the equilibrium residual at zero.
+    # An edit above the diagonal is invisible to the one-triangle
+    # eigensolver, and z z^T keeps the matrix PSD of the same rank while it
+    # puts an entry inside the P block; neither is a bipartite stress.
+    fw = fixture("cube_k44").framework
+    _, chain = rigidity_test(fw)
+    rec = chain.records[0]
+    assert rec.kind == "balanced" and (rec.support_p, rec.support_q) == ((0, 1, 2, 3),) * 2
+    assert verify_chain(fw, chain)
+    z = np.array([1.0, 1, 0, 0, -1, -1, 0, 0])
+    upper = rec.stress.omega.copy()
+    upper[:, 7] += 5 * z
+    for omega in (upper, rec.stress.omega + np.outer(z, z)):
+        assert equilibrium_residual(omega, fw) == 0
+        bad = dataclasses.replace(rec.stress, omega=omega)
+        assert verify_super_stable_certificate(fw, bad) is False
+        edited = dataclasses.replace(rec, stress=bad)
+        assert not verify_chain(fw, dataclasses.replace(chain, records=(edited,) + chain.records[1:]))
 
 
 def test_generalized_zero_coupling_matches_base():
