@@ -139,31 +139,43 @@ def veronese(v: Sequence) -> SymmetricMatrix:
 # -- exact elimination -------------------------------------------------------
 
 
+def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reduced row echelon form of integer ``rows``, in place, fraction-free.
+
+    Returns the pivot columns and the positive common denominator ``den``:
+    the rows then stand for ``rows / den``, row ``k`` holds ``den`` in
+    column ``pivots[k]`` and zeros in the other pivot columns, and every row
+    past ``len(pivots)`` is zero.  Every entry stays an ``int``.
+    """
+    pivots: list[int] = []
+    den = 1
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        den = pivot_rows(rows, rank, col, den)
+        pivots.append(col)
+    return pivots, den
+
+
 def row_reduce(rows: list[list[Fraction]]) -> list[int]:
     """Bring ``rows`` to reduced row echelon form in place.
 
     Returns the pivot columns: row ``k`` has its leading one in column
     ``pivots[k]`` and every row past ``len(pivots)`` is zero.  Each row is
     first scaled to integers, which keeps the row space; the reduction then
-    runs on integers over one common denominator and the rows are written
-    back as ``Fraction`` once.
+    runs on integers over one common denominator (:func:`_reduce_ints`) and
+    the rows are written back as ``Fraction`` once.
     """
     ints = []
     for row in rows:
         s = _scale(row)
         ints.append([v.numerator * (s // v.denominator) for v in row])
-    pivots: list[int] = []
-    den = 1
-    for col in range(len(ints[0]) if ints else 0):
-        rank = len(pivots)
-        if rank == len(ints):
-            break
-        src = next((r for r in range(rank, len(ints)) if ints[r][col]), None)
-        if src is None:
-            continue
-        ints[rank], ints[src] = ints[src], ints[rank]
-        den = pivot_rows(ints, rank, col, den)
-        pivots.append(col)
+    pivots, den = _reduce_ints(ints)
     rows[:] = [[Fraction(v, den) for v in row] for row in ints]
     return pivots
 

@@ -10,11 +10,14 @@ For a framework with classes P and Q, exactly one of the following holds:
   ``-delta`` on Q.
 
 One exact LP decides which: the balance LP either has a solution, or its
-Farkas vector, read as a quadratic form, is the separating quadric.  Both
-witnesses re-verify with zero residual.  :func:`max_margin_quadric` finds
-the separating quadric of largest margin through the same duality: it
-solves the LP for the least weighted distance between the lifted hulls and
-reads the quadric off that LP's dual.
+Farkas vector, read as a quadratic form, is the separating quadric.  When
+it has a solution, :func:`maximal_support_radon` reaches the unique maximal
+support of the balance region by maximizing only the coordinates that are
+zero in every point found so far, all from the feasibility solve's phase-1
+basis.  Both witnesses re-verify with zero residual.
+:func:`max_margin_quadric` finds the separating quadric of largest margin
+through the same duality: it solves the LP for the least weighted distance
+between the lifted hulls and reads the quadric off that LP's dual.
 """
 
 from __future__ import annotations
@@ -134,17 +137,22 @@ def maximal_support_radon(
     When the balance LP is infeasible its Farkas vector yields the strict
     separating quadric (:func:`_farkas_quadric`); no further LP runs.  The
     support of a relative-interior point of the feasible region is
-    found by maximizing every coordinate that the first feasible point
-    leaves at zero and averaging all resulting feasible points with positive
-    weights.  A coordinate whose maximum is exactly zero is zero across the
-    whole region and stays outside the support.  Every maximization starts
-    from the feasibility solve's phase-1 basis (``lp.maximize(start=...)``),
-    so phase 1 runs once per call however many coordinates are zero.
+    found by maximizing, in index order, every coordinate that is zero in
+    all points so far (the first feasible point and each maximizer with a
+    positive optimum), and averaging those points with positive weights.
+    A coordinate already positive in some point is in the support, so it
+    needs no LP; one whose maximum is exactly zero is zero across the whole
+    region and stays outside the support.  The maximal support is unique,
+    so the skipped solves change only the averaged coefficients.  Every
+    maximization starts from the feasibility solve's phase-1 basis
+    (``lp.maximize(start=...)``), so phase 1 runs once per call however
+    many coordinates are zero.
 
     Each point is weighted by the multiple ``den * ceil(top / den)`` of its
     common denominator ``den`` (``top`` the largest of them), so every
     weighted point is integral, the weights stay within a factor two of
-    each other, and the one division by their sum keeps the coefficients
+    each other, and the weighted sums run on ints, with one division by
+    the sum of the weights per coordinate, which keeps the coefficients
     short.
     """
     if fw.n < 1 or fw.m < 1:
@@ -156,7 +164,7 @@ def maximal_support_radon(
     points = [outcome.point]
     total = fw.n + fw.m
     for coord in range(total):
-        if outcome.point[coord] > 0:
+        if any(pt[coord] for pt in points):
             continue
         obj = [ZERO] * total
         obj[coord] = ONE
@@ -168,11 +176,13 @@ def maximal_support_radon(
     dens = [lcm(*(v.denominator for v in pt)) for pt in points]
     top = max(dens)
     weights = [den * -(-top // den) for den in dens]
-    avg = tuple(
-        sum((w * pt[k] for w, pt in zip(weights, points)), ZERO) / sum(weights)
-        for k in range(total)
-    )
-    return RadonCertificate(lambdas=avg[: fw.n], mus=avg[fw.n :])
+    nums = [0] * total
+    for w, pt in zip(weights, points):
+        for k, v in enumerate(pt):
+            nums[k] += (w // v.denominator) * v.numerator
+    total_weight = sum(weights)
+    avg = [Fraction(num, total_weight) for num in nums]
+    return RadonCertificate(lambdas=tuple(avg[: fw.n]), mus=tuple(avg[fw.n :]))
 
 
 def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:

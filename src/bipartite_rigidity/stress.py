@@ -11,19 +11,25 @@ diagonal and the closed-form cross block
 
 for any generalized inverse ``G^-``.  The columns of ``Q^ M`` lie in the
 range of ``G`` and ``P^^T`` vanishes on the kernel of ``G``, so every
-solution ``X`` of ``G X = Q^ M`` gives the same ``B = -L P^^T X``; one is
-read off the exact row reduction of ``[G | Q^ M]``, and only the finished
-block is converted to floating point.  Equilibrium then holds exactly
-(``P^ L + Q^ B^T = 0`` and ``P^ B + Q^ M = 0``), and the Schur complement
-``M^{1/2} (I - Pi) M^{1/2}``, with ``Pi`` the orthogonal projector onto
-the row space of ``Q^ M^{1/2}``, makes omega PSD of rank
-``n + m - d' - 1`` (``d'`` the span dimension).
+solution ``X`` of ``G X = Q^ M`` gives the same ``B = -L P^^T X``.
+Equilibrium then holds exactly (``P^ L + Q^ B^T = 0`` and
+``P^ B + Q^ M = 0``), and the Schur complement ``M^{1/2} (I - Pi) M^{1/2}``,
+with ``Pi`` the orthogonal projector onto the row space of ``Q^ M^{1/2}``,
+makes omega PSD of rank ``n + m - d' - 1`` (``d'`` the span dimension).
 
-``B`` is affine invariant: an invertible affine map of the coordinates acts
-on every hatted point by one invertible matrix ``T``, which turns ``G``
-into ``T G T^T`` and ``G^-`` into ``T^-T G^- T^-1``, and the factors
-cancel.  Thin, flat or large configurations therefore need no rescaling
-before the build.
+``B`` is built on integers.  It is affine invariant: an invertible affine
+map of the coordinates acts on every hatted point by one invertible matrix
+``T``, which turns ``G`` into ``T G T^T`` and ``G^-`` into
+``T^-T G^- T^-1``, and the factors cancel.  It is also homogeneous of
+degree one in the coefficients jointly: scaling ``L`` and ``M`` by ``w``
+scales ``G`` and ``Q^ M`` by ``w`` and leaves ``X`` alone.  So the
+coordinates are multiplied by their common denominator (an affine map, so
+``B`` does not change) and the coefficients by theirs, ``w``; the two
+integer Grams are compared to check balance, ``[G | Q^ M]`` is reduced on
+integers over one common denominator ``den``, and ``B`` comes out as
+integer numerators over ``w * den``.  Each entry is converted to floating
+point by one correctly rounded integer division.  Thin, flat or large
+configurations therefore need no rescaling before the build.
 
 An optional diagonal coupling ``C`` generalizes the construction: with
 ``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
@@ -50,9 +56,8 @@ from .geometry import (
     Point,
     affine_span_dim,
     affine_spans_equal,
-    row_reduce,
+    _reduce_ints,
 )
-from .lp import ZERO, ONE
 
 #: Relative eigenvalue threshold for numerical rank decisions.
 RANK_TOL = 1e-8
@@ -136,42 +141,44 @@ def _hatted(points: Sequence[Point]) -> np.ndarray:
     return np.array([[float(c) for c in pt] + [1.0] for pt in points]).T
 
 
-def _exact_gram(d: int, points: Sequence[Point], coeffs) -> list[list[Fraction]]:
-    """The exact (d+1) x (d+1) matrix sum of coeff * hat(p) hat(p)^T."""
-    g = [[ZERO] * (d + 1) for _ in range(d + 1)]
-    for pt, w in zip(points, coeffs):
-        hat = tuple(pt) + (ONE,)
-        for i in range(d + 1):
-            hi = hat[i]
-            if not hi:
-                continue
-            wi = w * hi
-            for j in range(d + 1):
-                if hat[j]:
-                    g[i][j] += wi * hat[j]
-    return g
+def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int]:
+    """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
-
-def _cross_block(fw: BipartiteFramework, lambdas, mus, gram) -> list[list[Fraction]]:
-    """The exact cross block ``B = -L P^^T X`` for a solution of ``G X = Q^ M``.
-
-    ``[G | Q^ M]`` is row reduced; ``X`` takes the reduced right side in
-    its pivot rows and zeros elsewhere.  Exact balance puts every column of
+    Coordinates and coefficients are cleared to integers (module
+    docstring), the two integer Grams are compared, and ``[G | Q^ M]`` is
+    row reduced on integers; ``X`` takes the reduced right side in its
+    pivot rows and zeros elsewhere.  Exact balance puts every column of
     ``Q^ M`` in the range of ``G``, so no pivot lands on the right side.
+    Returns the numerators and their positive denominator.
     """
     hat = fw.dimension + 1
-    q_hats = [tuple(q) + (ONE,) for q in fw.points_q]
-    system = [gram[i] + [mu * q[i] for q, mu in zip(q_hats, mus)] for i in range(hat)]
-    x = [[ZERO] * fw.m for _ in range(hat)]
-    for row, col in zip(system, row_reduce(system)):
-        x[col] = row[hat:]
-    return [
-        [
-            -lam * sum((a * x[i][j] for i, a in enumerate(tuple(p) + (ONE,)) if a), ZERO)
-            for j in range(fw.m)
+    clear = lcm(*(c.denominator for pt in fw.all_points() for c in pt))
+    w = lcm(*(v.denominator for v in (*lambdas, *mus)))
+
+    def cleared(points, coeffs):
+        """Integer hatted points, integer coefficients and their Gram matrix."""
+        hats = [[c.numerator * (clear // c.denominator) for c in pt] + [1] for pt in points]
+        ints = [v.numerator * (w // v.denominator) for v in coeffs]
+        gram = [
+            [sum(a * h[i] * h[j] for h, a in zip(hats, ints)) for j in range(hat)]
+            for i in range(hat)
         ]
-        for p, lam in zip(fw.points_p, lambdas)
+        return hats, ints, gram
+
+    p_hats, a, gram = cleared(fw.points_p, lambdas)
+    q_hats, b, q_gram = cleared(fw.points_q, mus)
+    if gram != q_gram:
+        raise DegenerateInput("coefficients do not balance the lifted classes")
+    system = [gram[i] + [bj * q[i] for q, bj in zip(q_hats, b)] for i in range(hat)]
+    pivots, den = _reduce_ints(system)
+    x = [[0] * fw.m for _ in range(hat)]
+    for row, col in zip(system, pivots):
+        x[col] = row[hat:]
+    nums = [
+        [-ai * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(fw.m)]
+        for p, ai in zip(p_hats, a)
     ]
+    return nums, w * den
 
 
 def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
@@ -202,12 +209,8 @@ def _assemble(
         raise ShapeMismatch("coefficient lengths must match the class sizes")
     if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
         raise DegenerateInput("all coefficients must be strictly positive")
-    gram = _exact_gram(fw.dimension, fw.points_p, lambdas)
-    if gram != _exact_gram(fw.dimension, fw.points_q, mus):
-        raise DegenerateInput("coefficients do not balance the lifted classes")
-    bipartite = np.array(
-        [[float(v) for v in row] for row in _cross_block(fw, lambdas, mus, gram)]
-    )
+    nums, den = _cross_block(fw, lambdas, mus)
+    bipartite = np.array([[v / den for v in row] for row in nums])
     if coupling is not None:
         r = affine_span_dim(fw.all_points()) + 1
         pairs = min(n - r, m - r)

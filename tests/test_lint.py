@@ -69,3 +69,52 @@ def test_only_the_chain_verifier_catches_everything():
     for path in sorted(PACKAGE.glob("*.py")):
         Scopes(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
     assert found == ["engine.verify_chain"]
+
+
+#: Imports kept although their module never reads them.
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench/spans.py HOOKS rebinds engine.max_margin_quadric.
+    ("engine", "max_margin_quadric"),
+    # perfbench/spans.py HOOKS rebinds reduction.linear_rank.
+    ("reduction", "linear_rank"),
+}
+
+
+def unused_imports(source: str, module: str, allowed=UNUSED_IMPORTS_ALLOWED) -> list[str]:
+    """The names a module imports at its top level and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{module}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used and (module, name) not in allowed
+    ]
+
+
+def test_no_unused_imports():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert paths
+    found = [
+        name for path in paths for name in unused_imports(path.read_text(), path.stem)
+    ]
+    assert found == []
+    # Every allowed import is still imported and unused, so none outlives its hook.
+    stale = {
+        (path.stem, name.split()[-1])
+        for path in paths
+        for name in unused_imports(path.read_text(), path.stem, allowed=set())
+    }
+    assert stale == UNUSED_IMPORTS_ALLOWED
+
+
+def test_unused_import_check_sees_a_dropped_use():
+    source = "from .lp import ZERO, ONE\n\ndef f():\n    return ZERO\n"
+    assert unused_imports(source, "stress") == ["stress:1 ONE"]

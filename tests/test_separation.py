@@ -179,8 +179,9 @@ def test_maximal_support_omits_conic_center():
 
 def test_support_maximality_is_exact(rng):
     # Every index outside the returned support has LP-max exactly zero
-    # over the feasible region.  Exercised on fixtures with forced-zero
-    # coefficients plus a handful of random instances.
+    # over the feasible region, by a cold solve.  Exercised on fixtures with
+    # forced-zero coefficients, a handful of random instances and the
+    # K(10,10) instances of seeds 1-3.
     from bipartite_rigidity import lp
     from bipartite_rigidity.fixtures import fixture
     from bipartite_rigidity.separation import _radon_problem
@@ -192,12 +193,14 @@ def test_support_maximality_is_exact(rng):
         ),
     ]
     cases += [random_framework(rng, d_max=2, nm_max=8) for _ in range(15)]
+    cases += [k10x10(seed) for seed in (1, 2, 3)]
     checked = 0
     for fw in cases:
         cert = maximal_support_radon(fw)
         if isinstance(cert, SeparationCertificate):
             assert verify_separation(cert, fw)
             continue
+        assert verify_radon(fw, cert)
         base = _radon_problem(fw)
         values = cert.lambdas + cert.mus
         for coord, val in enumerate(values):
@@ -268,22 +271,40 @@ def test_verify_radon_rejects_corruption():
 
 
 def test_phase_one_runs_once_per_radon_call(monkeypatch):
-    # A rigid K(10,10): the first balance point is basic, so it leaves
-    # coordinates at zero and every one of them is maximized.
+    # A rigid K(10,10): phase 1 runs once, and a coordinate is maximized
+    # only when it is zero in every point found so far (the first balance
+    # point and each maximizer with a positive optimum).  The count is
+    # recomputed from the recorded points, and it is strictly below the
+    # first point's zero count: later points cover coordinates.
     fw = k10x10(1)
-    first = lp.solve_feasibility(_radon_problem(fw))
-    zeros = sum(1 for v in first.point if v == 0)
-    assert zeros > 0
+    first = lp.solve_feasibility(_radon_problem(fw))  # deterministic: the call's own first point
     counts = Counter()
+    maximized = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counted_phase1(splx):
+        counts["phase1"] += 1
+        return phase1(splx)
 
-        return wrapper
+    def recorded_maximize(prob, start=None):
+        out = maximize(prob, start=start)
+        maximized.append((prob.objective.index(1), out))
+        return out
 
-    monkeypatch.setattr(lp._Simplex, "phase1", counted("phase1", lp._Simplex.phase1))
-    monkeypatch.setattr(lp, "maximize", counted("maximize", lp.maximize))
+    phase1, maximize = lp._Simplex.phase1, lp.maximize
+    monkeypatch.setattr(lp._Simplex, "phase1", counted_phase1)
+    monkeypatch.setattr(lp, "maximize", recorded_maximize)
     assert isinstance(maximal_support_radon(fw), RadonCertificate)
-    assert counts == {"phase1": 1, "maximize": zeros}
+    assert counts == {"phase1": 1}
+    points = [first.point]
+    expected = []
+    outcomes = iter(maximized)
+    for coord in range(fw.n + fw.m):
+        if any(pt[coord] for pt in points):
+            continue
+        expected.append(coord)
+        _, out = next(outcomes)
+        if out.value > 0:
+            points.append(out.point)
+    assert [coord for coord, _ in maximized] == expected
+    zeros = sum(1 for v in first.point if v == 0)
+    assert 0 < len(expected) < zeros

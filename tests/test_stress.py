@@ -10,7 +10,7 @@ import pytest
 
 from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework
+from bipartite_rigidity.geometry import BipartiteFramework, row_reduce
 from bipartite_rigidity.lp import ONE
 from bipartite_rigidity.separation import RadonCertificate, maximal_support_radon
 from bipartite_rigidity.stress import (
@@ -20,7 +20,6 @@ from bipartite_rigidity.stress import (
     ShapeMismatch,
     StressCertificate,
     _cross_block,
-    _exact_gram,
     build_super_stable_stress,
     equilibrium_residual,
     extract_balanced_diagonals,
@@ -28,6 +27,7 @@ from bipartite_rigidity.stress import (
     prescale,
     verify_super_stable_certificate,
 )
+from conftest import k10x10, thin_image
 
 ALTERNATING = BipartiteFramework.from_lists(1, [[0], [2]], [[1], [3]])
 ALT_LAMBDAS = (F(1, 4), F(3, 4))
@@ -217,21 +217,28 @@ def test_coupling_sweep_psd_and_rank():
     assert ranks[3] == 11 - 3 - 1
 
 
-def test_cross_block_exact_equilibrium():
-    # lambda_i p^_i + sum_j B_ij q^_j = 0 and sum_i B_ij p^_i + mu_j q^_j = 0,
-    # in rationals, on the balanced support of every balanced fixture.
-    balanced = 0
+def balanced_supports():
+    """Every balanced fixture's maximal-support subframework and coefficients."""
     for fx in all_fixtures().values():
         if fx.framework.m == 0:
             continue
         cert = maximal_support_radon(fx.framework)
         if not isinstance(cert, RadonCertificate):
             continue
-        balanced += 1
         fw = fx.framework.subframework(cert.support_p, cert.support_q)
         lambdas = [cert.lambdas[i] for i in cert.support_p]
         mus = [cert.mus[j] for j in cert.support_q]
-        cross = _cross_block(fw, lambdas, mus, _exact_gram(fw.dimension, fw.points_p, lambdas))
+        yield fw, lambdas, mus
+
+
+def test_cross_block_exact_equilibrium():
+    # lambda_i p^_i + sum_j B_ij q^_j = 0 and sum_i B_ij p^_i + mu_j q^_j = 0,
+    # in rationals, on the balanced support of every balanced fixture.
+    balanced = 0
+    for fw, lambdas, mus in balanced_supports():
+        balanced += 1
+        nums, den = _cross_block(fw, lambdas, mus)
+        cross = [[F(v, den) for v in row] for row in nums]
         p_hat = [tuple(p) + (ONE,) for p in fw.points_p]
         q_hat = [tuple(q) + (ONE,) for q in fw.points_q]
         for k in range(fw.dimension + 1):
@@ -244,3 +251,64 @@ def test_cross_block_exact_equilibrium():
                     cross[i][j] * p_hat[i][k] for i in range(fw.n)
                 ) + mus[j] * q_hat[j][k] == 0
     assert balanced >= 10
+
+
+def fraction_cross_block(fw, lambdas, mus):
+    """``B = -L P^^T X`` with ``X`` read off the ``Fraction`` RREF of ``[G | Q^ M]``."""
+    hat = fw.dimension + 1
+    p_hats = [tuple(p) + (ONE,) for p in fw.points_p]
+    q_hats = [tuple(q) + (ONE,) for q in fw.points_q]
+    system = [
+        [sum(lam * p[i] * p[j] for p, lam in zip(p_hats, lambdas)) for j in range(hat)]
+        + [mu * q[i] for q, mu in zip(q_hats, mus)]
+        for i in range(hat)
+    ]
+    x = [[F(0)] * fw.m for _ in range(hat)]
+    for row, col in zip(system, row_reduce(system)):
+        assert col < hat  # balance keeps every pivot off the right side
+        x[col] = row[hat:]
+    return [
+        [-lam * sum(p[k] * x[k][j] for k in range(hat)) for j in range(fw.m)]
+        for p, lam in zip(p_hats, lambdas)
+    ]
+
+
+def test_cross_block_integers_match_fraction_reference():
+    # Clearing coordinates (an affine map) and coefficients (degree one)
+    # leaves B exactly as the rational construction gives it, on thin
+    # images and on coordinates with a new common denominator too; each
+    # float conversion is the correctly rounded one.
+    def shrink(fw, factor=F(1, 7)):
+        return BipartiteFramework(
+            fw.dimension,
+            tuple(tuple(c * factor for c in p) for p in fw.points_p),
+            tuple(tuple(c * factor for c in q) for q in fw.points_q),
+        )
+
+    checked = 0
+    for fw, lambdas, mus in balanced_supports():
+        for image in (fw, thin_image(fw), shrink(fw)):
+            nums, den = _cross_block(image, lambdas, mus)
+            assert den > 0
+            reference = fraction_cross_block(image, lambdas, mus)
+            assert [[F(v, den) for v in row] for row in nums] == reference
+            for row in nums:
+                for v in row:
+                    assert v / den == float(F(v, den))
+            checked += 1
+    assert checked >= 30
+
+
+def test_cross_block_runs_on_ints():
+    # K(10,10) seed 1 balances on its first pass; its cross block is built
+    # without a single Fraction.
+    fw = k10x10(1)
+    cert = maximal_support_radon(fw)
+    assert isinstance(cert, RadonCertificate)
+    sub = fw.subframework(cert.support_p, cert.support_q)
+    nums, den = _cross_block(
+        sub, [cert.lambdas[i] for i in cert.support_p], [cert.mus[j] for j in cert.support_q]
+    )
+    assert type(den) is int and den > 0
+    assert len(nums) == sub.n and all(len(row) == sub.m for row in nums)
+    assert all(type(v) is int for row in nums for v in row)
