@@ -1,18 +1,25 @@
 """Configurations, the Veronese lift, and exact affine-span utilities.
 
-Points are tuples of ``Fraction``; every rank, span and null-space
-computation here runs on the shared fraction-free Gauss-Jordan kernel
-(:func:`row_reduce` over :func:`~.lp.pivot_rows`, on integer rows with one
-common denominator), so dimension comparisons are exact.  The Veronese lift sends a point ``v`` of d-space to the rank-one
-symmetric matrix ``v^ v^T`` (with a trailing 1 appended to ``v``), turning
-questions about separating quadrics into questions about separating
-hyperplanes in the space of symmetric matrices.
+Points are tuples of ``Fraction``.  Ranks and spans are computed on cleared
+integer coordinates: a point set is multiplied by the common denominator
+``c`` of its coordinates once per call (:func:`_cleared`), which is an
+invertible affine map and keeps every span dimension, and the integer
+difference rows are reduced by the shared fraction-free Gauss-Jordan
+kernel (:func:`_reduce_ints` over :func:`~.lp.pivot_rows`), reading only
+the pivots.  So dimension comparisons are exact and no ``Fraction`` is
+built on the way.  :func:`row_reduce` runs the same kernel for callers
+that need the reduced rows themselves.  The Veronese lift sends a point
+``v`` of d-space to the rank-one symmetric matrix ``v^ v^T`` (with a
+trailing 1 appended to ``v``), turning questions about separating quadrics
+into questions about separating hyperplanes in the space of symmetric
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .lp import ZERO, ONE, _frac, _scale, pivot_rows
@@ -162,6 +169,41 @@ def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, den
 
 
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row multiplied by its least common denominator; the row space stays."""
+    out = []
+    for row in rows:
+        s = _scale(row)
+        out.append([v.numerator * (s // v.denominator) for v in row])
+    return out
+
+
+def _cleared(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer coordinates ``c * p`` of ``points`` and their common denominator ``c``."""
+    c = lcm(*(v.denominator for pt in points for v in pt))
+    return [[v.numerator * (c // v.denominator) for v in pt] for pt in points], c
+
+
+def _hats(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The cleared hatted points ``(c * p, c) = c * p^`` and their factor ``c``."""
+    ints, c = _cleared(points)
+    return [x + [c] for x in ints], c
+
+
+def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> list[list[int]]:
+    """The integer Gram matrix ``sum_k weights[k] * hats[k] hats[k]^T``."""
+    pairs = [(h, a) for h, a in zip(hats, weights) if a]
+    return [
+        [sum(a * h[i] * h[j] for h, a in pairs) for j in range(order)] for i in range(order)
+    ]
+
+
+def _span_dim(ints: Sequence[Sequence[int]]) -> int:
+    """Affine span dimension of nonempty integer points: the rank of their differences."""
+    base = ints[0]
+    return len(_reduce_ints([[a - b for a, b in zip(pt, base)] for pt in ints[1:]])[0])
+
+
 def row_reduce(rows: list[list[Fraction]]) -> list[int]:
     """Bring ``rows`` to reduced row echelon form in place.
 
@@ -171,10 +213,7 @@ def row_reduce(rows: list[list[Fraction]]) -> list[int]:
     runs on integers over one common denominator (:func:`_reduce_ints`) and
     the rows are written back as ``Fraction`` once.
     """
-    ints = []
-    for row in rows:
-        s = _scale(row)
-        ints.append([v.numerator * (s // v.denominator) for v in row])
+    ints = _int_rows(rows)
     pivots, den = _reduce_ints(ints)
     rows[:] = [[Fraction(v, den) for v in row] for row in ints]
     return pivots
@@ -182,35 +221,37 @@ def row_reduce(rows: list[list[Fraction]]) -> list[int]:
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Exact linear rank of a list of rational vectors."""
-    return len(row_reduce([list(v) for v in vectors]))
+    return len(_reduce_ints(_int_rows(vectors))[0])
 
 
 def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine span, computed exactly."""
+    """Dimension of the affine span, computed exactly on cleared integers."""
     if not points:
         raise EmptyInput("affine span of an empty point set")
-    base = points[0]
-    diffs = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
-    return linear_rank(diffs)
+    return _span_dim(_cleared(points)[0])
 
 
 def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
     """Exact test that ``v`` lies in the affine span of ``points``.
 
-    The hull's difference rows are reduced once; ``v - points[0]`` is then
-    cleared against their pivots and lies in their span iff nothing is left.
+    ``v`` and the hull are cleared by one common denominator, the hull's
+    integer difference rows are reduced once, and ``v - points[0]`` is
+    cleared against their pivots on integers (scaled by the kernel's
+    denominator at each step); it lies in their span iff nothing is left.
     """
     if not points:
         raise EmptyInput("affine span of an empty point set")
     if len(v) != len(points[0]):
         raise ValueError("dimension mismatch")
-    base = points[0]
-    rows = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
-    pivots = row_reduce(rows)
-    rest = [a - b for a, b in zip(v, base)]
+    ints, _ = _cleared([v, *points])
+    base = ints[1]
+    rows = [[a - b for a, b in zip(pt, base)] for pt in ints[2:]]
+    pivots, den = _reduce_ints(rows)
+    rest = [a - b for a, b in zip(ints[0], base)]
     for row, c in zip(rows, pivots):
         f = rest[c]
-        rest = [a - f * b for a, b in zip(rest, row)]
+        if f:
+            rest = [den * a - f * b for a, b in zip(rest, row)]
     return not any(rest)
 
 
@@ -218,14 +259,14 @@ def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fra
     """Exact equality of two affine hulls.
 
     The hulls agree iff they have the same dimension and their union spans
-    nothing more.
+    nothing more.  Both are cleared by one common denominator first.
     """
     if not a and not b:
         return True
     if not a or not b:
         return False
-    da = affine_span_dim(a)
-    db = affine_span_dim(b)
-    if da != db:
+    ints, _ = _cleared([*a, *b])
+    da = _span_dim(ints[: len(a)])
+    if da != _span_dim(ints[len(a) :]):
         return False
-    return affine_span_dim(list(a) + list(b)) == da
+    return _span_dim(ints) == da

@@ -34,10 +34,6 @@ class DegeneratePoint(ValueError):
     """A vertex coincides with the cone point; it cannot be slid."""
 
 
-class ApexInSpan(ValueError):
-    """The cone apex must leave the hyperplane of the base framework."""
-
-
 @dataclass(frozen=True)
 class KnownSet:
     """Indices of vertices already certified, per class.
@@ -231,29 +227,4 @@ def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
          if i not in known.p_indices and in_affine_span(fw.points_p[i], hull)],
         [j for j in range(fw.m)
          if j not in known.q_indices and in_affine_span(fw.points_q[j], hull)],
-    )
-
-
-def cone_over(fw: BipartiteFramework, apex: Sequence) -> BipartiteFramework:
-    """The cone: embed the framework one dimension up and join an apex to all.
-
-    The base is embedded at final coordinate zero; the apex must lie off
-    that hyperplane.  In the complete bipartite setting the apex is
-    realized as a vertex of each class (a coincident pair joined by a
-    zero-length bar) so that it is adjacent to every base vertex; when one
-    class is empty the apex joins the opposite class only.
-    """
-    apex_pt = tuple(Fraction(a) if not isinstance(a, Fraction) else a for a in apex)
-    if len(apex_pt) != fw.dimension + 1:
-        raise ValueError("apex must live one dimension above the base")
-    if apex_pt[-1] == 0:
-        raise ApexInSpan("apex lies in the base hyperplane")
-    lifted_p = [pt + (ZERO,) for pt in fw.points_p]
-    lifted_q = [pt + (ZERO,) for pt in fw.points_q]
-    if fw.m == 0:
-        return BipartiteFramework(fw.dimension + 1, tuple(lifted_p), (apex_pt,))
-    return BipartiteFramework(
-        fw.dimension + 1,
-        tuple(lifted_p) + (apex_pt,),
-        tuple(lifted_q) + (apex_pt,),
     )

@@ -14,7 +14,10 @@ Farkas vector, read as a quadratic form, is the separating quadric.  When
 it has a solution, :func:`maximal_support_radon` reaches the unique maximal
 support of the balance region by maximizing only the coordinates that are
 zero in every point found so far, all from the feasibility solve's phase-1
-basis.  Both witnesses re-verify with zero residual.
+basis.  Both witnesses re-verify with zero residual, on integers: the
+points are cleared once per check to hatted integer points ``(X, c)``,
+``X = c p`` with ``c`` the common denominator of the coordinates
+(:func:`verify_radon`, :func:`verify_separation`).
 :func:`max_margin_quadric` finds the separating quadric of largest margin
 through the same duality: it solves the LP for the least weighted distance
 between the lifted hulls and reads the quadric off that LP's dual.
@@ -28,7 +31,7 @@ from math import lcm
 from typing import Sequence, Union
 
 from . import lp
-from .geometry import BipartiteFramework, SymmetricMatrix, veronese
+from .geometry import BipartiteFramework, SymmetricMatrix, _gram, _hats, veronese
 from .lp import LPProblem, LPStatus, ONE, ZERO
 
 
@@ -186,24 +189,27 @@ def maximal_support_radon(
 
 
 def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
-    """Exact re-verification of a Radon certificate (zero residual)."""
-    if len(cert.lambdas) != fw.n or len(cert.mus) != fw.m:
+    """Exact re-verification of a Radon certificate (zero residual).
+
+    The coefficients are cleared by their common denominator ``w`` and the
+    points to hatted integers ``(X, c) = c p^``, so balance reads as the
+    equality of the two integer Grams ``sum w lambda_i (X_i, c)(X_i, c)^T``
+    and ``sum w mu_j (X_j, c)(X_j, c)^T``: each is ``w c^2`` times the sum of
+    the lifts on its side.
+    """
+    n = fw.n
+    coeffs = (*cert.lambdas, *cert.mus)
+    if len(cert.lambdas) != n or len(cert.mus) != fw.m:
         return False
-    if any(v < 0 for v in cert.lambdas) or any(v < 0 for v in cert.mus):
+    if any(v < 0 for v in coeffs):
         return False
-    if sum(cert.lambdas) != 1 or sum(cert.mus) != 1:
+    w = lcm(*(v.denominator for v in coeffs))
+    ints = [v.numerator * (w // v.denominator) for v in coeffs]
+    if sum(ints[:n]) != w or sum(ints[n:]) != w:
         return False
-    n_entries = (fw.dimension + 1) * (fw.dimension + 2) // 2
-    acc = [ZERO] * n_entries
-    for coef, point in zip(cert.lambdas, fw.points_p):
-        if coef:
-            for k, v in enumerate(veronese(point).upper):
-                acc[k] += coef * v
-    for coef, point in zip(cert.mus, fw.points_q):
-        if coef:
-            for k, v in enumerate(veronese(point).upper):
-                acc[k] -= coef * v
-    return all(v == 0 for v in acc)
+    hats, _ = _hats(fw.all_points())
+    order = fw.dimension + 1
+    return _gram(hats[:n], ints[:n], order) == _gram(hats[n:], ints[n:], order)
 
 
 def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fraction]:
@@ -242,17 +248,34 @@ def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fractio
 
 
 def verify_separation(cert: SeparationCertificate, fw: BipartiteFramework) -> bool:
-    """Exact evaluation of all quadratic forms against the stated margin."""
-    if cert.delta <= 0:
+    """Exact evaluation of all quadratic forms against the stated margin.
+
+    With ``D`` the common denominator of the matrix entries and ``delta``,
+    and the hatted integer points ``(X, c) = c p^``, the integer form
+    ``(X, c)^T (D S) (X, c)`` is ``D c^2`` times the form's value at ``p``; it
+    is compared with ``D delta c^2``.
+    """
+    matrix, delta = cert.matrix, cert.delta
+    if delta <= 0:
         return False
-    if cert.matrix.order != fw.dimension + 1:
+    if matrix.order != fw.dimension + 1:
         return False
-    if any(abs(v) > 1 for v in cert.matrix.upper):
+    if any(abs(v) > 1 for v in matrix.upper):
         return False
-    for p in fw.points_p:
-        if cert.matrix.evaluate_point(p) < cert.delta:
-            return False
-    for q in fw.points_q:
-        if cert.matrix.evaluate_point(q) > -cert.delta:
-            return False
-    return True
+    den = lcm(delta.denominator, *(v.denominator for v in matrix.upper))
+    pairs = [(i, j) for i in range(matrix.order) for j in range(i, matrix.order)]
+    # Off-diagonal entries appear twice in the form.
+    terms = [
+        (i, j, v.numerator * (den // v.denominator) * (1 if i == j else 2))
+        for (i, j), v in zip(pairs, matrix.upper)
+        if v
+    ]
+    hats, c = _hats(fw.all_points())
+    bound = delta.numerator * (den // delta.denominator) * c * c
+
+    def form(h: list[int]) -> int:
+        return sum(s * h[i] * h[j] for i, j, s in terms)
+
+    return all(form(h) >= bound for h in hats[: fw.n]) and all(
+        form(h) <= -bound for h in hats[fw.n :]
+    )

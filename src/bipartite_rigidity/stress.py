@@ -22,14 +22,21 @@ map of the coordinates acts on every hatted point by one invertible matrix
 ``T``, which turns ``G`` into ``T G T^T`` and ``G^-`` into
 ``T^-T G^- T^-1``, and the factors cancel.  It is also homogeneous of
 degree one in the coefficients jointly: scaling ``L`` and ``M`` by ``w``
-scales ``G`` and ``Q^ M`` by ``w`` and leaves ``X`` alone.  So the
-coordinates are multiplied by their common denominator (an affine map, so
-``B`` does not change) and the coefficients by theirs, ``w``; the two
-integer Grams are compared to check balance, ``[G | Q^ M]`` is reduced on
-integers over one common denominator ``den``, and ``B`` comes out as
-integer numerators over ``w * den``.  Each entry is converted to floating
-point by one correctly rounded integer division.  Thin, flat or large
-configurations therefore need no rescaling before the build.
+scales ``G`` and ``Q^ M`` by ``w`` and leaves ``X`` alone.  So the hatted
+points are multiplied by the common denominator ``c`` of the coordinates,
+``(X, c) = c p^`` (``T = c I``, so ``B`` does not change), and the
+coefficients by theirs, ``w``; the two integer Grams are compared to check
+balance, ``[G | Q^ M]`` is reduced on integers over one common denominator
+``den``, and ``B`` comes out as integer numerators over ``w * den``.  Each
+entry is converted to floating point by one correctly rounded integer
+division.  Thin, flat or large configurations therefore need no rescaling
+before the build.
+
+The floating checks (equilibrium residual, balance of read-back diagonals,
+coupling directions) read the prescaled coordinates ``X / 2**k``
+(:func:`prescale`): the integer copy ``X`` shifted so its largest magnitude
+is at most :data:`COORD_CAP`.  Each is one correctly rounded integer
+division, the same float as converting the exact rational.
 
 An optional diagonal coupling ``C`` generalizes the construction: with
 ``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
@@ -53,9 +60,11 @@ import numpy as np
 
 from .geometry import (
     BipartiteFramework,
-    Point,
     affine_span_dim,
     affine_spans_equal,
+    _cleared,
+    _gram,
+    _hats,
     _reduce_ints,
 )
 
@@ -110,41 +119,50 @@ class StressCertificate:
         return float(np.linalg.norm(self.omega, 2))
 
 
+def _prescaled(fw: BipartiteFramework) -> tuple[list[list[int]], int, int]:
+    """The cleared integer coordinates ``X = c p`` of every point, ``c`` and a shift.
+
+    The shift ``k`` is the least one with every ``|X| / 2**k`` at most
+    ``COORD_CAP``; the prescaled coordinates are ``X / 2**k``.
+    """
+    ints, c = _cleared(fw.all_points())
+    peak = max((abs(v) for pt in ints for v in pt), default=0)
+    shift = (-(-peak // COORD_CAP) - 1).bit_length() if peak > COORD_CAP else 0
+    return ints, c, shift
+
+
 def prescale(fw: BipartiteFramework) -> BipartiteFramework:
     """Rescale coordinates for floating conversion, exactly.
 
-    Clears the common denominator and then halves until the largest
-    coordinate magnitude is at most ``COORD_CAP``.  Scaling the
-    configuration leaves equilibrium kernels and balance certificates
-    untouched, so the floating checks and the coupling directions read the
-    scaled copy.
+    Clears the common denominator ``c`` and then divides by the least power
+    of two that brings the largest coordinate magnitude to at most
+    ``COORD_CAP``.  Scaling the configuration leaves equilibrium kernels and
+    balance certificates untouched, so the floating checks and the coupling
+    directions read the scaled coordinates (:func:`_hatted` takes them
+    straight from the integer copy).
     """
-    coords = [c for pt in fw.all_points() for c in pt]
-    if not coords or all(c == 0 for c in coords):
+    ints, c, shift = _prescaled(fw)
+    if c == 1 << shift:
         return fw
-    scale = Fraction(lcm(*(c.denominator for c in coords)))
-    peak = max(abs(c * scale) for c in coords)
-    while peak > COORD_CAP:
-        scale /= 2
-        peak /= 2
-    if scale == 1:
-        return fw
-    return BipartiteFramework(
-        dimension=fw.dimension,
-        points_p=tuple(tuple(scale * c for c in pt) for pt in fw.points_p),
-        points_q=tuple(tuple(scale * c for c in pt) for pt in fw.points_q),
-    )
+    scaled = [tuple(Fraction(v, 1 << shift) for v in pt) for pt in ints]
+    return BipartiteFramework(fw.dimension, tuple(scaled[: fw.n]), tuple(scaled[fw.n :]))
 
 
-def _hatted(points: Sequence[Point]) -> np.ndarray:
-    """The (d+1) x k configuration matrix of ``points`` with a row of ones."""
-    return np.array([[float(c) for c in pt] + [1.0] for pt in points]).T
+def _hatted(fw: BipartiteFramework) -> np.ndarray:
+    """The (d+1) x (n+m) prescaled configuration matrix with a row of ones.
+
+    Each coordinate is one correctly rounded division ``X / 2**k`` of the
+    integer copy, so it equals ``float`` of the prescaled rational.
+    """
+    ints, _, shift = _prescaled(fw)
+    den = 1 << shift
+    return np.array([[v / den for v in pt] + [1.0] for pt in ints]).T
 
 
 def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int]:
     """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
-    Coordinates and coefficients are cleared to integers (module
+    Hatted points and coefficients are cleared to integers (module
     docstring), the two integer Grams are compared, and ``[G | Q^ M]`` is
     row reduced on integers; ``X`` takes the reduced right side in its
     pivot rows and zeros elsewhere.  Exact balance puts every column of
@@ -152,22 +170,13 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
     Returns the numerators and their positive denominator.
     """
     hat = fw.dimension + 1
-    clear = lcm(*(c.denominator for pt in fw.all_points() for c in pt))
+    hats, _ = _hats(fw.all_points())
+    p_hats, q_hats = hats[: fw.n], hats[fw.n :]
     w = lcm(*(v.denominator for v in (*lambdas, *mus)))
-
-    def cleared(points, coeffs):
-        """Integer hatted points, integer coefficients and their Gram matrix."""
-        hats = [[c.numerator * (clear // c.denominator) for c in pt] + [1] for pt in points]
-        ints = [v.numerator * (w // v.denominator) for v in coeffs]
-        gram = [
-            [sum(a * h[i] * h[j] for h, a in zip(hats, ints)) for j in range(hat)]
-            for i in range(hat)
-        ]
-        return hats, ints, gram
-
-    p_hats, a, gram = cleared(fw.points_p, lambdas)
-    q_hats, b, q_gram = cleared(fw.points_q, mus)
-    if gram != q_gram:
+    a = [v.numerator * (w // v.denominator) for v in lambdas]
+    b = [v.numerator * (w // v.denominator) for v in mus]
+    gram = _gram(p_hats, a, hat)
+    if gram != _gram(q_hats, b, hat):
         raise DegenerateInput("coefficients do not balance the lifted classes")
     system = [gram[i] + [bj * q[i] for q, bj in zip(q_hats, b)] for i in range(hat)]
     pivots, den = _reduce_ints(system)
@@ -219,11 +228,11 @@ def _assemble(
                 f"coupling expects {pairs} diagonal values, got {len(coupling)}"
             )
         if pairs:
-            scaled = prescale(fw)
+            hatted = _hatted(fw)
             sqrt_l = np.sqrt([float(v) for v in lambdas])
             sqrt_m = np.sqrt([float(v) for v in mus])
-            null_p = _null_basis(_hatted(scaled.points_p) * sqrt_l, r)[:, :pairs]
-            null_q = _null_basis(_hatted(scaled.points_q) * sqrt_m, r)[:, :pairs]
+            null_p = _null_basis(hatted[:, :n] * sqrt_l, r)[:, :pairs]
+            null_q = _null_basis(hatted[:, n:] * sqrt_m, r)[:, :pairs]
             values = np.array([float(v) for v in coupling])
             bipartite += (sqrt_l[:, None] * null_p * values) @ (sqrt_m[:, None] * null_q).T
     omega = np.zeros((n + m, n + m))
@@ -290,8 +299,7 @@ def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
-    hatted = _hatted(prescale(fw).all_points())
-    return float(np.max(np.abs(hatted @ omega)))
+    return float(np.max(np.abs(_hatted(fw) @ omega)))
 
 
 def _class_blocks_diagonal(omega: np.ndarray, n: int) -> bool:
@@ -318,9 +326,8 @@ def extract_balanced_diagonals(
         raise PatternViolation("class blocks must be diagonal")
     lambdas = np.diag(omega[: fw.n, : fw.n]).copy()
     mus = np.diag(omega[fw.n :, fw.n :]).copy()
-    scaled = prescale(fw)
-    hp = _hatted(scaled.points_p)
-    hq = _hatted(scaled.points_q)
+    hatted = _hatted(fw)
+    hp, hq = hatted[:, : fw.n], hatted[:, fw.n :]
     gap = hp @ np.diag(lambdas) @ hp.T - hq @ np.diag(mus) @ hq.T
     return lambdas, mus, bool(np.max(np.abs(gap)) <= tol)
 
@@ -336,9 +343,10 @@ def verify_super_stable_certificate(
     the diagonal that the configuration annihilates), the equilibrium residual
     (a NaN residual fails), positive semidefiniteness relative to the
     spectral norm, the numerical rank against ``n + m - d' - 1``, and
-    (exactly, in rational arithmetic) that both classes span the same
-    affine subspace as the whole configuration, which rules out degenerate
-    edge-direction conics.
+    (exactly, on cleared integers) that both classes span the same affine
+    subspace, which rules out degenerate edge-direction conics.  With
+    ``d'`` the dimension of the union, equal class spans are also the span
+    of the whole configuration.
     """
     total = fw.n + fw.m
     if cert.omega.shape != (total, total) or not np.isfinite(cert.omega).all():
@@ -355,8 +363,4 @@ def verify_super_stable_certificate(
     d_span = affine_span_dim(fw.all_points())
     if rank != total - d_span - 1 or cert.rank != rank:
         return False
-    if not affine_spans_equal(fw.points_p, fw.points_q):
-        return False
-    if affine_span_dim(fw.points_p) != d_span:
-        return False
-    return True
+    return affine_spans_equal(fw.points_p, fw.points_q)

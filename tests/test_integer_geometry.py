@@ -1,0 +1,386 @@
+"""The integer span, certificate and residual checks against Fraction references.
+
+Each ``ref_*`` function below is the plain rational computation that the
+package now does on cleared integers.  The property tests draw point sets in
+d = 0..3 with duplicate points, all-zero coordinates, rank-deficient
+configurations and denominators up to 10**400, and demand the same answers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bipartite_rigidity.engine import rigidity_test
+from bipartite_rigidity.geometry import (
+    BipartiteFramework,
+    SymmetricMatrix,
+    affine_span_dim,
+    in_affine_span,
+    linear_rank,
+)
+from bipartite_rigidity.separation import (
+    RadonCertificate,
+    SeparationCertificate,
+    maximal_support_radon,
+    verify_radon,
+    verify_separation,
+)
+from bipartite_rigidity.stress import COORD_CAP, equilibrium_residual, prescale
+from conftest import k10x10
+
+BIG = 10**400
+
+# -- Fraction references -------------------------------------------------------
+
+
+def ref_rank(rows) -> int:
+    """Rank by Gaussian elimination on ``Fraction`` rows."""
+    rows = [[F(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        pivot = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / pivot[col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], pivot)]
+        rank += 1
+    return rank
+
+
+def ref_span_dim(points) -> int:
+    return ref_rank([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])
+
+
+def ref_in_span(v, points) -> bool:
+    return ref_span_dim([*points, v]) == ref_span_dim(points)
+
+
+def ref_lift(point) -> list[F]:
+    hat = [*point, F(1)]
+    return [hat[i] * hat[j] for i in range(len(hat)) for j in range(i, len(hat))]
+
+
+def ref_form(matrix: SymmetricMatrix, point) -> F:
+    """``p^ S p^`` with off-diagonal entries counted twice."""
+    hat = [*point, F(1)]
+    pairs = [(i, j) for i in range(len(hat)) for j in range(i, len(hat))]
+    return sum(
+        (v * hat[i] * hat[j] * (1 if i == j else 2) for (i, j), v in zip(pairs, matrix.upper)),
+        F(0),
+    )
+
+
+def affine_dependence(points):
+    """A nonzero ``v`` with ``sum v_i (p_i, 1) = 0``, or None, by Fraction RREF."""
+    rows = [list(r) for r in zip(*([*pt, F(1)] for pt in points))]
+    pivots = []
+    for col in range(len(points)):
+        rank = len(pivots)
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    free = next((c for c in range(len(points)) if c not in pivots), None)
+    if free is None:
+        return None
+    v = [F(0)] * len(points)
+    v[free] = F(1)
+    for row, col in zip(rows, pivots):
+        v[col] = -row[free]
+    return v
+
+
+def ref_verify_radon(fw, cert) -> bool:
+    if len(cert.lambdas) != fw.n or len(cert.mus) != fw.m:
+        return False
+    if any(v < 0 for v in cert.lambdas + cert.mus):
+        return False
+    if sum(cert.lambdas) != 1 or sum(cert.mus) != 1:
+        return False
+    acc = [F(0)] * len(ref_lift(fw.points_p[0]))
+    for coef, point in zip(cert.lambdas, fw.points_p):
+        acc = [a + coef * v for a, v in zip(acc, ref_lift(point))]
+    for coef, point in zip(cert.mus, fw.points_q):
+        acc = [a - coef * v for a, v in zip(acc, ref_lift(point))]
+    return not any(acc)
+
+
+def ref_verify_separation(cert, fw) -> bool:
+    if cert.delta <= 0 or cert.matrix.order != fw.dimension + 1:
+        return False
+    if any(abs(v) > 1 for v in cert.matrix.upper):
+        return False
+    return all(ref_form(cert.matrix, p) >= cert.delta for p in fw.points_p) and all(
+        ref_form(cert.matrix, q) <= -cert.delta for q in fw.points_q
+    )
+
+
+def ref_prescaled(fw) -> list[tuple[F, ...]]:
+    """Clear the common denominator, then halve until the peak is at most COORD_CAP."""
+    coords = [c for pt in fw.all_points() for c in pt]
+    scale = F(lcm(*(c.denominator for c in coords)))
+    peak = max((abs(c * scale) for c in coords), default=F(0))
+    while peak > COORD_CAP:
+        scale /= 2
+        peak /= 2
+    return [tuple(scale * c for c in pt) for pt in fw.all_points()]
+
+
+def ref_residual(omega, fw) -> float:
+    hatted = np.array([[float(c) for c in pt] + [1.0] for pt in ref_prescaled(fw)]).T
+    return float(np.max(np.abs(hatted @ omega)))
+
+
+# -- strategies ----------------------------------------------------------------
+
+SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+RATIONALS = st.one_of(
+    SMALL,
+    st.just(F(0)),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([BIG, 3**800, 7 * BIG + 1])),
+    st.builds(F, st.integers(-BIG, BIG), st.just(1)),
+)
+#: A tiny positive rational, to sit just above or below a margin.
+TINY = st.sampled_from([F(1, BIG), F(1, 3 * BIG + 1), F(1, 2**1400)])
+
+
+@st.composite
+def point_sets(draw, d=None, min_size=1, max_size=7, coords=RATIONALS):
+    """Points in d-space, d in 0..3: generators, duplicates and affine combinations.
+
+    Combinations ``a + t (b - a)`` of generators keep the span small, so
+    rank-deficient sets and points inside a span come up often.
+    """
+    if d is None:
+        d = draw(st.integers(0, 3))
+    gens = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=d + 2))
+    if draw(st.booleans()):
+        gens.append((F(0),) * d)
+    points = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            points.append(draw(st.sampled_from(gens)))
+        elif kind == 1:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            t = draw(SMALL)
+            points.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+        else:
+            points.append(draw(st.tuples(*[coords] * d)))
+    return points
+
+
+def split(draw, points) -> BipartiteFramework:
+    n = draw(st.integers(1, len(points)))
+    return BipartiteFramework(len(points[0]), tuple(points[:n]), tuple(points[n:]))
+
+
+# -- spans ---------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@SETTINGS
+@given(point_sets())
+def test_affine_span_dim_matches_reference(points):
+    assert affine_span_dim(points) == ref_span_dim(points)
+
+
+@SETTINGS
+@given(point_sets(min_size=0))
+def test_linear_rank_matches_reference(vectors):
+    assert linear_rank(vectors) == ref_rank(vectors)
+
+
+@SETTINGS
+@given(st.data())
+def test_in_affine_span_matches_reference(data):
+    points = data.draw(point_sets())
+    if data.draw(st.booleans()):
+        # A point of the span: base plus rational multiples of two differences.
+        base, a, b = (data.draw(st.sampled_from(points)) for _ in range(3))
+        s, t = data.draw(RATIONALS), data.draw(SMALL)
+        v = tuple(x + s * (y - x) + t * (z - x) for x, y, z in zip(base, a, b))
+    else:
+        v = data.draw(st.tuples(*[RATIONALS] * len(points[0])))
+    assert in_affine_span(v, points) == ref_in_span(v, points)
+
+
+# -- certificates --------------------------------------------------------------
+
+
+POSITIVE = st.builds(F, st.integers(1, 6), st.integers(1, 6))
+
+
+@SETTINGS
+@given(st.data())
+def test_verify_radon_matches_reference(data):
+    # Balance certificates come from the LP, or from a Q side that repeats P
+    # in reverse with the same weights.  Balance stays under any affine map
+    # of the points, so huge-denominator images keep them valid; then an
+    # edit may break one.
+    d = data.draw(st.integers(0, 3))
+    points = data.draw(point_sets(d=d, min_size=2, max_size=8, coords=SMALL))
+    if data.draw(st.booleans()):
+        weights = data.draw(st.lists(POSITIVE, min_size=len(points), max_size=len(points)))
+        weights = [w / sum(weights) for w in weights]
+        fw = BipartiteFramework(d, tuple(points), tuple(reversed(points)))
+        cert = RadonCertificate(tuple(weights), tuple(reversed(weights)))
+    else:
+        fw = split(data.draw, points)
+        cert = maximal_support_radon(fw) if fw.m else None
+        if not isinstance(cert, RadonCertificate):
+            weights = data.draw(st.lists(POSITIVE, min_size=fw.n + fw.m, max_size=fw.n + fw.m))
+            cert = RadonCertificate(tuple(weights[: fw.n]), tuple(weights[fw.n :]))
+    matrix = [data.draw(st.tuples(*[RATIONALS] * d)) for _ in range(d)]
+    shift = data.draw(st.tuples(*[RATIONALS] * d))
+
+    def image(pt):
+        return tuple(sum((a * x for a, x in zip(row, pt)), s) for row, s in zip(matrix, shift))
+
+    mapped = BipartiteFramework(
+        d, tuple(map(image, fw.points_p)), tuple(map(image, fw.points_q))
+    )
+    edit = data.draw(st.sampled_from(["none", "tiny", "moment", "double", "swap", "negate", "short"]))
+    lambdas, mus = list(cert.lambdas), list(cert.mus)
+    eps = data.draw(TINY)
+    dependence = affine_dependence(fw.points_p)
+    if edit == "tiny" and len(lambdas) > 1:
+        lambdas[0] += eps
+        lambdas[-1] -= eps
+    elif edit == "moment" and dependence:
+        # Keeps the sum and the first moments; only the second ones move.
+        lambdas = [v + eps * u for v, u in zip(lambdas, dependence)]
+    elif edit == "double":
+        lambdas = [2 * v for v in lambdas]
+        mus = [2 * v for v in mus]
+    elif edit == "swap":
+        mus.reverse()
+    elif edit == "negate":
+        lambdas[0] = -lambdas[0]
+    elif edit == "short":
+        mus = mus[:-1]
+    edited = RadonCertificate(tuple(lambdas), tuple(mus))
+    assert verify_radon(mapped, edited) == ref_verify_radon(mapped, edited)
+    if edit == "none" and ref_verify_radon(fw, cert):
+        assert verify_radon(mapped, cert)
+
+
+ENTRIES = st.one_of(
+    st.integers(1, 6), st.integers(1, BIG), st.sampled_from([BIG, 2**1300])
+).flatmap(lambda den: st.builds(F, st.integers(-den, den), st.just(den)))
+
+
+@SETTINGS
+@given(st.data())
+def test_verify_separation_matches_reference(data):
+    # The classes are the points where a random form is positive and
+    # negative, so the form separates them with an exact smallest margin;
+    # delta is set to that margin, a tiny rational above or below it, or
+    # anything else.
+    points = data.draw(point_sets())
+    d = len(points[0])
+    upper = data.draw(st.lists(ENTRIES, min_size=(d + 1) * (d + 2) // 2,
+                               max_size=(d + 1) * (d + 2) // 2))
+    matrix = SymmetricMatrix.from_upper(d + 1, upper)
+    values = [ref_form(matrix, pt) for pt in points]
+    if not any(v > 0 for v in values):
+        matrix = SymmetricMatrix.from_upper(d + 1, [-v for v in upper])
+        values = [-v for v in values]
+    side_p = [pt for pt, v in zip(points, values) if v > 0] or points
+    side_q = [pt for pt, v in zip(points, values) if v <= 0 and pt not in side_p]
+    fw = BipartiteFramework(d, tuple(side_p), tuple(side_q))
+    margin = min([ref_form(matrix, p) for p in side_p] + [-ref_form(matrix, q) for q in side_q])
+    eps = data.draw(TINY)
+    for delta in (margin, margin + eps, margin - eps, data.draw(RATIONALS)):
+        cert = SeparationCertificate(matrix, delta)
+        assert verify_separation(cert, fw) == ref_verify_separation(cert, fw)
+    if margin > 0:
+        assert verify_separation(SeparationCertificate(matrix, margin), fw)
+
+
+# -- floating read-out -----------------------------------------------------------
+
+
+# The reference's halving loop is slow on 10**400-sized coordinates.
+@settings(max_examples=50, deadline=None)
+@given(point_sets(), st.integers(0, 2**32 - 1))
+def test_prescale_and_residual_match_reference(points, seed):
+    # The integer clear plus shift gives the rationals of the halving loop,
+    # and the residual reads the bit-identical floats.
+    fw = BipartiteFramework(len(points[0]), tuple(points[:1]), tuple(points[1:]))
+    assert list(prescale(fw).all_points()) == ref_prescaled(fw)
+    k = len(points)
+    omega = np.random.default_rng(seed).standard_normal((k, k))
+    assert equilibrium_residual(omega, fw) == ref_residual(omega, fw)
+
+
+@pytest.mark.parametrize("peak", [0, 1, 63, 64, 65, 127, 128, 129, 2**70, 2**70 + 1])
+@pytest.mark.parametrize("den", [1, 3, 2**5, BIG])
+def test_prescale_shift_at_powers_of_two(peak, den):
+    # The shift is the least one that brings the peak to at most COORD_CAP,
+    # including peaks exactly at COORD_CAP times a power of two.
+    fw = BipartiteFramework.from_lists(1, [[F(peak, den)]], [[F(1, den)]])
+    assert list(prescale(fw).all_points()) == ref_prescaled(fw)
+
+
+# -- the verifiers stay on ints --------------------------------------------------
+
+
+@pytest.fixture
+def fraction_products(monkeypatch):
+    """A list that grows by one per ``Fraction`` multiplication."""
+    seen = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(F, name)
+
+        def counted(self, other, _original=original):
+            seen.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(F, name, counted)
+    return seen
+
+
+def test_verifiers_run_on_ints(fraction_products):
+    # K(10,10) seed 1 balances on its first pass and seed 3 is separated on
+    # its first; replaying those certificates multiplies no Fraction.
+    rigid, separated = k10x10(1), k10x10(3)
+    radon = rigidity_test(rigid)[1].records[0].radon
+    separation = rigidity_test(separated)[1].records[0].separation
+    assert radon is not None and separation is not None
+    fraction_products.clear()
+    F(1, 2) * F(1, 3)
+    assert len(fraction_products) == 1  # the counter sees a product
+    fraction_products.clear()
+    assert verify_radon(rigid, radon)
+    assert verify_separation(separation, separated)
+    assert affine_span_dim(rigid.all_points()) == 3
+    support = rigid.subframework(radon.support_p, radon.support_q)
+    assert affine_span_dim(support.points_p) == affine_span_dim(support.all_points())
+    assert fraction_products == []
+
+
+def test_separation_margin_is_exact_at_huge_denominators():
+    # P = {0}, Q = {1/c} on the line and f(x) = 1/(2c) - x: f is 1/(2c) on P
+    # and -1/(2c) on Q, so delta = 1/(2c) holds and a hair more does not.
+    c = BIG + 1
+    fw = BipartiteFramework.from_lists(1, [[0]], [[F(1, c)]])
+    matrix = SymmetricMatrix.from_upper(2, [0, F(-1, 2), F(1, 2 * c)])
+    assert verify_separation(SeparationCertificate(matrix, F(1, 2 * c)), fw)
+    assert not verify_separation(SeparationCertificate(matrix, F(1, 2 * c) + F(1, c**3)), fw)

@@ -1,4 +1,4 @@
-"""Projection, sliding, affine closure, and coning."""
+"""Projection, sliding, affine closure, and coned frameworks."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from bipartite_rigidity.engine import Verdict, rigidity_test
 from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
 from bipartite_rigidity.reduction import (
-    ApexInSpan,
     ClosureViolated,
     DegeneratePoint,
     KnownSet,
     affine_closure,
-    cone_over,
     orthogonal_projector,
     project_out_known_set,
     slide_functional,
@@ -167,36 +165,37 @@ def test_span_invariant():
     assert span_invariant_holds(fw, KnownSet.empty())
 
 
+# The cone over a base framework in d-space: the base at final coordinate
+# zero and the apex (0, 1) off that hyperplane, as a vertex of each class
+# (a coincident pair joined by a zero-length bar) so that it is adjacent to
+# every base vertex; with one class empty the apex joins the other class.
+
+
 def test_cone_over_alternating_line_is_rigid():
-    base = BipartiteFramework.from_lists(1, [[0], [2]], [[1], [3]])
-    coned = cone_over(base, (0, 1))
-    assert coned.dimension == 2
-    assert coned.n == 3 and coned.m == 3
+    # The alternating line P = {0, 2}, Q = {1, 3}, coned.
+    coned = BipartiteFramework.from_lists(
+        2, [[0, 0], [2, 0], [0, 1]], [[1, 0], [3, 0], [0, 1]]
+    )
     verdict, _ = rigidity_test(coned)
     assert verdict is Verdict.UNIVERSALLY_RIGID
 
 
 def test_cone_over_single_point_is_bar():
-    base = BipartiteFramework.from_lists(1, [[5]], [])
-    coned = cone_over(base, (0, 1))
-    assert coned.n == 1 and coned.m == 1
+    # The single point P = {5}, Q = {}, coned: one bar.
+    coned = BipartiteFramework.from_lists(2, [[5, 0]], [[0, 1]])
     verdict, _ = rigidity_test(coned)
     assert verdict is Verdict.UNIVERSALLY_RIGID
 
 
 def test_cone_preserves_dimensional_flexibility():
-    # The coned copy of a strictly separated pair stays not dimensionally
-    # rigid: coning preserves dimensional rigidity in both directions.
-    base = BipartiteFramework.from_lists(1, [[0], [1]], [[2], [3]])
-    coned = cone_over(base, (0, 1))
+    # The coned copy of the strictly separated pair P = {0, 1}, Q = {2, 3}
+    # stays not dimensionally rigid: coning preserves dimensional rigidity
+    # in both directions.
+    coned = BipartiteFramework.from_lists(
+        2, [[0, 0], [1, 0], [0, 1]], [[2, 0], [3, 0], [0, 1]]
+    )
     verdict, _ = rigidity_test(coned)
     assert verdict is Verdict.NOT_DIMENSIONALLY_RIGID
-
-
-def test_cone_apex_must_leave_hyperplane():
-    base = BipartiteFramework.from_lists(1, [[0], [2]], [[1], [3]])
-    with pytest.raises(ApexInSpan):
-        cone_over(base, (5, 0))
 
 
 def test_reduced_framework_spans():
