@@ -4,8 +4,8 @@ The package decides, with independently verifiable certificates, whether a
 complete bipartite bar framework with rational coordinates is universally
 rigid, dimensionally rigid only, or not dimensionally rigid.  Verdicts are
 driven entirely by exact rational linear programming; positive certificates
-additionally carry floating maximum-rank PSD stress matrices checked at
-declared tolerances.
+additionally carry floating maximum-rank PSD stress matrices, verified by
+exact recomputation of their correctly rounded entries and rank.
 """
 
 from fractions import Fraction as Rational

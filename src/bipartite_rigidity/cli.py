@@ -12,7 +12,7 @@ Subcommands:
 * ``fixtures <dir>`` emits the example corpus.
 
 Exit codes: 0 for a completed analysis (any verdict), 1 for a failed
-verification, 2 for input errors, 3 for internal numerical failure.
+verification, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from pathlib import Path
 from . import docio, fixtures
 from .engine import rigidity_test, rigidity_test_batch, verify_chain
 from .separation import EmptySide, RadonCertificate, max_margin_quadric, maximal_support_radon
-from .stress import NumericalFailure, build_super_stable_stress
+from .stress import build_super_stable_stress
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
-EXIT_NUMERIC = 3
 
 
 def _read_framework(path: str):
@@ -76,16 +75,13 @@ def _cmd_check(args) -> int:
             )
         print(verdict.value)
         return EXIT_OK
-    results = rigidity_test_batch(frameworks)
-    failed_numeric = False
-    for path, result in zip(args.files, results):
+    for path, result in zip(args.files, rigidity_test_batch(frameworks)):
         if isinstance(result, Exception):
             print(f"{path}: error: {result}")
-            failed_numeric = failed_numeric or isinstance(result, NumericalFailure)
         else:
             verdict, _ = result
             print(f"{path}: {verdict.value}")
-    return EXIT_NUMERIC if failed_numeric else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -190,9 +186,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ Progress is guaranteed, so the loop runs at most n + m passes.  Every pass
 is recorded; the verdict can be replayed from the records alone by
 :func:`verify_chain`.  Replay walks the same pass step as the decision
 (steps 1-3 and the one-sided case of step 4 come from one helper, given the
-certified set), then re-checks all rational certificates exactly and all
-floating stress certificates at their declared tolerance.
+certified set), then re-checks every certificate exactly: rational ones
+directly, and stress certificates by recomputing their correctly rounded
+entries and exact rank.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ from .separation import (
     verify_radon,
     verify_separation,
 )
-from .stress import (
-    NumericalFailure,
-    StressCertificate,
-    build_super_stable_stress,
-    verify_super_stable_certificate,
-)
+from .stress import StressCertificate, build_super_stable_stress, verify_super_stable_certificate
 
 
 class InvalidInput(ValueError):
@@ -210,8 +206,8 @@ def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
 
     Rational evidence (balance certificates, separating quadrics, known-set
     growth, span invariants, reduction geometry) is re-verified exactly;
-    stress certificates are re-verified numerically at
-    :data:`~.stress.RESIDUAL_TOL`.
+    each stress certificate must equal its exact recomputation (bit-equal
+    ``omega``, exact rank), with no tolerance.
     """
     try:
         return _verify_chain(fw, chain)
@@ -278,15 +274,14 @@ def rigidity_test_batch(frameworks: Sequence[BipartiteFramework]) -> list[BatchR
 
     Items run one after another in the calling thread (the exact arithmetic
     holds the interpreter lock, so threads would only add overhead); a
-    per-item :class:`ValueError` (:class:`InvalidInput` among them) or
-    :class:`NumericalFailure` is returned in place of that item's result
-    instead of aborting the batch.
+    per-item :class:`ValueError` (:class:`InvalidInput` among them) is
+    returned in place of that item's result instead of aborting the batch.
     """
 
     def one(fw: BipartiteFramework) -> BatchResult:
         try:
             return rigidity_test(fw)
-        except (NumericalFailure, ValueError) as exc:
+        except ValueError as exc:
             return exc
 
     return [one(fw) for fw in frameworks]

@@ -32,11 +32,11 @@ entry is converted to floating point by one correctly rounded integer
 division.  Thin, flat or large configurations therefore need no rescaling
 before the build.
 
-The floating checks (equilibrium residual, balance of read-back diagonals,
-coupling directions) read the prescaled coordinates ``X / 2**k``
-(:func:`prescale`): the integer copy ``X`` shifted so its largest magnitude
-is at most :data:`COORD_CAP`.  Each is one correctly rounded integer
-division, the same float as converting the exact rational.
+The floating quantities (recorded equilibrium residual, balance of
+read-back diagonals, coupling directions) read the prescaled coordinates
+``X / 2**k`` (:func:`prescale`): the integer copy ``X`` shifted so its
+largest magnitude is at most :data:`COORD_CAP`.  Each is one correctly
+rounded integer division, the same float as converting the exact rational.
 
 An optional diagonal coupling ``C`` generalizes the construction: with
 ``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
@@ -45,8 +45,14 @@ point), the cross block gains ``L^{1/2} N_P C N_Q^T M^{1/2}``.  The result
 stays PSD while every coupling value has magnitude at most one, and the
 rank drops by one for each value of magnitude exactly one.
 
-Certificates are floating point with declared tolerances; verdicts in the
-decision engine never depend on them.
+A certificate is verified by recomputing it.  With every coefficient
+strictly positive, exact balance makes ``range(G)`` the span of the hatted
+P points and also of the hatted Q points, so the class spans are equal and
+``rank G = d' + 1``; the closed form is then PSD of rank
+``n + m - rank G`` (super stability, Connelly 2005).  So ``omega`` must
+equal the correctly rounded closed form bit for bit and ``rank`` the exact
+``n + m - rank G``, with no eigenvalue, residual or tolerance.  Verdicts in
+the decision engine never depend on floating point.
 """
 
 from __future__ import annotations
@@ -60,18 +66,18 @@ import numpy as np
 
 from .geometry import (
     BipartiteFramework,
-    affine_span_dim,
-    affine_spans_equal,
+    affine_span_dim,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    affine_spans_equal,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     _cleared,
     _gram,
     _hats,
     _reduce_ints,
 )
 
-#: Relative eigenvalue threshold for numerical rank decisions.
+#: Relative eigenvalue threshold for the numerical rank of a coupled stress.
 RANK_TOL = 1e-8
 
-#: Base tolerance for equilibrium residuals of freshly built certificates.
+#: Tolerance for the floating balance of diagonals read back from a matrix.
 RESIDUAL_TOL = 1e-8
 
 #: Coordinates are rescaled so the largest magnitude is at most this.
@@ -80,10 +86,6 @@ COORD_CAP = 64
 
 class DegenerateInput(ValueError):
     """Coefficients must be strictly positive and balance exactly."""
-
-
-class NumericalFailure(RuntimeError):
-    """A floating certificate failed its own rank check."""
 
 
 class ShapeMismatch(ValueError):
@@ -159,7 +161,7 @@ def _hatted(fw: BipartiteFramework) -> np.ndarray:
     return np.array([[v / den for v in pt] + [1.0] for pt in ints]).T
 
 
-def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int]:
+def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int, int]:
     """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
     Hatted points and coefficients are cleared to integers (module
@@ -167,7 +169,8 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
     row reduced on integers; ``X`` takes the reduced right side in its
     pivot rows and zeros elsewhere.  Exact balance puts every column of
     ``Q^ M`` in the range of ``G``, so no pivot lands on the right side.
-    Returns the numerators and their positive denominator.
+    Returns the numerators, their positive denominator and ``rank G`` (the
+    pivot count).
     """
     hat = fw.dimension + 1
     hats, _ = _hats(fw.all_points())
@@ -187,7 +190,34 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
         [-ai * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(fw.m)]
         for p, ai in zip(p_hats, a)
     ]
-    return nums, w * den
+    return nums, w * den, len(pivots)
+
+
+def _exact_stress(
+    fw: BipartiteFramework, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
+) -> tuple[np.ndarray, int]:
+    """The correctly rounded closed-form stress matrix and its exact rank.
+
+    The diagonal holds ``float`` of each coefficient and the cross block
+    ``nums / den`` from :func:`_cross_block`; the rank is
+    ``n + m - rank G``.  Raises :class:`ShapeMismatch` or
+    :class:`DegenerateInput` unless the coefficients fit the classes, are
+    strictly positive and balance exactly, and ``OverflowError`` when an
+    entry exceeds the floating range.
+    """
+    n, m = fw.n, fw.m
+    if len(lambdas) != n or len(mus) != m:
+        raise ShapeMismatch("coefficient lengths must match the class sizes")
+    if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
+        raise DegenerateInput("all coefficients must be strictly positive")
+    nums, den, rank_g = _cross_block(fw, lambdas, mus)
+    cross = np.array([[v / den for v in row] for row in nums])
+    omega = np.zeros((n + m, n + m))
+    omega[np.arange(n), np.arange(n)] = [float(v) for v in lambdas]
+    omega[np.arange(n, n + m), np.arange(n, n + m)] = [float(v) for v in mus]
+    omega[:n, n:] = cross
+    omega[n:, :n] = cross.T
+    return omega, n + m - rank_g
 
 
 def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
@@ -196,57 +226,28 @@ def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     return vt[rank:].T
 
 
-def _spectrum(omega: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Ascending eigenvalues, spectral norm and numerical rank of ``omega``.
-
-    The rank counts eigenvalues above ``RANK_TOL`` relative to the spectral
-    norm (or to one, when the norm is smaller).
-    """
-    evals = np.linalg.eigvalsh(omega)
-    spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
-    return evals, spectral, int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
-
-
-def _assemble(
+def _certificate(
     fw: BipartiteFramework,
+    omega: np.ndarray,
     lambdas: Sequence[Fraction],
     mus: Sequence[Fraction],
-    coupling: Optional[Sequence[float]],
+    rank: Optional[int] = None,
 ) -> StressCertificate:
-    n, m = fw.n, fw.m
-    if len(lambdas) != n or len(mus) != m:
-        raise ShapeMismatch("coefficient lengths must match the class sizes")
-    if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
-        raise DegenerateInput("all coefficients must be strictly positive")
-    nums, den = _cross_block(fw, lambdas, mus)
-    bipartite = np.array([[v / den for v in row] for row in nums])
-    if coupling is not None:
-        r = affine_span_dim(fw.all_points()) + 1
-        pairs = min(n - r, m - r)
-        if len(coupling) != pairs:
-            raise ShapeMismatch(
-                f"coupling expects {pairs} diagonal values, got {len(coupling)}"
-            )
-        if pairs:
-            hatted = _hatted(fw)
-            sqrt_l = np.sqrt([float(v) for v in lambdas])
-            sqrt_m = np.sqrt([float(v) for v in mus])
-            null_p = _null_basis(hatted[:, :n] * sqrt_l, r)[:, :pairs]
-            null_q = _null_basis(hatted[:, n:] * sqrt_m, r)[:, :pairs]
-            values = np.array([float(v) for v in coupling])
-            bipartite += (sqrt_l[:, None] * null_p * values) @ (sqrt_m[:, None] * null_q).T
-    omega = np.zeros((n + m, n + m))
-    omega[np.arange(n), np.arange(n)] = [float(v) for v in lambdas]
-    omega[np.arange(n, n + m), np.arange(n, n + m)] = [float(v) for v in mus]
-    omega[:n, n:] = bipartite
-    omega[n:, :n] = bipartite.T
-    evals, _, rank = _spectrum(omega)
-    residual = equilibrium_residual(omega, fw)
+    """Record ``omega`` with its least eigenvalue and equilibrium residual.
+
+    Without a ``rank``, the numerical rank counts eigenvalues above
+    ``RANK_TOL`` relative to the spectral norm (or to one, when the norm is
+    smaller).
+    """
+    evals = np.linalg.eigvalsh(omega)
+    if rank is None:
+        spectral = float(np.max(np.abs(evals)))
+        rank = int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
     return StressCertificate(
         omega=omega,
         rank=rank,
-        min_eigenvalue=float(evals[0]) if evals.size else 0.0,
-        residual=residual,
+        min_eigenvalue=float(evals[0]),
+        residual=equilibrium_residual(omega, fw),
         lambdas=tuple(lambdas),
         mus=tuple(mus),
     )
@@ -259,17 +260,12 @@ def build_super_stable_stress(
 
     Requires every coefficient strictly positive and the exact balance of
     the lifted classes.  The resulting matrix is PSD of rank
-    ``n + m - d' - 1`` (``d'`` the combined span dimension), has the
-    coefficients on its diagonal, and annihilates the hatted configuration
-    matrix up to floating round-off.
+    ``n + m - d' - 1`` (``d'`` the combined span dimension), recorded
+    exactly; it has the coefficients on its diagonal and annihilates the
+    hatted configuration matrix up to floating round-off.
     """
-    cert = _assemble(fw, lambdas, mus, coupling=None)
-    expected = fw.n + fw.m - affine_span_dim(fw.all_points()) - 1
-    if cert.rank != expected:
-        raise NumericalFailure(
-            f"numerical rank {cert.rank} disagrees with expected {expected}"
-        )
-    return cert
+    omega, rank = _exact_stress(fw, lambdas, mus)
+    return _certificate(fw, omega, lambdas, mus, rank)
 
 
 def generalized_stress(
@@ -284,9 +280,24 @@ def generalized_stress(
     right directions of the two sides.  The zero coupling reproduces
     :func:`build_super_stable_stress`; values of magnitude above one break
     positive semidefiniteness, and each value of magnitude exactly one
-    drops the rank by one.
+    drops the rank by one, so the rank recorded here is numerical.
     """
-    return _assemble(fw, lambdas, mus, coupling=list(coupling))
+    omega, rank = _exact_stress(fw, lambdas, mus)
+    n, m = fw.n, fw.m
+    r = n + m - rank  # rank G, one more than the span dimension
+    pairs = min(n - r, m - r)
+    if len(coupling) != pairs:
+        raise ShapeMismatch(f"coupling expects {pairs} diagonal values, got {len(coupling)}")
+    if pairs:
+        hatted = _hatted(fw)
+        sqrt_l = np.sqrt([float(v) for v in lambdas])
+        sqrt_m = np.sqrt([float(v) for v in mus])
+        null_p = _null_basis(hatted[:, :n] * sqrt_l, r)[:, :pairs]
+        null_q = _null_basis(hatted[:, n:] * sqrt_m, r)[:, :pairs]
+        values = np.array([float(v) for v in coupling])
+        omega[:n, n:] += (sqrt_l[:, None] * null_p * values) @ (sqrt_m[:, None] * null_q).T
+        omega[n:, :n] = omega[:n, n:].T
+    return _certificate(fw, omega, lambdas, mus)
 
 
 def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
@@ -302,13 +313,6 @@ def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
     return float(np.max(np.abs(_hatted(fw) @ omega)))
 
 
-def _class_blocks_diagonal(omega: np.ndarray, n: int) -> bool:
-    """Whether both class blocks of ``omega`` are exactly diagonal."""
-    return not any(
-        np.any(block != np.diag(np.diag(block))) for block in (omega[:n, :n], omega[n:, n:])
-    )
-
-
 def extract_balanced_diagonals(
     omega: np.ndarray, fw: BipartiteFramework, tol: float = RESIDUAL_TOL
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -322,45 +326,30 @@ def extract_balanced_diagonals(
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
-    if not _class_blocks_diagonal(omega, fw.n):
+    blocks = (omega[: fw.n, : fw.n], omega[fw.n :, fw.n :])
+    if any(np.any(block != np.diag(np.diag(block))) for block in blocks):
         raise PatternViolation("class blocks must be diagonal")
-    lambdas = np.diag(omega[: fw.n, : fw.n]).copy()
-    mus = np.diag(omega[fw.n :, fw.n :]).copy()
+    lambdas, mus = (np.diag(block).copy() for block in blocks)
     hatted = _hatted(fw)
     hp, hq = hatted[:, : fw.n], hatted[:, fw.n :]
     gap = hp @ np.diag(lambdas) @ hp.T - hq @ np.diag(mus) @ hq.T
     return lambdas, mus, bool(np.max(np.abs(gap)) <= tol)
 
 
-def verify_super_stable_certificate(
-    fw: BipartiteFramework, cert: StressCertificate, tol: float = RESIDUAL_TOL
-) -> bool:
-    """Full numerical-plus-exact check of a super-stability certificate.
+def verify_super_stable_certificate(fw: BipartiteFramework, cert: StressCertificate) -> bool:
+    """Exact check of a super-stability certificate, by recomputation.
 
-    Checks, in order: that every entry is finite, that the matrix is
-    exactly symmetric with diagonal class blocks (the eigensolver reads one
-    triangle and the residual reads columns, so neither sees an edit above
-    the diagonal that the configuration annihilates), the equilibrium residual
-    (a NaN residual fails), positive semidefiniteness relative to the
-    spectral norm, the numerical rank against ``n + m - d' - 1``, and
-    (exactly, on cleared integers) that both classes span the same affine
-    subspace, which rules out degenerate edge-direction conics.  With
-    ``d'`` the dimension of the union, equal class spans are also the span
-    of the whole configuration.
+    True iff the coefficients match the class sizes, are strictly positive
+    and balance the lifted classes exactly, ``cert.rank`` equals the exact
+    ``n + m - rank G``, and ``cert.omega`` equals the correctly rounded
+    closed form bit for bit, which also makes it finite and symmetric with
+    diagonal class blocks.  Given those premises the matrix is PSD of that
+    rank (module docstring), so no eigensolver, residual or tolerance is
+    consulted.  Returns False rather than raising, also for coefficients
+    too large for a double.
     """
-    total = fw.n + fw.m
-    if cert.omega.shape != (total, total) or not np.isfinite(cert.omega).all():
+    try:
+        omega, rank = _exact_stress(fw, cert.lambdas, cert.mus)
+    except (ShapeMismatch, DegenerateInput, OverflowError):
         return False
-    if not np.array_equal(cert.omega, cert.omega.T):
-        return False
-    if not _class_blocks_diagonal(cert.omega, fw.n):
-        return False
-    if not equilibrium_residual(cert.omega, fw) <= tol:  # a NaN residual fails too
-        return False
-    evals, spectral, rank = _spectrum(cert.omega)
-    if evals.size and float(evals[0]) < -tol * max(spectral, 1.0):
-        return False
-    d_span = affine_span_dim(fw.all_points())
-    if rank != total - d_span - 1 or cert.rank != rank:
-        return False
-    return affine_spans_equal(fw.points_p, fw.points_q)
+    return cert.rank == rank and np.array_equal(cert.omega, omega)

@@ -3,9 +3,10 @@
 Performance changes claim that chains stay byte-identical; this test checks
 that claim.  The digest covers the verdict and, per record, the kind, known
 sets, supports, cone point, functional, balance coefficients, separating
-quadric and ``omega`` (bit-exact, as float hex).  It leaves out ``residual``
-and ``min_eigenvalue``, which depend on the BLAS build.  The inputs are the
-fixtures plus 30 seed-7 instances of the acceptance-2 generator.
+quadric, the stress ``rank`` (exact) and ``omega`` (bit-exact, as float
+hex).  It leaves out ``residual`` and ``min_eigenvalue``, which depend on
+the BLAS build.  The inputs are the fixtures plus 30 seed-7 instances of
+the acceptance-2 generator.
 
 A change that moves a certificate on purpose (a new pivot rule, a new
 format) must update ``DIGEST`` and say so.
@@ -21,7 +22,7 @@ from bipartite_rigidity.engine import rigidity_test
 from bipartite_rigidity.fixtures import all_fixtures
 from conftest import random_framework
 
-DIGEST = "e379e3c03b074a14cd3683f083bb43f7cd1ee9050e1a0afdb2cbbfb64a76114e"
+DIGEST = "80974c817b143d3601876434bcc4af1d57d567ec89260c25d0d130fee5223804"
 
 
 def _rats(values):
@@ -44,7 +45,9 @@ def chain_fields(verdict, chain) -> list:
             None
             if rec.separation is None
             else [_rats(rec.separation.matrix.upper), str(rec.separation.delta)],
-            None if rec.stress is None else [v.hex() for v in rec.stress.omega.ravel().tolist()],
+            None
+            if rec.stress is None
+            else [rec.stress.rank, [v.hex() for v in rec.stress.omega.ravel().tolist()]],
         ])
     return [verdict.value, records]
 

@@ -13,7 +13,9 @@ import pytest
 
 from bipartite_rigidity import docio
 from bipartite_rigidity.cli import main
+from bipartite_rigidity.engine import Verdict, rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import emit_fixtures, fixture
+from bipartite_rigidity.geometry import BipartiteFramework
 from conftest import thin_image
 
 
@@ -125,6 +127,21 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
 def test_check_thin_cube(tmp_path, capsys):
     path = tmp_path / "thin_cube.json"
     path.write_text(docio.serialize_framework(thin_image(fixture("cube_k44").framework)))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "universally-rigid"
+
+
+def test_check_tiny_balance_coefficients(tmp_path, capsys):
+    # Balance needs two coefficients of about 1e-400, which are 0.0 as
+    # doubles; the stress rank is exact, so the verdict does not depend on it.
+    fw = BipartiteFramework.from_lists(1, [[0], [2]], [[F(1, 10**400)], [3]])
+    verdict, chain = rigidity_test(fw)
+    assert verdict is Verdict.UNIVERSALLY_RIGID
+    assert [rec.stress.rank for rec in chain.records if rec.kind == "balanced"] == [2]
+    assert verify_chain(fw, chain)
+    assert verify_chain(fw, docio.parse_chain(docio.serialize_chain(chain)))
+    path = tmp_path / "tiny.json"
+    path.write_text(docio.serialize_framework(fw))
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "universally-rigid"
 

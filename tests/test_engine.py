@@ -6,8 +6,10 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from bipartite_rigidity import stress
 from bipartite_rigidity.engine import (
     InvalidInput,
     Verdict,
@@ -310,6 +312,23 @@ def test_monotone_certainty(rng):
             continue
         sub = fw.subframework(known_p, known_q)
         assert rigidity_test(sub)[0] is Verdict.UNIVERSALLY_RIGID
+
+
+def test_replay_runs_no_eigensolver(monkeypatch):
+    # Stress certificates are verified by exact recomputation, so replay
+    # needs neither eigenvalues nor an equilibrium residual.
+    rng = random.Random(7)
+    frameworks = [fx.framework for fx in all_fixtures().values()]
+    frameworks += [random_framework(rng) for _ in range(30)]
+    decided = [(fw, rigidity_test(fw)[1]) for fw in frameworks]
+    assert any(rec.stress for _, chain in decided for rec in chain.records)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("replay reached a floating check")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(stress, "equilibrium_residual", boom)
+    assert [verify_chain(fw, chain) for fw, chain in decided] == [True] * len(decided)
 
 
 @pytest.mark.parametrize("name", ["k33_conic", "cube_k44", "k65", "k55"])

@@ -77,6 +77,10 @@ UNUSED_IMPORTS_ALLOWED = {
     ("engine", "max_margin_quadric"),
     # perfbench/spans.py HOOKS rebinds reduction.linear_rank.
     ("reduction", "linear_rank"),
+    # perfbench/spans.py HOOKS rebinds stress.affine_span_dim and
+    # stress.affine_spans_equal.
+    ("stress", "affine_span_dim"),
+    ("stress", "affine_spans_equal"),
 }
 
 

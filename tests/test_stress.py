@@ -10,7 +10,7 @@ import pytest
 
 from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework, row_reduce
+from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim, row_reduce
 from bipartite_rigidity.lp import ONE
 from bipartite_rigidity.separation import RadonCertificate, maximal_support_radon
 from bipartite_rigidity.stress import (
@@ -146,7 +146,8 @@ def test_verify_certificate_checks():
 
 def test_verify_rejects_non_finite_entries():
     # NaN or an infinity on either side of the diagonal is a rejection, not
-    # an eigensolver error and not an acceptance.
+    # an eigensolver error and not an acceptance; so are balanced
+    # coefficients too large for a double.
     fw = fixture("cube_k44").framework
     cert = build_super_stable_stress(fw, (F(1, 4),) * 4, (F(1, 4),) * 4)
     for value in (np.nan, np.inf, -np.inf):
@@ -155,26 +156,50 @@ def test_verify_rejects_non_finite_entries():
             omega[entry] = value
             bad = dataclasses.replace(cert, omega=omega)
             assert verify_super_stable_certificate(fw, bad) is False, (value, entry)
+    huge = dataclasses.replace(cert, lambdas=(F(10**400),) * 4, mus=(F(10**400),) * 4)
+    assert verify_super_stable_certificate(fw, huge) is False
 
 
-def test_verify_rejects_asymmetric_or_patterned_omega():
+def test_verify_rejects_edited_certificates():
     # On cube_k44, p0 + p1 - q0 - q1 = 0 on the hatted points, so adding a
     # multiple of z to a column leaves the equilibrium residual at zero.
-    # An edit above the diagonal is invisible to the one-triangle
-    # eigensolver, and z z^T keeps the matrix PSD of the same rank while it
-    # puts an entry inside the P block; neither is a bipartite stress.
+    # An edit above the diagonal is invisible to a one-triangle eigensolver,
+    # and z z^T keeps the matrix PSD of the same rank while it puts an entry
+    # inside the P block; neither is a bipartite stress.  A cross-block pair
+    # moved by one ulp or by 1e-10 stays within any float tolerance, and
+    # coefficients that no longer match omega, or that are negative, leave
+    # omega itself untouched; none of them is the exact certificate.
     fw = fixture("cube_k44").framework
     _, chain = rigidity_test(fw)
     rec = chain.records[0]
     assert rec.kind == "balanced" and (rec.support_p, rec.support_q) == ((0, 1, 2, 3),) * 2
     assert verify_chain(fw, chain)
+    cert = rec.stress
     z = np.array([1.0, 1, 0, 0, -1, -1, 0, 0])
-    upper = rec.stress.omega.copy()
+    upper = cert.omega.copy()
     upper[:, 7] += 5 * z
-    for omega in (upper, rec.stress.omega + np.outer(z, z)):
+    for omega in (upper, cert.omega + np.outer(z, z)):
         assert equilibrium_residual(omega, fw) == 0
-        bad = dataclasses.replace(rec.stress, omega=omega)
-        assert verify_super_stable_certificate(fw, bad) is False
+    ulp = cert.omega.copy()
+    ulp[0, 5] = ulp[5, 0] = np.nextafter(ulp[0, 5], np.inf)
+    nudged = cert.omega.copy()
+    nudged[0, 5] = nudged[5, 0] = nudged[0, 5] + 1e-10
+    edits = [
+        dataclasses.replace(cert, omega=omega)
+        for omega in (upper, cert.omega + np.outer(z, z), ulp, nudged)
+    ] + [
+        dataclasses.replace(
+            cert,
+            lambdas=tuple(2 * v for v in cert.lambdas),
+            mus=tuple(2 * v for v in cert.mus),
+        ),
+        dataclasses.replace(cert, mus=cert.mus[:-1]),
+        dataclasses.replace(
+            cert, lambdas=tuple(-v for v in cert.lambdas), mus=tuple(-v for v in cert.mus)
+        ),
+    ]
+    for k, bad in enumerate(edits):
+        assert verify_super_stable_certificate(fw, bad) is False, k
         edited = dataclasses.replace(rec, stress=bad)
         assert not verify_chain(fw, dataclasses.replace(chain, records=(edited,) + chain.records[1:]))
 
@@ -237,7 +262,7 @@ def test_cross_block_exact_equilibrium():
     balanced = 0
     for fw, lambdas, mus in balanced_supports():
         balanced += 1
-        nums, den = _cross_block(fw, lambdas, mus)
+        nums, den, _ = _cross_block(fw, lambdas, mus)
         cross = [[F(v, den) for v in row] for row in nums]
         p_hat = [tuple(p) + (ONE,) for p in fw.points_p]
         q_hat = [tuple(q) + (ONE,) for q in fw.points_q]
@@ -277,7 +302,8 @@ def test_cross_block_integers_match_fraction_reference():
     # Clearing coordinates (an affine map) and coefficients (degree one)
     # leaves B exactly as the rational construction gives it, on thin
     # images and on coordinates with a new common denominator too; each
-    # float conversion is the correctly rounded one.
+    # float conversion is the correctly rounded one.  Positive balance
+    # makes the pivot count rank G = d' + 1.
     def shrink(fw, factor=F(1, 7)):
         return BipartiteFramework(
             fw.dimension,
@@ -288,8 +314,9 @@ def test_cross_block_integers_match_fraction_reference():
     checked = 0
     for fw, lambdas, mus in balanced_supports():
         for image in (fw, thin_image(fw), shrink(fw)):
-            nums, den = _cross_block(image, lambdas, mus)
+            nums, den, rank_g = _cross_block(image, lambdas, mus)
             assert den > 0
+            assert rank_g == affine_span_dim(image.all_points()) + 1
             reference = fraction_cross_block(image, lambdas, mus)
             assert [[F(v, den) for v in row] for row in nums] == reference
             for row in nums:
@@ -306,7 +333,7 @@ def test_cross_block_runs_on_ints():
     cert = maximal_support_radon(fw)
     assert isinstance(cert, RadonCertificate)
     sub = fw.subframework(cert.support_p, cert.support_q)
-    nums, den = _cross_block(
+    nums, den, _ = _cross_block(
         sub, [cert.lambdas[i] for i in cert.support_p], [cert.mus[j] for j in cert.support_q]
     )
     assert type(den) is int and den > 0
