@@ -208,10 +208,15 @@ def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
     growth, span invariants, reduction geometry) is re-verified exactly;
     each stress certificate must equal its exact recomputation (bit-equal
     ``omega``, exact rank), with no tolerance.
+
+    A record the replay cannot use (a shape that does not fit, a degenerate
+    reduction, a value too large to convert) raises ``ValueError`` or
+    ``ArithmeticError`` and rejects the chain; any other exception is a
+    fault of the verifier and propagates.
     """
     try:
         return _verify_chain(fw, chain)
-    except Exception:
+    except (ValueError, ArithmeticError):
         return False
 
 

@@ -1,12 +1,15 @@
 """Exact linear programming over the rationals.
 
 A dense two-phase simplex solver using Bland's anti-cycling rule.  Problems
-and outcomes are stated in :class:`fractions.Fraction`; the tableau itself
-holds Python ints over one common denominator and is pivoted fraction-free
-(:func:`pivot_rows`), so every division is exact and outcomes are exact:
-feasible points satisfy every constraint with zero residual, optima are
-exact rational values, and infeasible problems come with a Farkas vector
-that refutes them identically.
+reach the tableau already cleared to integers: :class:`LPProblem` holds its
+rows and rhs as Python ints, each column scaled by a positive int, and
+:meth:`LPProblem.create` is the thin step that clears a rational problem
+onto that form.  The tableau holds ints over one common denominator and is
+pivoted fraction-free (:func:`pivot_rows`), so every division is exact.
+Outcomes are stated in :class:`fractions.Fraction` and are exact: feasible
+points satisfy every constraint with zero residual, optima are exact
+rational values, and infeasible problems come with a Farkas vector that
+refutes them identically.
 
 Problems are stated in equality form ``A x = b`` over nonnegative
 variables and nothing else: a bound or an inequality is a row with a
@@ -60,16 +63,25 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """An equality-form LP: ``rows @ x = rhs`` with ``0 <= x``.
+    """An equality-form LP ``A x = b`` with ``0 <= x``, cleared to integers.
 
-    ``n_vars`` is the width of every row.  ``objective`` is an optional row
-    of the same width, read as "maximize" by :func:`maximize`.
+    ``rows`` and ``rhs`` hold ints: column ``j`` of ``rows`` is
+    ``col_scale[j] * A_j`` and ``rhs`` is ``rhs_scale * b``, every scale a
+    positive int.  A positive column scale keeps the sign of every reduced
+    cost and the order of every ratio, so the simplex pivots as it would on
+    ``A`` itself, and points, values and duals are those of ``A x = b``.
+    ``n_vars`` is the width of every row.  ``objective`` is an optional
+    rational row of the same width, in the variables ``x``, read as
+    "maximize" by :func:`maximize`.  :meth:`create` clears a rational
+    problem onto this form.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
     n_vars: int
     objective: Optional[tuple[Fraction, ...]]
+    col_scale: tuple[int, ...]
+    rhs_scale: int
 
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
@@ -77,6 +89,8 @@ class LPProblem:
         for row in self.rows:
             if len(row) != self.n_vars:
                 raise MalformedProblem("constraint row width mismatch")
+        if len(self.col_scale) != self.n_vars:
+            raise MalformedProblem("column scale width mismatch")
         if self.objective is not None and len(self.objective) != self.n_vars:
             raise MalformedProblem("objective width mismatch")
 
@@ -89,13 +103,30 @@ class LPProblem:
         *,
         objective: Optional[Sequence] = None,
     ) -> "LPProblem":
+        """Clear the rational problem ``rows @ x = rhs``.
+
+        Each column is scaled by the least common multiple of its
+        denominators and the rhs by that of its own, so the problem is
+        integral with the smallest scales.
+        """
+        rows = [[_frac(v) for v in row] for row in rows]
+        if any(len(row) != n_vars for row in rows):
+            raise MalformedProblem("constraint row width mismatch")
+        rhs = [_frac(v) for v in rhs]
+        col_scale = tuple(_scale(col) for col in zip(*rows)) if rows else (1,) * n_vars
+        rhs_scale = _scale(rhs)
         return cls(
-            rows=tuple(tuple(_frac(v) for v in row) for row in rows),
-            rhs=tuple(_frac(v) for v in rhs),
+            rows=tuple(
+                tuple(v.numerator * (s // v.denominator) for v, s in zip(row, col_scale))
+                for row in rows
+            ),
+            rhs=tuple(v.numerator * (rhs_scale // v.denominator) for v in rhs),
             n_vars=n_vars,
             objective=None
             if objective is None
             else tuple(_frac(v) for v in objective),
+            col_scale=col_scale,
+            rhs_scale=rhs_scale,
         )
 
 
@@ -164,38 +195,35 @@ class _Simplex:
     column with a negative reduced cost, or with a nonzero entry in another
     basic variable's row, is nonbasic.
 
-    Each structural column is scaled by the least common multiple of its
-    denominators, and the rhs and the objective by theirs, so the tableau
-    is integral from the start.  A positive column scale keeps the sign of
-    every reduced cost and the order of every ratio, so the pivots are
-    those of the unscaled problem; :meth:`solution` and :meth:`duals`
-    undo the scales, and the Farkas vector does not see them.
+    The problem arrives cleared (:class:`LPProblem`), so the tableau is
+    integral from the start and the constructor reads only ints.  The
+    column and rhs scales are kept: :meth:`solution` and :meth:`duals`
+    undo them, and the Farkas vector does not see them.
     """
 
-    def __init__(self, rows, rhs, nx: int):
-        self.m = len(rows)
-        self.nx = nx
+    def __init__(self, prob: LPProblem):
+        self.m = m = len(prob.rows)
+        self.nx = nx = prob.n_vars
         self.den = 1
-        self.col_scale = [_scale(col) for col in zip(*rows)] if rows else [1] * nx
-        self.rhs_scale = _scale(rhs)
+        self.col_scale = prob.col_scale
+        self.rhs_scale = prob.rhs_scale
         self.cost_scale = 1
         self.flip: list[int] = []
         T: list[list[int]] = []
-        for i in range(self.m):
-            r = [v.numerator * (s // v.denominator) for v, s in zip(rows[i], self.col_scale)]
-            b = rhs[i].numerator * (self.rhs_scale // rhs[i].denominator)
+        for i, (row, b) in enumerate(zip(prob.rows, prob.rhs)):
             if b < 0:
-                r = [-v for v in r]
+                r = [-v for v in row]
                 b = -b
                 self.flip.append(-1)
             else:
+                r = list(row)
                 self.flip.append(1)
-            art = [0] * self.m
+            art = [0] * m
             art[i] = 1
             T.append(r + art + [b])
-        T.append([0] * (nx + self.m + 1))
+        T.append([0] * (nx + m + 1))
         self.T = T
-        self.basis = [nx + i for i in range(self.m)]
+        self.basis = [nx + i for i in range(m)]
 
     # -- pivoting core ---------------------------------------------------
 
@@ -303,18 +331,18 @@ class _Simplex:
 class _PhaseOne(NamedTuple):
     """A problem's tableau after phase 1 (internal)."""
 
-    constraints: tuple  # (rows, rhs, n_vars) of the problem
+    constraints: tuple  # (rows, rhs, n_vars, col_scale, rhs_scale) of the problem
     splx: _Simplex
     feasible: bool
 
 
 def _constraints(prob: LPProblem) -> tuple:
-    return (prob.rows, prob.rhs, prob.n_vars)
+    return (prob.rows, prob.rhs, prob.n_vars, prob.col_scale, prob.rhs_scale)
 
 
 def _phase_one(prob: LPProblem) -> _PhaseOne:
     """Run phase 1 on ``prob``; the objective is not read."""
-    splx = _Simplex(prob.rows, prob.rhs, prob.n_vars)
+    splx = _Simplex(prob)
     feasible = splx.phase1()
     return _PhaseOne(_constraints(prob), splx, feasible)
 

@@ -31,8 +31,8 @@ from math import lcm
 from typing import Sequence, Union
 
 from . import lp
-from .geometry import BipartiteFramework, SymmetricMatrix, _gram, _hats, veronese
-from .lp import LPProblem, LPStatus, ONE, ZERO
+from .geometry import BipartiteFramework, SymmetricMatrix, _gram, _hats, _int_rows
+from .lp import LPProblem, LPStatus
 
 
 class EmptySide(ValueError):
@@ -73,18 +73,26 @@ class SeparationCertificate:
     delta: Fraction
 
 
-def _balance_rows(fw: BipartiteFramework) -> list[list[Fraction]]:
-    """One row per upper-triangle entry of the lifted matrices.
+def _lift_columns(fw: BipartiteFramework) -> tuple[list[list[int]], list[int]]:
+    """The balance columns of the points on integers, and their scales.
 
-    Columns are the n lambdas followed by the m mus; a row's product with
-    them is that entry of ``sum lambda lift(p) - sum mu lift(q)``.
+    Each point ``p_j`` is cleared by its own common denominator ``c_j``, so
+    its hat ``(X_j, c_j) = c_j p^_j`` is integral.  Its column is the upper
+    triangle of ``(X_j, c_j)(X_j, c_j)^T = c_j^2 lift(p_j)``, negated for Q;
+    a row's product with ``x_j / c_j^2`` is that entry of
+    ``sum lambda lift(p) - sum mu lift(q)``.  ``c_j^2`` is the least common
+    multiple of the lift's denominators (the diagonal entry ``p_a^2`` has
+    denominator ``den_a^2``), so it is the column scale a rational problem
+    would be cleared by (:meth:`~.lp.LPProblem.create`).
     """
-    lifts_p = [veronese(p).upper for p in fw.points_p]
-    lifts_q = [veronese(q).upper for q in fw.points_q]
-    return [
-        [lift[k] for lift in lifts_p] + [-lift[k] for lift in lifts_q]
-        for k in range(len(lifts_p[0]))
-    ]
+    order = fw.dimension + 1
+    cols, scales = [], []
+    for k, pt in enumerate(fw.all_points()):
+        (hat,), c = _hats([pt])
+        signed = hat if k < fw.n else [-v for v in hat]
+        cols.append([a * hat[j] for i, a in enumerate(signed) for j in range(i, order)])
+        scales.append(c * c)
+    return cols, scales
 
 
 def _quadric(hat: int, y: Sequence[Fraction]) -> list[Fraction]:
@@ -101,14 +109,20 @@ def _radon_problem(fw: BipartiteFramework) -> LPProblem:
     """Feasibility LP: balance the lifted classes, normalize the P side.
 
     Variables are the n lambdas followed by the m mus, all nonnegative.
-    The balance rows (:func:`_balance_rows`) plus the normalization row,
-    which rules out the all-zero solution.
+    The balance rows (one per entry of :func:`_lift_columns`) plus the
+    normalization row ``sum lambda = 1``, which rules out the all-zero
+    solution; built cleared, with no ``Fraction`` on the way.
     """
-    rows = _balance_rows(fw)
-    rhs = [ZERO] * len(rows)
-    rows.append([ONE] * fw.n + [ZERO] * fw.m)
-    rhs.append(ONE)
-    return LPProblem.create(rows, rhs, fw.n + fw.m)
+    cols, scales = _lift_columns(fw)
+    rows = [*zip(*cols), (*scales[: fw.n], *[0] * fw.m)]
+    return LPProblem(
+        rows=tuple(rows),
+        rhs=(0,) * (len(rows) - 1) + (1,),
+        n_vars=fw.n + fw.m,
+        objective=None,
+        col_scale=tuple(scales),
+        rhs_scale=1,
+    )
 
 
 def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
@@ -121,15 +135,42 @@ def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
     taking ``y_norm/2`` off the constant (corner) entry gives a form
     ``>= y_norm/2`` on P and ``<= -y_norm/2`` on Q, which is then scaled
     into the [-1, 1] box.
+
+    This runs on the integer numerators ``N = L y`` (``L`` the common
+    denominator of ``y``): ``2L`` times that form has upper entries
+    ``U_k = -2 N_k`` on the diagonal and ``-N_k`` off it, with ``N_norm``
+    taken off the corner, so the entries are ``U_k / max|U|`` and
+    ``delta = N_norm / max|U|``.
     """
-    upper = [-v for v in _quadric(d + 1, y)]
-    y_norm = y[len(upper)]
-    upper[-1] -= y_norm / 2
+    order = d + 1
+    (nums,) = _int_rows([y])
+    pairs = [(i, j) for i in range(order) for j in range(i, order)]
+    upper = [-2 * nums[k] if i == j else -nums[k] for k, (i, j) in enumerate(pairs)]
+    norm = nums[len(upper)]
+    upper[-1] -= norm
     scale = max(abs(v) for v in upper)
     return SeparationCertificate(
-        matrix=SymmetricMatrix.from_upper(d + 1, tuple(v / scale for v in upper)),
-        delta=y_norm / (2 * scale),
+        matrix=SymmetricMatrix(order, tuple(Fraction(v, scale) for v in upper)),
+        delta=Fraction(norm, scale),
     )
+
+
+def _zero_on_region(prob: LPProblem, y: Sequence[Fraction]) -> set[int]:
+    """Coordinates a zero optimum's dual shows to vanish on the whole region.
+
+    A maximization of ``x_j`` over the balance region with optimum zero has
+    a dual ``y`` with ``y^T b = 0`` and ``y^T A_k >= 0`` on every column
+    ``k``.  Every feasible ``x`` then has ``sum_k (y^T A_k) x_k = 0`` with
+    no negative term, so ``x_k = 0`` wherever ``y^T A_k > 0`` (complementary
+    slackness; Goldman and Tucker 1956).  The signs are read on the integer
+    columns, positive multiples of ``A_k``, with ``y`` cleared to integers.
+    """
+    (nums,) = _int_rows([y])
+    acc = [0] * prob.n_vars
+    for f, row in zip(nums, prob.rows):
+        if f:
+            acc = [a + f * b for a, b in zip(acc, row)]
+    return {k for k, a in enumerate(acc) if a > 0}
 
 
 def maximal_support_radon(
@@ -149,7 +190,10 @@ def maximal_support_radon(
     so the skipped solves change only the averaged coefficients.  Every
     maximization starts from the feasibility solve's phase-1 basis
     (``lp.maximize(start=...)``), so phase 1 runs once per call however
-    many coordinates are zero.
+    many coordinates are zero.  A maximum of zero comes with a dual that
+    shows further coordinates zero on the whole region
+    (:func:`_zero_on_region`); those are never maximized, and since no
+    point is added either way the coefficients do not change.
 
     Each point is weighted by the multiple ``den * ceil(top / den)`` of its
     common denominator ``den`` (``top`` the largest of them), so every
@@ -166,16 +210,19 @@ def maximal_support_radon(
         return _farkas_quadric(fw.dimension, outcome.dual)
     points = [outcome.point]
     total = fw.n + fw.m
+    zero: set[int] = set()
     for coord in range(total):
-        if any(pt[coord] for pt in points):
+        if coord in zero or any(pt[coord] for pt in points):
             continue
-        obj = [ZERO] * total
-        obj[coord] = ONE
+        obj = [0] * total
+        obj[coord] = 1
         best = lp.maximize(replace(base, objective=tuple(obj)), start=outcome)
         if best.status is not LPStatus.OPTIMAL:
             raise AssertionError("the balance region is nonempty and bounded")
         if best.value > 0:
             points.append(best.point)
+        else:
+            zero |= _zero_on_region(base, best.dual)
     dens = [lcm(*(v.denominator for v in pt)) for pt in points]
     top = max(dens)
     weights = [den * -(-top // den) for den in dens]
@@ -212,6 +259,35 @@ def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
     return _gram(hats[:n], ints[:n], order) == _gram(hats[n:], ints[n:], order)
 
 
+def _distance_problem(fw: BipartiteFramework) -> LPProblem:
+    """The distance LP of :func:`max_margin_quadric`, built cleared.
+
+    Columns are the lambdas and mus (:func:`_lift_columns`), then ``r+`` and
+    ``r-``, one each per balance row, whose entries ``-1`` and ``+1`` need
+    no scale; the last row is ``sum lambda + sum mu = 1``.  The objective
+    is minus the weighted L1 norm of the residual.
+    """
+    hat = fw.dimension + 1
+    weights = [1 if i == j else 2 for i in range(hat) for j in range(i, hat)]
+    k_entries = len(weights)
+    n_lm = fw.n + fw.m
+    cols, scales = _lift_columns(fw)
+    rows = []
+    for k, row in enumerate(zip(*cols)):
+        slack = [0] * (2 * k_entries)
+        slack[k], slack[k_entries + k] = -1, 1
+        rows.append((*row, *slack))
+    rows.append((*scales, *[0] * (2 * k_entries)))
+    return LPProblem(
+        rows=tuple(rows),
+        rhs=(0,) * k_entries + (1,),
+        n_vars=n_lm + 2 * k_entries,
+        objective=(0,) * n_lm + tuple(-w for w in weights) * 2,
+        col_scale=(*scales, *[1] * (2 * k_entries)),
+        rhs_scale=1,
+    )
+
+
 def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fraction]:
     """The exact max-margin separating quadric for the two classes.
 
@@ -228,22 +304,10 @@ def max_margin_quadric(fw: BipartiteFramework) -> tuple[SymmetricMatrix, Fractio
     """
     if fw.n < 1 or fw.m < 1:
         raise EmptySide("both classes must be nonempty")
-    hat = fw.dimension + 1
-    weights = [ONE if i == j else Fraction(2) for i in range(hat) for j in range(i, hat)]
-    k_entries = len(weights)
-    n_lm = fw.n + fw.m
-    # Columns: lambdas (n), mus (m), r+ (k), r- (k).
-    rows = _balance_rows(fw)
-    for k, row in enumerate(rows):
-        row += [ZERO] * (2 * k_entries)
-        row[n_lm + k], row[n_lm + k_entries + k] = -ONE, ONE
-    rows.append([ONE] * n_lm + [ZERO] * (2 * k_entries))
-    rhs = [ZERO] * k_entries + [ONE]
-    objective = [ZERO] * n_lm + [-w for w in weights] * 2
-    prob = LPProblem.create(rows, rhs, n_lm + 2 * k_entries, objective=objective)
-    outcome = lp.maximize(prob)
+    outcome = lp.maximize(_distance_problem(fw))
     if outcome.status is not LPStatus.OPTIMAL:
         raise AssertionError("the distance LP is feasible and bounded")
+    hat = fw.dimension + 1
     return SymmetricMatrix.from_upper(hat, _quadric(hat, outcome.dual)), -outcome.value
 
 

@@ -207,5 +207,20 @@ def oracle_lp(rows, rhs, objective=None):
 
 
 @pytest.fixture
+def fraction_products(monkeypatch):
+    """A list that grows by one per ``Fraction`` multiplication."""
+    seen = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(F, name)
+
+        def counted(self, other, _original=original):
+            seen.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(F, name, counted)
+    return seen
+
+
+@pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -5,8 +5,9 @@ that claim.  The digest covers the verdict and, per record, the kind, known
 sets, supports, cone point, functional, balance coefficients, separating
 quadric, the stress ``rank`` (exact) and ``omega`` (bit-exact, as float
 hex).  It leaves out ``residual`` and ``min_eigenvalue``, which depend on
-the BLAS build.  The inputs are the fixtures plus 30 seed-7 instances of
-the acceptance-2 generator.
+the BLAS build.  The inputs are the fixtures, 30 seed-7 instances of the
+acceptance-2 generator and K(10,10) seeds 1-2, whose balanced passes
+maximize coordinates with a positive optimum.
 
 A change that moves a certificate on purpose (a new pivot rule, a new
 format) must update ``DIGEST`` and say so.
@@ -20,9 +21,9 @@ import random
 
 from bipartite_rigidity.engine import rigidity_test
 from bipartite_rigidity.fixtures import all_fixtures
-from conftest import random_framework
+from conftest import k10x10, random_framework
 
-DIGEST = "80974c817b143d3601876434bcc4af1d57d567ec89260c25d0d130fee5223804"
+DIGEST = "f031a14fa6e75d30c77e38cb4132d4caa4b385fa9d5c14ef3b2fe42eddd228d8"
 
 
 def _rats(values):
@@ -55,7 +56,7 @@ def chain_fields(verdict, chain) -> list:
 def corpus():
     frameworks = [fx.framework for fx in all_fixtures().values()]
     rng = random.Random(7)
-    return frameworks + [random_framework(rng) for _ in range(30)]
+    return frameworks + [random_framework(rng) for _ in range(30)] + [k10x10(1), k10x10(2)]
 
 
 def test_chain_digest_is_pinned():

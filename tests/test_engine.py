@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bipartite_rigidity import stress
+from bipartite_rigidity import engine, stress
 from bipartite_rigidity.engine import (
     InvalidInput,
     Verdict,
@@ -159,6 +159,20 @@ def test_chain_rejects_mutations():
     # verdict swapped
     bad_chain = dataclasses.replace(chain, verdict=Verdict.NOT_DIMENSIONALLY_RIGID)
     assert not verify_chain(fw, bad_chain)
+
+
+def test_verifier_faults_propagate(monkeypatch):
+    # Only the documented rejections (ValueError, ArithmeticError) read as
+    # an invalid chain; any other error inside replay is a fault and is raised.
+    fw = line_fw([0, 2], [1, 3])
+    _, chain = rigidity_test(fw)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("verifier fault")
+
+    monkeypatch.setattr(engine, "verify_radon", broken)
+    with pytest.raises(RuntimeError, match="verifier fault"):
+        verify_chain(fw, chain)
 
 
 def test_chain_rejects_edited_terminal_and_reduction():

@@ -1,4 +1,4 @@
-"""The integer span, certificate and residual checks against Fraction references.
+"""The integer span, certificate, residual and balance-LP code against Fraction references.
 
 Each ``ref_*`` function below is the plain rational computation that the
 package now does on cleared integers.  The property tests draw point sets in
@@ -8,6 +8,7 @@ configurations and denominators up to 10**400, and demand the same answers.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -15,17 +16,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipartite_rigidity import lp
 from bipartite_rigidity.engine import rigidity_test
+from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
     SymmetricMatrix,
     affine_span_dim,
     in_affine_span,
     linear_rank,
+    veronese,
 )
+from bipartite_rigidity.lp import LPProblem, LPStatus, maximize, solve_feasibility
 from bipartite_rigidity.separation import (
     RadonCertificate,
     SeparationCertificate,
+    _distance_problem,
+    _farkas_quadric,
+    _radon_problem,
     maximal_support_radon,
     verify_radon,
     verify_separation,
@@ -342,21 +350,6 @@ def test_prescale_shift_at_powers_of_two(peak, den):
 # -- the verifiers stay on ints --------------------------------------------------
 
 
-@pytest.fixture
-def fraction_products(monkeypatch):
-    """A list that grows by one per ``Fraction`` multiplication."""
-    seen = []
-    for name in ("__mul__", "__rmul__"):
-        original = getattr(F, name)
-
-        def counted(self, other, _original=original):
-            seen.append(1)
-            return _original(self, other)
-
-        monkeypatch.setattr(F, name, counted)
-    return seen
-
-
 def test_verifiers_run_on_ints(fraction_products):
     # K(10,10) seed 1 balances on its first pass and seed 3 is separated on
     # its first; replaying those certificates multiplies no Fraction.
@@ -384,3 +377,187 @@ def test_separation_margin_is_exact_at_huge_denominators():
     matrix = SymmetricMatrix.from_upper(2, [0, F(-1, 2), F(1, 2 * c)])
     assert verify_separation(SeparationCertificate(matrix, F(1, 2 * c)), fw)
     assert not verify_separation(SeparationCertificate(matrix, F(1, 2 * c) + F(1, c**3)), fw)
+
+
+# -- the balance LP on integer hats ----------------------------------------------
+
+
+def ref_columns(fw) -> list:
+    """Balance columns from ``Fraction`` lifts: ``lift(p)`` for P, ``-lift(q)`` for Q."""
+    return [veronese(p).upper for p in fw.points_p] + [
+        tuple(-v for v in veronese(q).upper) for q in fw.points_q
+    ]
+
+
+def ref_radon_problem(fw) -> LPProblem:
+    """The balance LP from ``Fraction`` lifts, cleared by ``LPProblem.create``."""
+    rows = [list(row) for row in zip(*ref_columns(fw))]
+    rows.append([1] * fw.n + [0] * fw.m)
+    return LPProblem.create(rows, [0] * (len(rows) - 1) + [1], fw.n + fw.m)
+
+
+def ref_distance_problem(fw) -> LPProblem:
+    """The distance LP of ``max_margin_quadric`` from ``Fraction`` lifts."""
+    hat = fw.dimension + 1
+    weights = [1 if i == j else 2 for i in range(hat) for j in range(i, hat)]
+    k = len(weights)
+    rows = []
+    for e, row in enumerate(zip(*ref_columns(fw))):
+        slack = [0] * (2 * k)
+        slack[e], slack[k + e] = -1, 1
+        rows.append([*row, *slack])
+    rows.append([1] * (fw.n + fw.m) + [0] * (2 * k))
+    objective = [0] * (fw.n + fw.m) + [-w for w in weights] * 2
+    return LPProblem.create(rows, [0] * k + [1], fw.n + fw.m + 2 * k, objective=objective)
+
+
+def ref_farkas_quadric(d: int, y) -> SeparationCertificate:
+    """The quadric of a balance Farkas vector by the ``Fraction`` formula."""
+    hat = d + 1
+    pairs = [(i, j) for i in range(hat) for j in range(i, hat)]
+    upper = [-y[k] if i == j else -y[k] / 2 for k, (i, j) in enumerate(pairs)]
+    y_norm = y[len(upper)]
+    upper[-1] -= y_norm / 2
+    scale = max(abs(v) for v in upper)
+    return SeparationCertificate(
+        SymmetricMatrix.from_upper(hat, [v / scale for v in upper]), y_norm / (2 * scale)
+    )
+
+
+def unit(total: int, j: int) -> tuple:
+    return tuple(int(k == j) for k in range(total))
+
+
+def assert_same_balance_lp(fw) -> None:
+    """The integer builds and the ``Fraction`` references solve alike, pivot for pivot."""
+    pairs = ((ref_radon_problem(fw), _radon_problem(fw)),
+             (ref_distance_problem(fw), _distance_problem(fw)))
+    for ref, new in pairs:
+        a, b = lp._Simplex(ref), lp._Simplex(new)
+        assert (a.T, a.col_scale, a.rhs_scale) == (b.T, b.col_scale, b.rhs_scale)
+    ref, new = pairs[0]
+    first, start = solve_feasibility(ref), solve_feasibility(new)
+    assert first == start
+    if first.status is LPStatus.INFEASIBLE:
+        d = fw.dimension
+        assert _farkas_quadric(d, first.dual) == ref_farkas_quadric(d, first.dual)
+        return
+    assert first.phase_one.splx.T == start.phase_one.splx.T
+    # The coordinates maximal_support_radon may maximize: zero in the first point.
+    total = fw.n + fw.m
+    for j in (j for j in range(total) if first.point[j] == 0):
+        assert maximize(replace(ref, objective=unit(total, j)), start=first) == maximize(
+            replace(new, objective=unit(total, j)), start=start)
+
+
+@st.composite
+def frameworks(draw, max_size=8):
+    """Frameworks from :func:`point_sets`, both classes nonempty."""
+    points = draw(point_sets(min_size=2, max_size=max_size))
+    n = draw(st.integers(1, len(points) - 1))
+    return BipartiteFramework(len(points[0]), tuple(points[:n]), tuple(points[n:]))
+
+
+@pytest.mark.parametrize(
+    "fw",
+    [fx.framework for fx in all_fixtures().values()] + [k10x10(seed) for seed in (1, 2, 3)],
+)
+def test_balance_lp_matches_fraction_reference_on_fixtures(fw):
+    assert_same_balance_lp(fw)
+    assert maximize(ref_distance_problem(fw)) == maximize(_distance_problem(fw))
+
+
+#: Pivots on entries of 10**400 denominators make some examples take a
+#: second, so the LP properties draw fewer of them.
+LP_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+# The distance LP is left unsolved here: on 10**400 denominators its
+# solves take seconds, and its tableau is compared above.
+@LP_SETTINGS
+@given(frameworks())
+def test_balance_lp_matches_fraction_reference(fw):
+    assert_same_balance_lp(fw)
+
+
+def skipped_coordinates(fw) -> list[int]:
+    """Coordinates outside the support that ``maximal_support_radon`` never maximized."""
+    maximized = []
+    solve = lp.maximize
+
+    def recorded(prob, start=None):
+        maximized.append(prob.objective.index(1))
+        return solve(prob, start=start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "maximize", recorded)
+        cert = maximal_support_radon(fw)
+    if not isinstance(cert, RadonCertificate):
+        return []
+    values = cert.lambdas + cert.mus
+    return [j for j, v in enumerate(values) if v == 0 and j not in maximized]
+
+
+def ref_relative_interior(fw) -> list[F]:
+    """A relative-interior point of the balance region, by reference solves.
+
+    The mean of a feasible point and every coordinate's maximizer with a
+    positive optimum is positive on exactly the maximal support.
+    """
+    ref = ref_radon_problem(fw)
+    first = solve_feasibility(ref)
+    points = [first.point]
+    total = fw.n + fw.m
+    for j in range(total):
+        out = maximize(replace(ref, objective=unit(total, j)), start=first)
+        if out.value > 0:
+            points.append(out.point)
+    return [sum(column) / len(points) for column in zip(*points)]
+
+
+def assert_skips_are_zero(fw) -> int:
+    """Every dual-skipped coordinate is zero in a reference relative-interior point."""
+    skipped = skipped_coordinates(fw)
+    if skipped:
+        point = ref_relative_interior(fw)
+        assert [point[j] for j in skipped] == [0] * len(skipped)
+    return len(skipped)
+
+
+def test_dual_skips_are_zero_on_fixtures():
+    # The fixtures maximize every coordinate they leave out; the two line
+    # frameworks, each with one P point on the Q point, have coordinates
+    # that a zero optimum's dual shows to vanish.
+    cases = [fx.framework for fx in all_fixtures().values()]
+    cases += [
+        BipartiteFramework.from_lists(
+            1, [[-2], [F(-1, 12)], [1], [F(-7, 4)], [13]], [[-2]]),
+        BipartiteFramework.from_lists(
+            1, [[-1], [F(7, 8)], [F(8, 9)], [F(-3, 7)]], [[-1], [F(9, 7)]]),
+    ]
+    assert sum(assert_skips_are_zero(fw) for fw in cases) >= 4
+
+
+@LP_SETTINGS
+@given(frameworks())
+def test_dual_skips_are_zero(fw):
+    assert_skips_are_zero(fw)
+
+
+def test_balance_lp_builds_and_reads_on_ints(fraction_products):
+    # The balance and distance LPs of K(10,10) seed 1 and of a separated
+    # fixture are built, and that fixture's Farkas quadric is read, with no
+    # Fraction product.
+    rigid, separated = k10x10(1), fixture("k33_split").framework
+    farkas = solve_feasibility(_radon_problem(separated))
+    assert farkas.status is LPStatus.INFEASIBLE
+    fraction_products.clear()
+    F(1, 2) * F(1, 3)
+    assert len(fraction_products) == 1  # the counter sees a product
+    fraction_products.clear()
+    for fw in (rigid, separated):
+        _radon_problem(fw)
+        _distance_problem(fw)
+    cert = _farkas_quadric(separated.dimension, farkas.dual)
+    assert fraction_products == []
+    assert verify_separation(cert, separated)

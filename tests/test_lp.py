@@ -21,26 +21,38 @@ from bipartite_rigidity.separation import _radon_problem
 from conftest import k10x10, oracle_lp
 
 
+def stated(prob: LPProblem) -> tuple[list, list]:
+    """The rational rows and rhs that a cleared problem stands for."""
+    rows = [[F(v, s) for v, s in zip(row, prob.col_scale)] for row in prob.rows]
+    return rows, [F(b, prob.rhs_scale) for b in prob.rhs]
+
+
 def column_products(prob: LPProblem, y) -> list:
     """``y^T A_j`` for every column ``j`` of the problem."""
+    rows, _ = stated(prob)
     return [
-        sum((row[j] * y[i] for i, row in enumerate(prob.rows)), ZERO)
+        sum((row[j] * y[i] for i, row in enumerate(rows)), ZERO)
         for j in range(prob.n_vars)
     ]
+
+
+def rhs_product(prob: LPProblem, y):
+    """``y^T b`` for the problem's rhs ``b``."""
+    return sum((b * v for b, v in zip(stated(prob)[1], y)), ZERO)
 
 
 def farkas_refutes(prob: LPProblem, y) -> bool:
     """Check a Farkas vector exactly: ``y^T A <= 0`` and ``y^T b > 0``."""
     if any(col > 0 for col in column_products(prob, y)):
         return False
-    return sum((b * y[i] for i, b in enumerate(prob.rhs)), ZERO) > 0
+    return rhs_product(prob, y) > 0
 
 
 def check_feasible_point(prob: LPProblem, x) -> bool:
     """Exact re-verification that ``x >= 0`` satisfies every row."""
     if len(x) != prob.n_vars or any(v < 0 for v in x):
         return False
-    for row, b in zip(prob.rows, prob.rhs):
+    for row, b in zip(*stated(prob)):
         if sum((c * v for c, v in zip(row, x) if c), ZERO) != b:
             return False
     return True
@@ -283,7 +295,7 @@ def test_optimal_dual_matches_value(rng):
         prob = LPProblem.create(rows, rhs, n, objective=objective)
         out = maximize(prob)
         if out.status is LPStatus.OPTIMAL:
-            assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == out.value
+            assert rhs_product(prob, out.dual) == out.value
             assert dual_feasible(prob, out.dual)
             count += 1
     assert count > 5
@@ -305,7 +317,7 @@ def test_redundant_row_keeps_artificial_basic():
         assert out.status is LPStatus.OPTIMAL
         assert out.value == 10
         assert check_feasible_point(prob, out.point)
-        assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == 10
+        assert rhs_product(prob, out.dual) == 10
         assert dual_feasible(prob, out.dual)
 
 
@@ -447,5 +459,5 @@ def test_scaled_problems_solve_alike(constraints, objective, scales, t, w, negat
             assert out.value == base.value * value_factor
             assert list(out.dual) == [y * dual_factor for y in base.dual]
             assert check_feasible_point(prob, out.point)
-            assert sum(y * b for y, b in zip(out.dual, prob.rhs)) == out.value
+            assert rhs_product(prob, out.dual) == out.value
             assert dual_feasible(prob, out.dual)
