@@ -7,12 +7,13 @@ invertible affine map and keeps every span dimension, and the integer
 difference rows are reduced by the shared fraction-free Gauss-Jordan
 kernel (:func:`_reduce_ints` over :func:`~.lp.pivot_rows`), reading only
 the pivots.  So dimension comparisons are exact and no ``Fraction`` is
-built on the way.  :func:`row_reduce` runs the same kernel for callers
-that need the reduced rows themselves.  The Veronese lift sends a point
-``v`` of d-space to the rank-one symmetric matrix ``v^ v^T`` (with a
-trailing 1 appended to ``v``), turning questions about separating quadrics
-into questions about separating hyperplanes in the space of symmetric
-matrices.
+built on the way.  Callers that need the reduced rows themselves (the
+projection in :mod:`.reduction`, the stress cross block) read them off
+:func:`_reduce_ints` as integers over its denominator.  The Veronese lift
+sends a point ``v`` of d-space to the rank-one symmetric matrix
+``v^ v^T`` (with a trailing 1 appended to ``v``), turning questions about
+separating quadrics into questions about separating hyperplanes in the
+space of symmetric matrices.
 """
 
 from __future__ import annotations
@@ -202,21 +203,6 @@ def _span_dim(ints: Sequence[Sequence[int]]) -> int:
     """Affine span dimension of nonempty integer points: the rank of their differences."""
     base = ints[0]
     return len(_reduce_ints([[a - b for a, b in zip(pt, base)] for pt in ints[1:]])[0])
-
-
-def row_reduce(rows: list[list[Fraction]]) -> list[int]:
-    """Bring ``rows`` to reduced row echelon form in place.
-
-    Returns the pivot columns: row ``k`` has its leading one in column
-    ``pivots[k]`` and every row past ``len(pivots)`` is zero.  Each row is
-    first scaled to integers, which keeps the row space; the reduction then
-    runs on integers over one common denominator (:func:`_reduce_ints`) and
-    the rows are written back as ``Fraction`` once.
-    """
-    ints = _int_rows(rows)
-    pivots, den = _reduce_ints(ints)
-    rows[:] = [[Fraction(v, den) for v in row] for row in ints]
-    return pivots
 
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:

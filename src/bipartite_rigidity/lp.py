@@ -161,7 +161,8 @@ def pivot_rows(rows: list[list[int]], r: int, c: int, den: int) -> int:
     every entry is a minor of the starting matrix up to sign (Edmonds 1967;
     Bareiss 1968), so every division is exact.  ``rows[r][c]`` must be
     nonzero.  This is the one row operation behind the simplex, ranks,
-    null spaces and projectors.
+    null spaces, the stress cross block and the projection of a certified
+    set.
     """
     pivot = rows[r]
     p = pivot[c]
@@ -271,7 +272,7 @@ class _Simplex:
 
     def phase1(self) -> bool:
         width = self.nx + self.m + 1
-        rc = [-sum(self.T[i][j] for i in range(self.m)) for j in range(width)]
+        rc = [-sum(col) for col in zip(*self.T[: self.m])] if self.m else [0] * width
         rc[self.nx:-1] = [0] * self.m
         self.T[-1] = rc
         # The artificial sum is bounded below by zero, so hitting zero is

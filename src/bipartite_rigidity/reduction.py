@@ -6,6 +6,10 @@ certified set's affine hull (collapsing it to a single cone point), then
 rescale every remaining vertex along its ray from the cone point into a
 common affine hyperplane.  Both operations are computed exactly in ambient
 rational coordinates; no irrational re-coordinatization is ever needed.
+The projection runs on the coordinates cleared by one common denominator
+and the shared fraction-free reduction (:func:`~.geometry._reduce_ints`);
+its images come out as integers over one denominator, and each coordinate
+becomes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     BipartiteFramework,
@@ -21,9 +25,10 @@ from .geometry import (
     affine_spans_equal,
     in_affine_span,
     linear_rank,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
-    row_reduce,
+    _cleared,
+    _reduce_ints,
 )
-from .lp import ZERO, ONE
+from .lp import ZERO
 
 
 class ClosureViolated(ValueError):
@@ -79,78 +84,47 @@ def span_invariant_holds(fw: BipartiteFramework, known: KnownSet) -> bool:
     return affine_spans_equal(a, b)
 
 
-def orthogonal_projector(points: Sequence[Point]) -> list[list[Fraction]]:
-    """The exact matrix projecting along the affine hull's directions.
-
-    With ``B`` the nonzero rows of the reduced echelon form of the hull's
-    difference vectors, the projector is ``I - B^T (B B^T)^{-1} B``; the
-    product ``(B B^T)^{-1} B`` is solved by row reducing ``[B B^T | B]``.
-    For a single point the hull has no directions and the projector is the
-    identity.
-    """
-    d = len(points[0])
-    base = points[0]
-    diffs = [[a - b for a, b in zip(pt, base)] for pt in points[1:]]
-    basis = diffs[: len(row_reduce(diffs))]
-    system = [
-        [sum((a * b for a, b in zip(u, v) if a and b), ZERO) for v in basis] + u
-        for u in basis
-    ]
-    row_reduce(system)
-    k = len(basis)
-    return [
-        [
-            (ONE if i == j else ZERO)
-            - sum((basis[a][i] * system[a][k + j] for a in range(k) if basis[a][i]), ZERO)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-
-
-def _apply(matrix: Sequence[Sequence[Fraction]], v: Point) -> Point:
-    return tuple(
-        sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in matrix
-    )
-
-
 def project_out_known_set(
     fw: BipartiteFramework, known: KnownSet
 ) -> tuple[Point, list[Point], list[Point]]:
     """Collapse the certified set to a single cone point, exactly.
 
-    Returns the cone point and the projected complement vertices of each
-    class (in increasing index order).  Requires that no complement vertex
-    lies in the certified set's affine hull, which the closure step
-    guarantees.
+    Returns the cone point (the image of the first certified vertex) and
+    the projected complement vertices of each class (in increasing index
+    order).  The projection along the certified hull's directions is
+    ``x - B^T (B B^T)^{-1} B x`` for any basis ``B`` of them, so it runs on
+    the points cleared by one common denominator ``c``: ``B`` is the
+    nonzero rows of the reduced integer difference rows, one fraction-free
+    reduction of ``[B B^T | B X]`` over ``den`` gives ``(B B^T)^{-1} B X``
+    for every cleared point ``X`` at once, and each image coordinate is one
+    ``Fraction`` over ``den * c``.  Requires that no complement vertex lies
+    in the certified set's affine hull, which the closure step guarantees.
     """
     if known.is_empty():
         raise ValueError("cannot project out an empty certified set")
-    anchor_pts = known.points(fw)
-    proj = orthogonal_projector(anchor_pts)
-    p0 = _apply(proj, anchor_pts[0])
-    for pt in anchor_pts[1:]:
-        if _apply(proj, pt) != p0:
-            raise AssertionError("projector must collapse the certified hull")
-    marked_p = set(known.p_indices)
-    marked_q = set(known.q_indices)
-    out_p: list[Point] = []
-    out_q: list[Point] = []
-    for i, pt in enumerate(fw.points_p):
-        if i in marked_p:
-            continue
-        image = _apply(proj, pt)
-        if image == p0:
-            raise ClosureViolated(f"class-P vertex {i} projects onto the cone point")
-        out_p.append(image)
-    for j, pt in enumerate(fw.points_q):
-        if j in marked_q:
-            continue
-        image = _apply(proj, pt)
-        if image == p0:
-            raise ClosureViolated(f"class-Q vertex {j} projects onto the cone point")
-        out_q.append(image)
-    return p0, out_p, out_q
+    anchors = known.points(fw)
+    comp = [("P", i, pt) for i, pt in enumerate(fw.points_p) if i not in known.p_indices]
+    n_p = len(comp)
+    comp += [("Q", j, pt) for j, pt in enumerate(fw.points_q) if j not in known.q_indices]
+    ints, c = _cleared(anchors + [pt for _, _, pt in comp])
+    base = ints[0]
+    basis = [[a - b for a, b in zip(pt, base)] for pt in ints[1 : len(anchors)]]
+    basis = basis[: len(_reduce_ints(basis)[0])]
+    targets = [base] + ints[len(anchors) :]
+    system = [[sum(a * b for a, b in zip(u, v)) for v in basis + targets] for u in basis]
+    _, den = _reduce_ints(system)
+    k = len(basis)
+    nums = [
+        [den * v - sum(b[j] * row[k + t] for b, row in zip(basis, system))
+         for j, v in enumerate(x)]
+        for t, x in enumerate(targets)
+    ]
+    for (cls, idx, _), num in zip(comp, nums[1:]):
+        if num == nums[0]:
+            raise ClosureViolated(f"class-{cls} vertex {idx} projects onto the cone point")
+    scale = den * c
+    images = [tuple(Fraction(v, scale) for v in num) for num in nums]
+    return images[0], images[1 : 1 + n_p], images[1 + n_p :]
 
 
 def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]:
@@ -190,7 +164,7 @@ def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]
 
 
 def slide_to_hyperplane(
-    p0: Point, points: Sequence[Point], functional: Optional[Sequence[Fraction]] = None
+    p0: Point, points: Sequence[Point], functional: Sequence[Fraction]
 ) -> list[Point]:
     """Rescale each vertex along its ray from the cone point.
 
@@ -199,7 +173,7 @@ def slide_to_hyperplane(
     Coincident outputs are permitted; rescaling along rays preserves both
     rigidity notions being decided.
     """
-    c = tuple(functional) if functional is not None else slide_functional(p0, points)
+    c = tuple(functional)
     out = []
     for v in points:
         diff = tuple(a - b for a, b in zip(v, p0))

@@ -34,9 +34,11 @@ before the build.
 
 The floating quantities (recorded equilibrium residual, balance of
 read-back diagonals, coupling directions) read the prescaled coordinates
-``X / 2**k`` (:func:`prescale`): the integer copy ``X`` shifted so its
-largest magnitude is at most :data:`COORD_CAP`.  Each is one correctly
-rounded integer division, the same float as converting the exact rational.
+``X / 2**k`` (:func:`_hatted`): the integer copy ``X`` shifted so its
+largest magnitude is at most :data:`COORD_CAP`.  Scaling the configuration
+leaves equilibrium kernels and balance certificates untouched.  Each
+coordinate is one correctly rounded integer division, the same float as
+converting the exact rational.
 
 An optional diagonal coupling ``C`` generalizes the construction: with
 ``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
@@ -131,23 +133,6 @@ def _prescaled(fw: BipartiteFramework) -> tuple[list[list[int]], int, int]:
     peak = max((abs(v) for pt in ints for v in pt), default=0)
     shift = (-(-peak // COORD_CAP) - 1).bit_length() if peak > COORD_CAP else 0
     return ints, c, shift
-
-
-def prescale(fw: BipartiteFramework) -> BipartiteFramework:
-    """Rescale coordinates for floating conversion, exactly.
-
-    Clears the common denominator ``c`` and then divides by the least power
-    of two that brings the largest coordinate magnitude to at most
-    ``COORD_CAP``.  Scaling the configuration leaves equilibrium kernels and
-    balance certificates untouched, so the floating checks and the coupling
-    directions read the scaled coordinates (:func:`_hatted` takes them
-    straight from the integer copy).
-    """
-    ints, c, shift = _prescaled(fw)
-    if c == 1 << shift:
-        return fw
-    scaled = [tuple(Fraction(v, 1 << shift) for v in pt) for pt in ints]
-    return BipartiteFramework(fw.dimension, tuple(scaled[: fw.n]), tuple(scaled[fw.n :]))
 
 
 def _hatted(fw: BipartiteFramework) -> np.ndarray:

@@ -42,6 +42,36 @@ def k10x10(seed: int) -> BipartiteFramework:
     return BipartiteFramework(3, tuple(pt() for _ in range(10)), tuple(pt() for _ in range(10)))
 
 
+def flag(seed: int) -> BipartiteFramework:
+    """A multi-pass instance in d=3 from ``random.Random(seed)``: a line, a plane, then space.
+
+    The classes alternate along distinct points of the x-axis, so the first
+    balanced pass certifies the line; further points of both classes lie in
+    the plane z=0 and then in general space, so later passes project out a
+    certified set and record a cone point.
+    """
+    rng = random.Random(seed)
+
+    def rat():
+        return F(rng.randint(-16, 16), rng.randint(1, 16))
+
+    xs: set[F] = set()
+    size = rng.randint(4, 6)
+    while len(xs) < size:
+        xs.add(rat())
+    p: list[tuple] = []
+    q: list[tuple] = []
+    for k, x in enumerate(sorted(xs)):
+        (p if k % 2 == 0 else q).append((x, F(0), F(0)))
+    for _ in range(rng.randint(2, 4)):
+        p.append((rat(), rat(), F(0)))
+        q.append((rat(), rat(), F(0)))
+    for _ in range(rng.randint(1, 3)):
+        p.append((rat(), rat(), rat()))
+        q.append((rat(), rat(), rat()))
+    return BipartiteFramework(3, tuple(p), tuple(q))
+
+
 def thin_image(fw: BipartiteFramework, factor=F(1, 10**5)) -> BipartiteFramework:
     """The affine image of ``fw`` with its last coordinate multiplied by ``factor``."""
 
@@ -86,6 +116,36 @@ def line_strictly_separable(fw: BipartiteFramework) -> bool:
     return False
 
 
+# -- Fraction Gauss-Jordan reference ------------------------------------------
+
+
+def fraction_pivot(rows, r: int, c: int) -> None:
+    """One Gauss-Jordan step on ``Fraction`` rows, in place.
+
+    Row ``r`` is divided by its entry in column ``c``, and that multiple of
+    it is subtracted from every other row with a nonzero entry there.
+    """
+    rows[r] = pivot = [v / rows[r][c] for v in rows[r]]
+    for k, row in enumerate(rows):
+        f = row[c]
+        if k != r and f:
+            rows[k] = [a - f * b for a, b in zip(row, pivot)]
+
+
+def fraction_rref(rows) -> list[int]:
+    """Reduced row echelon form of ``Fraction`` rows, in place; returns the pivot columns."""
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        fraction_pivot(rows, rank, col)
+        pivots.append(col)
+    return pivots
+
+
 # -- brute-force LP oracle (vertex and ray enumeration) ----------------------
 
 
@@ -105,13 +165,7 @@ def _solve_support(rows, rhs, support):
         if piv is None:
             return None  # dependent columns: skip, smaller support covers it
         aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = aug[rank]
-        pv = prow[col]
-        aug[rank] = prow = [v / pv for v in prow]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], prow)]
+        fraction_pivot(aug, rank, col)
         pivots.append((rank, col))
         rank += 1
     for r in range(rank, m):
@@ -128,29 +182,13 @@ def _null_on_support(rows, support):
     m = len(rows)
     k = len(support)
     work = [[rows[i][j] for j in support] for i in range(m)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(rank, m) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        pv = prow[col]
-        work[rank] = prow = [v / pv for v in prow]
-        for r in range(m):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b if b else a for a, b in zip(work[r], prow)]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(k) if c not in pivot_cols]
+    pivots = fraction_rref(work)
+    free = [c for c in range(k) if c not in pivots]
     if len(free) != 1:
         return None
     vec = [ZERO] * k
     vec[free[0]] = ONE
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         vec[c] = -work[r][free[0]]
     return vec
 

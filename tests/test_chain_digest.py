@@ -21,9 +21,9 @@ import random
 
 from bipartite_rigidity.engine import rigidity_test
 from bipartite_rigidity.fixtures import all_fixtures
-from conftest import k10x10, random_framework
+from conftest import flag, k10x10, random_framework
 
-DIGEST = "f031a14fa6e75d30c77e38cb4132d4caa4b385fa9d5c14ef3b2fe42eddd228d8"
+DIGEST = "3122e36eebf1c2d92a9d311a41772fd71893a98913e900a53e73477e40acac6a"
 
 
 def _rats(values):
@@ -56,7 +56,12 @@ def chain_fields(verdict, chain) -> list:
 def corpus():
     frameworks = [fx.framework for fx in all_fixtures().values()]
     rng = random.Random(7)
-    return frameworks + [random_framework(rng) for _ in range(30)] + [k10x10(1), k10x10(2)]
+    return (
+        frameworks
+        + [random_framework(rng) for _ in range(30)]
+        + [k10x10(1), k10x10(2)]
+        + [flag(seed) for seed in range(1, 11)]
+    )
 
 
 def test_chain_digest_is_pinned():

@@ -13,10 +13,11 @@ from bipartite_rigidity.geometry import (
     BipartiteFramework,
     EmptyInput,
     SymmetricMatrix,
+    _int_rows,
+    _reduce_ints,
     affine_span_dim,
     in_affine_span,
     linear_rank,
-    row_reduce,
     veronese,
 )
 
@@ -73,20 +74,22 @@ def test_rank_and_null_vector(matrix):
     assert rank == linear_rank([list(col) for col in zip(*rows)])
     # Each non-pivot column of the reduced form gives a null vector, so
     # the null space has dimension ``cols - rank``.
-    reduced = [list(row) for row in rows]
-    pivots = row_reduce(reduced)
+    reduced = _int_rows(rows)
+    pivots, den = _reduce_ints(reduced)
     assert len(pivots) == rank
-    # True reduced row echelon form, written back as Fractions: a leading
-    # one at each pivot, zeros elsewhere in its column, zero rows last.
+    # True reduced row echelon form on integers over ``den``: ``den`` at
+    # each pivot, zeros before it and elsewhere in its column, zero rows
+    # last, and every entry an int.
+    assert type(den) is int and den > 0
     assert pivots == sorted(set(pivots))
-    assert all(type(v) is F for row in reduced for v in row)
+    assert all(type(v) is int for row in reduced for v in row)
     for r, c in enumerate(pivots):
-        assert not any(reduced[r][:c]) and reduced[r][c] == 1
+        assert not any(reduced[r][:c]) and reduced[r][c] == den
         assert all(row[c] == 0 for k, row in enumerate(reduced) if k != r)
     assert not any(v for row in reduced[rank:] for v in row)
     for free in (c for c in range(cols) if c not in pivots):
-        x = [F(0)] * cols
-        x[free] = F(1)
+        x = [0] * cols
+        x[free] = den
         for r, c in enumerate(pivots):
             x[c] = -reduced[r][free]
         assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)

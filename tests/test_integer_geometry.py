@@ -1,4 +1,4 @@
-"""The integer span, certificate, residual and balance-LP code against Fraction references.
+"""Integer spans, certificates, residuals, balance LP and projection against Fraction references.
 
 Each ``ref_*`` function below is the plain rational computation that the
 package now does on cleared integers.  The property tests draw point sets in
@@ -38,8 +38,9 @@ from bipartite_rigidity.separation import (
     verify_radon,
     verify_separation,
 )
-from bipartite_rigidity.stress import COORD_CAP, equilibrium_residual, prescale
-from conftest import k10x10
+from bipartite_rigidity.reduction import ClosureViolated, KnownSet, project_out_known_set
+from bipartite_rigidity.stress import COORD_CAP, _hatted, _prescaled, equilibrium_residual
+from conftest import flag, fraction_rref, k10x10
 
 BIG = 10**400
 
@@ -89,19 +90,7 @@ def ref_form(matrix: SymmetricMatrix, point) -> F:
 def affine_dependence(points):
     """A nonzero ``v`` with ``sum v_i (p_i, 1) = 0``, or None, by Fraction RREF."""
     rows = [list(r) for r in zip(*([*pt, F(1)] for pt in points))]
-    pivots = []
-    for col in range(len(points)):
-        rank = len(pivots)
-        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
+    pivots = fraction_rref(rows)
     free = next((c for c in range(len(points)) if c not in pivots), None)
     if free is None:
         return None
@@ -146,6 +135,50 @@ def ref_prescaled(fw) -> list[tuple[F, ...]]:
         scale /= 2
         peak /= 2
     return [tuple(scale * c for c in pt) for pt in fw.all_points()]
+
+
+def ref_projector(points) -> list[list[F]]:
+    """The projector ``I - B^T (B B^T)^{-1} B`` along the hull's directions, on Fractions.
+
+    ``B`` is the nonzero RREF rows of the difference vectors and
+    ``(B B^T)^{-1} B`` is read off the RREF of ``[B B^T | B]``; for one
+    point the hull has no directions and the projector is the identity.
+    """
+    d = len(points[0])
+    diffs = [[a - b for a, b in zip(pt, points[0])] for pt in points[1:]]
+    basis = diffs[: len(fraction_rref(diffs))]
+    system = [[sum((a * b for a, b in zip(u, v)), F(0)) for v in basis] + u for u in basis]
+    fraction_rref(system)
+    k = len(basis)
+    return [
+        [int(i == j) - sum((basis[a][i] * system[a][k + j] for a in range(k)), F(0))
+         for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def ref_project_out(fw, known):
+    """The cone point and projected complements by ``Fraction`` matrix products."""
+    if known.is_empty():
+        raise ValueError("cannot project out an empty certified set")
+    proj = ref_projector(known.points(fw))
+
+    def apply(v):
+        return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in proj)
+
+    p0 = apply(known.points(fw)[0])
+    out = []
+    for cls, points, marked in (("P", fw.points_p, known.p_indices),
+                                ("Q", fw.points_q, known.q_indices)):
+        out.append([])
+        for i, pt in enumerate(points):
+            if i in marked:
+                continue
+            image = apply(pt)
+            if image == p0:
+                raise ClosureViolated(f"class-{cls} vertex {i} projects onto the cone point")
+            out[-1].append(image)
+    return p0, out[0], out[1]
 
 
 def ref_residual(omega, fw) -> float:
@@ -325,14 +358,24 @@ def test_verify_separation_matches_reference(data):
 # -- floating read-out -----------------------------------------------------------
 
 
+def assert_prescaled_like_reference(fw) -> None:
+    """``_prescaled`` gives the halving loop's rationals and ``_hatted`` their floats, bit for bit."""
+    ints, _, shift = _prescaled(fw)
+    scaled = ref_prescaled(fw)
+    assert [tuple(F(v, 1 << shift) for v in pt) for pt in ints] == scaled
+    reference = np.array([[float(c) for c in pt] + [1.0] for pt in scaled]).T
+    hatted = _hatted(fw)
+    assert hatted.shape == reference.shape and hatted.tobytes() == reference.tobytes()
+
+
 # The reference's halving loop is slow on 10**400-sized coordinates.
 @settings(max_examples=50, deadline=None)
 @given(point_sets(), st.integers(0, 2**32 - 1))
 def test_prescale_and_residual_match_reference(points, seed):
     # The integer clear plus shift gives the rationals of the halving loop,
-    # and the residual reads the bit-identical floats.
+    # and the prescaled floats and the residual are the bit-identical floats.
     fw = BipartiteFramework(len(points[0]), tuple(points[:1]), tuple(points[1:]))
-    assert list(prescale(fw).all_points()) == ref_prescaled(fw)
+    assert_prescaled_like_reference(fw)
     k = len(points)
     omega = np.random.default_rng(seed).standard_normal((k, k))
     assert equilibrium_residual(omega, fw) == ref_residual(omega, fw)
@@ -344,7 +387,7 @@ def test_prescale_shift_at_powers_of_two(peak, den):
     # The shift is the least one that brings the peak to at most COORD_CAP,
     # including peaks exactly at COORD_CAP times a power of two.
     fw = BipartiteFramework.from_lists(1, [[F(peak, den)]], [[F(1, den)]])
-    assert list(prescale(fw).all_points()) == ref_prescaled(fw)
+    assert_prescaled_like_reference(fw)
 
 
 # -- the verifiers stay on ints --------------------------------------------------
@@ -561,3 +604,46 @@ def test_balance_lp_builds_and_reads_on_ints(fraction_products):
     cert = _farkas_quadric(separated.dimension, farkas.dual)
     assert fraction_products == []
     assert verify_separation(cert, separated)
+
+
+# -- the projection of a certified set on integers -------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_project_out_matches_fraction_reference(data):
+    # Random known sets, ones whose hull swallows a complement vertex
+    # included: the same images, or the same error.
+    points = data.draw(point_sets(d=data.draw(st.integers(1, 3)), min_size=2, max_size=8))
+    fw = split(data.draw, points)
+    known = KnownSet.of(
+        data.draw(st.lists(st.integers(0, fw.n - 1), min_size=1, max_size=fw.n)),
+        data.draw(st.lists(st.integers(0, fw.m - 1), max_size=fw.m)) if fw.m else [],
+    )
+    with pytest.raises(ValueError, match="empty certified set"):
+        project_out_known_set(fw, KnownSet.empty())
+    try:
+        expected = ref_project_out(fw, known)
+    except ValueError as err:  # ClosureViolated is a ValueError
+        with pytest.raises(type(err)) as raised:
+            project_out_known_set(fw, known)
+        assert str(raised.value) == str(err)
+    else:
+        assert project_out_known_set(fw, known) == expected
+
+
+def test_project_out_runs_on_ints(fraction_products):
+    # flag seed 1 certifies a line, then a plane; projecting out its second
+    # known set gives the recorded cone point and multiplies no Fraction.
+    fw = flag(1)
+    record = next(r for r in rigidity_test(fw)[1].records if r.cone_point is not None)
+    known = KnownSet(record.known_p, record.known_q)
+    assert len(known.points(fw)) > 2
+    fraction_products.clear()
+    F(1, 2) * F(1, 3)
+    assert len(fraction_products) == 1  # the counter sees a product
+    fraction_products.clear()
+    p0, proj_p, proj_q = project_out_known_set(fw, known)
+    assert fraction_products == []
+    assert p0 == record.cone_point
+    assert (p0, proj_p, proj_q) == ref_project_out(fw, known)

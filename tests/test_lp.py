@@ -18,7 +18,7 @@ from bipartite_rigidity.lp import (
     solve_feasibility,
 )
 from bipartite_rigidity.separation import _radon_problem
-from conftest import k10x10, oracle_lp
+from conftest import fraction_pivot, k10x10, oracle_lp
 
 
 def stated(prob: LPProblem) -> tuple[list, list]:
@@ -65,7 +65,7 @@ def dual_feasible(prob: LPProblem, y) -> bool:
 
 def test_pivot_rows_matches_fraction_gauss_jordan(rng):
     # Random pivot sequences, including re-pivots on a row already used and
-    # negative pivots, against a Fraction Gauss-Jordan step written here.
+    # negative pivots, against the Fraction Gauss-Jordan step of conftest.
     negative = 0
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
@@ -82,11 +82,7 @@ def test_pivot_rows_matches_fraction_gauss_jordan(rng):
             den = pivot_rows(rows, r, c, den)
             assert den == abs(piv) and den > 0
             assert all(type(v) is int for row in rows for v in row)
-            ref[r] = [v / ref[r][c] for v in ref[r]]
-            ref = [
-                row if k == r else [a - row[c] * b for a, b in zip(row, ref[r])]
-                for k, row in enumerate(ref)
-            ]
+            fraction_pivot(ref, r, c)
             assert [[F(v, den) for v in row] for row in rows] == ref
     assert negative > 10  # sampling sanity: negative pivots do occur
 

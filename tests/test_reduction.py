@@ -14,12 +14,12 @@ from bipartite_rigidity.reduction import (
     DegeneratePoint,
     KnownSet,
     affine_closure,
-    orthogonal_projector,
     project_out_known_set,
     slide_functional,
     slide_to_hyperplane,
     span_invariant_holds,
 )
+from test_integer_geometry import ref_projector
 
 RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 
@@ -56,10 +56,11 @@ def point_sets(draw):
 
 @given(point_sets())
 def test_projector_idempotent(pts):
-    # Symmetric, idempotent, kills the hull's directions, and its trace is
-    # the codimension of the hull.
+    # The Fraction projector that project_out_known_set is checked against
+    # (test_integer_geometry.py) is symmetric, idempotent, kills the hull's
+    # directions, and its trace is the codimension of the hull.
     d = len(pts[0])
-    proj = orthogonal_projector(pts)
+    proj = ref_projector(pts)
     times = [
         [sum(proj[i][k] * proj[k][j] for k in range(d)) for j in range(d)]
         for i in range(d)
@@ -115,7 +116,7 @@ def test_rationality_preserved():
     p0, proj_p, _ = project_out_known_set(fw, known)
     for pt in [p0] + proj_p:
         assert all(isinstance(c, F) for c in pt)
-    slid = slide_to_hyperplane(p0, proj_p)
+    slid = slide_to_hyperplane(p0, proj_p, slide_functional(p0, proj_p))
     assert all(isinstance(c, F) for pt in slid for c in pt)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim, row_reduce
+from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
 from bipartite_rigidity.lp import ONE
 from bipartite_rigidity.separation import RadonCertificate, maximal_support_radon
 from bipartite_rigidity.stress import (
@@ -20,14 +20,14 @@ from bipartite_rigidity.stress import (
     ShapeMismatch,
     StressCertificate,
     _cross_block,
+    _hatted,
     build_super_stable_stress,
     equilibrium_residual,
     extract_balanced_diagonals,
     generalized_stress,
-    prescale,
     verify_super_stable_certificate,
 )
-from conftest import k10x10, thin_image
+from conftest import fraction_rref, k10x10, thin_image
 
 ALTERNATING = BipartiteFramework.from_lists(1, [[0], [2]], [[1], [3]])
 ALT_LAMBDAS = (F(1, 4), F(3, 4))
@@ -79,9 +79,7 @@ def test_diagonal_matches_input_exactly():
 
 def test_kernel_contains_configuration_rows():
     cert = alt_cert()
-    scaled = prescale(ALTERNATING)
-    hat = np.array([[float(c) for c in pt] + [1.0] for pt in scaled.all_points()]).T
-    assert np.max(np.abs(hat @ cert.omega)) <= 1e-12
+    assert np.max(np.abs(_hatted(ALTERNATING) @ cert.omega)) <= 1e-12
 
 
 def test_scaling_homogeneity():
@@ -279,7 +277,7 @@ def test_cross_block_exact_equilibrium():
 
 
 def fraction_cross_block(fw, lambdas, mus):
-    """``B = -L P^^T X`` with ``X`` read off the ``Fraction`` RREF of ``[G | Q^ M]``."""
+    """``B = -L P^^T X`` with ``X`` read off the ``Fraction`` RREF of ``[G | Q^ M]`` (conftest)."""
     hat = fw.dimension + 1
     p_hats = [tuple(p) + (ONE,) for p in fw.points_p]
     q_hats = [tuple(q) + (ONE,) for q in fw.points_q]
@@ -289,7 +287,7 @@ def fraction_cross_block(fw, lambdas, mus):
         for i in range(hat)
     ]
     x = [[F(0)] * fw.m for _ in range(hat)]
-    for row, col in zip(system, row_reduce(system)):
+    for row, col in zip(system, fraction_rref(system)):
         assert col < hat  # balance keeps every pivot off the right side
         x[col] = row[hat:]
     return [
