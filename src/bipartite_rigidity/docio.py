@@ -41,17 +41,46 @@ def _rat_to_str(v: Fraction) -> str:
     return str(v)
 
 
-def _rat_from(value: Any, locus: str) -> Fraction:
+def _at(locus: str, index: Optional[int]) -> str:
+    """``locus``, or its item ``locus[index]``; built only for an error message."""
+    return locus if index is None else f"{locus}[{index}]"
+
+
+def _plain_rational(text: str) -> Optional[Fraction]:
+    """``text`` read as ``"a"`` or ``"a/b"`` in plain decimal digits, else ``None``.
+
+    ``a`` may carry one leading ``-`` and ``b`` must be nonzero.  These are
+    the canonical spellings, and for them this gives what ``Fraction(text)``
+    gives, without its regular expression: the digit strings go to ``int``
+    exactly as ``Fraction`` passes them, so a digit-count limit raises the
+    same error.  Every other spelling returns ``None`` and is left to
+    ``Fraction(text)``.
+    """
+    num, slash, den = text.partition("/")
+    negative = num[:1] == "-"
+    digits = num[1:] if negative else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if slash and not (den.isascii() and den.isdigit() and den.strip("0")):
+        return None
+    numerator = int(digits)
+    return Fraction(-numerator if negative else numerator, int(den) if slash else 1)
+
+
+def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
     if isinstance(value, bool):
-        raise ParseError(f"{locus}: expected a rational, got a boolean")
+        raise ParseError(f"{_at(locus, index)}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            fast = _plain_rational(value)
+            return Fraction(value) if fast is None else fast
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{locus}: invalid rational {value!r} ({exc})") from None
-    raise ParseError(f"{locus}: expected an integer or 'a/b' string")
+            raise ParseError(
+                f"{_at(locus, index)}: invalid rational {value!r} ({exc})"
+            ) from None
+    raise ParseError(f"{_at(locus, index)}: expected an integer or 'a/b' string")
 
 
 def _float_to_str(v: float) -> str:
@@ -70,9 +99,9 @@ def _float_from(value: Any, locus: str) -> float:
     return number
 
 
-def _int_from(value: Any, locus: str) -> int:
+def _int_from(value: Any, locus: str, index: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{locus}: expected an integer")
+        raise ParseError(f"{_at(locus, index)}: expected an integer")
     return value
 
 
@@ -87,13 +116,13 @@ def _typed(value: Any, shape: type, locus: str) -> Any:
 
 def _rats_from(value: Any, locus: str) -> tuple[Fraction, ...]:
     return tuple(
-        _rat_from(v, f"{locus}[{k}]") for k, v in enumerate(_typed(value, list, locus))
+        _rat_from(v, locus, k) for k, v in enumerate(_typed(value, list, locus))
     )
 
 
 def _ints_from(value: Any, locus: str) -> tuple[int, ...]:
     return tuple(
-        _int_from(v, f"{locus}[{k}]") for k, v in enumerate(_typed(value, list, locus))
+        _int_from(v, locus, k) for k, v in enumerate(_typed(value, list, locus))
     )
 
 
@@ -143,9 +172,7 @@ def _points_from(doc: dict, key: str, d: int) -> tuple[Point, ...]:
             raise DimensionMismatch(
                 f"{locus}: got {len(coords)} coordinates in dimension {d}"
             )
-        points.append(
-            tuple(_rat_from(c, f"{locus}[{k}]") for k, c in enumerate(coords))
-        )
+        points.append(tuple(_rat_from(c, locus, k) for k, c in enumerate(coords)))
     return tuple(points)
 
 

@@ -5,7 +5,7 @@ integer coordinates: a point set is multiplied by the common denominator
 ``c`` of its coordinates once per call (:func:`_cleared`), which is an
 invertible affine map and keeps every span dimension, and the integer
 difference rows are reduced by the shared fraction-free Gauss-Jordan
-kernel (:func:`_reduce_ints` over :func:`~.lp.pivot_rows`), reading only
+kernel (:func:`~.lp._reduce_ints` over :func:`~.lp.pivot_rows`), reading only
 the pivots.  So dimension comparisons are exact and no ``Fraction`` is
 built on the way.  Callers that need the reduced rows themselves (the
 projection in :mod:`.reduction`, the stress cross block) read them off
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .lp import ZERO, ONE, _frac, _scale, pivot_rows
+from .lp import ZERO, ONE, _frac, _reduce_ints, _scale
 
 Point = tuple[Fraction, ...]
 
@@ -147,29 +147,6 @@ def veronese(v: Sequence) -> SymmetricMatrix:
 # -- exact elimination -------------------------------------------------------
 
 
-def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Reduced row echelon form of integer ``rows``, in place, fraction-free.
-
-    Returns the pivot columns and the positive common denominator ``den``:
-    the rows then stand for ``rows / den``, row ``k`` holds ``den`` in
-    column ``pivots[k]`` and zeros in the other pivot columns, and every row
-    past ``len(pivots)`` is zero.  Every entry stays an ``int``.
-    """
-    pivots: list[int] = []
-    den = 1
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        den = pivot_rows(rows, rank, col, den)
-        pivots.append(col)
-    return pivots, den
-
-
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Each row multiplied by its least common denominator; the row space stays."""
     out = []
@@ -217,28 +194,39 @@ def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
     return _span_dim(_cleared(points)[0])
 
 
-def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test that ``v`` lies in the affine span of ``points``.
+def _affine_members(
+    points: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]
+) -> list[bool]:
+    """Whether each candidate lies in the affine span of nonempty ``points``.
 
-    ``v`` and the hull are cleared by one common denominator, the hull's
-    integer difference rows are reduced once, and ``v - points[0]`` is
-    cleared against their pivots on integers (scaled by the kernel's
-    denominator at each step); it lies in their span iff nothing is left.
+    The points and the candidates are cleared by one common denominator,
+    the hull's integer difference rows are reduced once, and each
+    ``candidate - points[0]`` is cleared against their pivots on integers
+    (scaled by the kernel's denominator at each step); it lies in their
+    span iff nothing is left.
     """
+    ints, _ = _cleared([*points, *candidates])
+    base = ints[0]
+    rows = [[a - b for a, b in zip(pt, base)] for pt in ints[1 : len(points)]]
+    pivots, den = _reduce_ints(rows)
+    members = []
+    for x in ints[len(points) :]:
+        rest = [a - b for a, b in zip(x, base)]
+        for row, c in zip(rows, pivots):
+            f = rest[c]
+            if f:
+                rest = [den * a - f * b for a, b in zip(rest, row)]
+        members.append(not any(rest))
+    return members
+
+
+def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact test that ``v`` lies in the affine span of ``points``, on cleared integers."""
     if not points:
         raise EmptyInput("affine span of an empty point set")
     if len(v) != len(points[0]):
         raise ValueError("dimension mismatch")
-    ints, _ = _cleared([v, *points])
-    base = ints[1]
-    rows = [[a - b for a, b in zip(pt, base)] for pt in ints[2:]]
-    pivots, den = _reduce_ints(rows)
-    rest = [a - b for a, b in zip(ints[0], base)]
-    for row, c in zip(rows, pivots):
-        f = rest[c]
-        if f:
-            rest = [den * a - f * b for a, b in zip(rest, row)]
-    return not any(rest)
+    return _affine_members(points, [v])[0]
 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:

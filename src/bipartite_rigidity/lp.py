@@ -19,6 +19,13 @@ Running the solver twice on the same problem produces the identical outcome:
 entering and leaving variables are chosen by Bland's smallest-index rule and
 no randomization is used anywhere.
 
+The tableau holds the structural columns and the rhs only.  Phase 1 starts
+from the artificial basis, but no artificial column is ever stored: the
+Farkas vector and the optimal duals, the only values read off those
+columns, are solved from the final basis (``y^T B = c_B``) the first time
+an outcome's ``dual`` is read, and an outcome whose dual is never read
+never pays for it.
+
 Phase 1 never reads the objective, so every problem with the same rows and
 rhs ends phase 1 in the same basis.  A FEASIBLE outcome of
 :func:`solve_feasibility` keeps that state, and :func:`maximize` can start
@@ -33,8 +40,9 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, partial
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -130,24 +138,37 @@ class LPProblem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPOutcome:
     """Solver result.
 
     ``point`` is an exact solution for FEASIBLE/OPTIMAL.  ``dual`` holds the
     equality-row multipliers ``y`` at an optimum (``y^T b`` is the optimal
     value and ``y^T A_j >= c_j`` on every column), or for INFEASIBLE a
-    Farkas vector ``y`` with ``y^T A <= 0`` and ``y^T b > 0``.  ``value`` is
-    the exact optimal objective value for OPTIMAL.  A FEASIBLE outcome of
-    :func:`solve_feasibility` also carries its phase-1 state, which
-    :func:`maximize` accepts as ``start``; it takes no part in comparisons.
+    Farkas vector ``y`` with ``y^T A <= 0`` and ``y^T b > 0``; it is
+    ``None`` otherwise.  The solver leaves it unsolved: ``solve_dual``
+    solves it from the final basis the first time ``dual`` is read, and the
+    result is kept.  ``value`` is the exact optimal objective value for
+    OPTIMAL.  A FEASIBLE outcome of :func:`solve_feasibility` also carries
+    its phase-1 state, which :func:`maximize` accepts as ``start``.
+    Outcomes compare by status, point, value and dual.
     """
 
     status: LPStatus
     point: Optional[tuple[Fraction, ...]] = None
-    dual: Optional[tuple[Fraction, ...]] = None
     value: Optional[Fraction] = None
-    phase_one: Optional[_PhaseOne] = field(default=None, compare=False, repr=False)
+    phase_one: Optional[_PhaseOne] = field(default=None, repr=False)
+    solve_dual: Optional[Callable[[], tuple[Fraction, ...]]] = field(default=None, repr=False)
+
+    @cached_property
+    def dual(self) -> Optional[tuple[Fraction, ...]]:
+        return None if self.solve_dual is None else self.solve_dual()
+
+    def __eq__(self, other):
+        if not isinstance(other, LPOutcome):
+            return NotImplemented
+        return (self.status, self.point, self.value, self.dual) == (
+            other.status, other.point, other.value, other.dual)
 
 
 def pivot_rows(rows: list[list[int]], r: int, c: int, den: int) -> int:
@@ -179,9 +200,71 @@ def pivot_rows(rows: list[list[int]], r: int, c: int, den: int) -> int:
     return p
 
 
+def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Reduced row echelon form of integer ``rows``, in place, fraction-free.
+
+    Returns the pivot columns and the positive common denominator ``den``:
+    the rows then stand for ``rows / den``, row ``k`` holds ``den`` in
+    column ``pivots[k]`` and zeros in the other pivot columns, and every row
+    past ``len(pivots)`` is zero.  Every entry stays an ``int``.
+    """
+    pivots: list[int] = []
+    den = 1
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        src = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        den = pivot_rows(rows, rank, col, den)
+        pivots.append(col)
+    return pivots, den
+
+
 def _scale(values) -> int:
     """The least positive integer that makes every value integral."""
     return lcm(*(v.denominator for v in values))
+
+
+def _basis_duals(
+    rows: Sequence[Sequence[int]],
+    flip: Sequence[int],
+    basis: Sequence[int],
+    cost: Sequence[int],
+    art: int,
+    scale: int,
+) -> tuple[Fraction, ...]:
+    """The multipliers ``y = c_B B^-1`` of a final basis, for the stated problem.
+
+    ``rows`` are the sign-flipped integer rows a tableau started from and
+    ``B`` their columns in ``basis``, where an artificial ``nx + i`` (``nx``
+    the width of ``cost``) stands for the unit column of row ``i``.  A
+    structural column ``j`` costs ``cost[j]`` and every artificial costs
+    ``art``.  ``y`` solves ``y^T B = c_B``: an artificial basic in row ``i``
+    fixes ``y_i = art``, and the other ``k`` multipliers solve the ``k x k``
+    system of the basic structural columns on the remaining rows, which is
+    nonsingular because ``B`` is, by one fraction-free reduction over one
+    denominator.  Undoing the row flips and dividing by ``scale`` states
+    ``y`` for the problem.  The reduced cost of artificial ``i`` is
+    ``art - y_i``, so these are the multipliers a tableau that kept the
+    artificial columns would show.
+    """
+    nx = len(cost)
+    fixed = {b - nx for b in basis if b >= nx}
+    free = [i for i in range(len(rows)) if i not in fixed]
+    system = [
+        [rows[i][j] for i in free] + [cost[j] - art * sum(rows[i][j] for i in fixed)]
+        for j in basis
+        if j < nx
+    ]
+    _, den = _reduce_ints(system)
+    y = [art * den] * len(rows)
+    for i, row in zip(free, system):
+        y[i] = row[-1]
+    den *= scale
+    return tuple(Fraction(v * f, den) for v, f in zip(y, flip))
 
 
 class _Simplex:
@@ -189,42 +272,42 @@ class _Simplex:
 
     ``T`` holds the ``m`` constraint rows followed by the reduced-cost row,
     all over the one positive denominator ``den``, so one
-    :func:`pivot_rows` call updates them all.  Columns ``nx`` onwards are
-    the artificials of phase 1 and the last column is the rhs, which is
-    the basic solution.  Exact arithmetic keeps every basic column a unit
+    :func:`pivot_rows` call updates them all.  Each row has the ``nx``
+    structural columns and then the rhs, which is the basic solution.
+    Phase 1 starts from the basis of artificials, artificial ``i`` (index
+    ``nx + i`` in ``basis``) being the unit column of row ``i``, but no
+    artificial column is stored: a row operation never mixes columns, so
+    the structural entries are those a tableau with the artificial block
+    would hold, and the Farkas vector and the duals, which that block would
+    show, are solved from the final basis instead (:meth:`farkas`,
+    :meth:`duals`).  Exact arithmetic keeps every basic column a unit
     column with reduced cost zero, so no per-variable status is stored: a
     column with a negative reduced cost, or with a nonzero entry in another
     basic variable's row, is nonbasic.
 
     The problem arrives cleared (:class:`LPProblem`), so the tableau is
     integral from the start and the constructor reads only ints.  The
-    column and rhs scales are kept: :meth:`solution` and :meth:`duals`
-    undo them, and the Farkas vector does not see them.
+    sign-flipped starting rows (``rows``, with ``flip``) and the column and
+    rhs scales are kept: :meth:`solution` and :meth:`duals` undo the
+    scales, and the Farkas vector does not see them.
     """
 
     def __init__(self, prob: LPProblem):
-        self.m = m = len(prob.rows)
+        self.m = len(prob.rows)
         self.nx = nx = prob.n_vars
         self.den = 1
         self.col_scale = prob.col_scale
         self.rhs_scale = prob.rhs_scale
+        self.cost: list[int] = []
         self.cost_scale = 1
-        self.flip: list[int] = []
-        T: list[list[int]] = []
-        for i, (row, b) in enumerate(zip(prob.rows, prob.rhs)):
-            if b < 0:
-                r = [-v for v in row]
-                b = -b
-                self.flip.append(-1)
-            else:
-                r = list(row)
-                self.flip.append(1)
-            art = [0] * m
-            art[i] = 1
-            T.append(r + art + [b])
-        T.append([0] * (nx + m + 1))
+        self.flip = [-1 if b < 0 else 1 for b in prob.rhs]
+        self.rows = [
+            row if f > 0 else tuple(-v for v in row) for row, f in zip(prob.rows, self.flip)
+        ]
+        T = [[*row, b * f] for row, b, f in zip(self.rows, prob.rhs, self.flip)]
+        T.append([0] * (nx + 1))
         self.T = T
-        self.basis = [nx + i for i in range(m)]
+        self.basis = [nx + i for i in range(self.m)]
 
     # -- pivoting core ---------------------------------------------------
 
@@ -271,10 +354,9 @@ class _Simplex:
     # -- phases ----------------------------------------------------------
 
     def phase1(self) -> bool:
-        width = self.nx + self.m + 1
-        rc = [-sum(col) for col in zip(*self.T[: self.m])] if self.m else [0] * width
-        rc[self.nx:-1] = [0] * self.m
-        self.T[-1] = rc
+        # Reduced costs of the artificial sum: minus each column sum.
+        if self.m:
+            self.T[-1] = [-sum(col) for col in zip(*self.T[: self.m])]
         # The artificial sum is bounded below by zero, so hitting zero is
         # already optimal; this skips degenerate pivots on homogeneous rows.
         outcome = self._run(stop_at_zero=True)
@@ -285,12 +367,13 @@ class _Simplex:
         self._drive_out_artificials()
         return True
 
-    def farkas(self) -> tuple[Fraction, ...]:
-        # Phase-1 duals read off the artificial columns: rc = 1 - y_i.
-        den, rc = self.den, self.T[-1]
-        return tuple(
-            Fraction((den - rc[self.nx + i]) * self.flip[i], den) for i in range(self.m)
-        )
+    def farkas(self) -> Callable[[], tuple[Fraction, ...]]:
+        """The solve of the phase-1 duals, a Farkas vector once phase 1 fails.
+
+        Phase 1 prices every artificial at 1 and every structural column at 0.
+        """
+        return partial(_basis_duals, self.rows, self.flip, list(self.basis),
+                       [0] * self.nx, 1, 1)
 
     def _drive_out_artificials(self) -> None:
         # An artificial left basic sits on a row that is zero in every
@@ -305,20 +388,22 @@ class _Simplex:
     def phase2(self, cost: Sequence[Fraction]) -> str:
         scaled = [v * s for v, s in zip(cost, self.col_scale)]
         self.cost_scale = _scale(scaled)
-        c = [v.numerator * (self.cost_scale // v.denominator) for v in scaled]
+        self.cost = c = [v.numerator * (self.cost_scale // v.denominator) for v in scaled]
         priced = [(c[b], row) for b, row in zip(self.basis, self.T) if b < self.nx and c[b]]
         self.T[-1] = [
             (c[j] * self.den if j < self.nx else 0) - sum(ci * row[j] for ci, row in priced)
-            for j in range(self.nx + self.m + 1)
+            for j in range(self.nx + 1)
         ]
         return self._run()
 
-    def duals(self) -> tuple[Fraction, ...]:
-        # rc of artificial column i is -y_i once its phase-2 cost is zero.
-        den, rc = self.den * self.cost_scale, self.T[-1]
-        return tuple(
-            Fraction(-rc[self.nx + i] * self.flip[i], den) for i in range(self.m)
-        )
+    def duals(self) -> Callable[[], tuple[Fraction, ...]]:
+        """The solve of the optimal duals ``y`` of the maximization.
+
+        Phase 2 minimized ``cost``, the negated objective, so ``y`` prices
+        the columns at ``-cost``; the artificials cost 0 there.
+        """
+        return partial(_basis_duals, self.rows, self.flip, list(self.basis),
+                       [-v for v in self.cost], 0, self.cost_scale)
 
     def solution(self) -> list[Fraction]:
         x = [ZERO] * self.nx
@@ -359,7 +444,7 @@ def solve_feasibility(prob: LPProblem) -> LPOutcome:
         raise MalformedProblem("feasibility problem must not carry an objective")
     state = _phase_one(prob)
     if not state.feasible:
-        return LPOutcome(status=LPStatus.INFEASIBLE, dual=state.splx.farkas())
+        return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=state.splx.farkas())
     point = tuple(state.splx.solution())
     return LPOutcome(status=LPStatus.FEASIBLE, point=point, phase_one=state)
 
@@ -384,7 +469,7 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     if start is None:
         state = _phase_one(prob)
         if not state.feasible:
-            return LPOutcome(status=LPStatus.INFEASIBLE, dual=state.splx.farkas())
+            return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=state.splx.farkas())
         splx = state.splx
     else:
         state = start.phase_one
@@ -400,5 +485,5 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     value = sum(
         (c * x for c, x in zip(prob.objective, point) if c), ZERO
     )
-    dual = tuple(-y for y in splx.duals())
-    return LPOutcome(status=LPStatus.OPTIMAL, point=point, value=value, dual=dual)
+    return LPOutcome(status=LPStatus.OPTIMAL, point=point, value=value,
+                     solve_dual=splx.duals())

@@ -23,8 +23,9 @@ from .geometry import (
     BipartiteFramework,
     Point,
     affine_spans_equal,
-    in_affine_span,
+    in_affine_span,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     linear_rank,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    _affine_members,
     _cleared,
     _reduce_ints,
 )
@@ -191,14 +192,19 @@ def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
 
     One round suffices: an absorbed vertex already lies in the hull, so the
     hull does not grow.  Exact membership tests make the result independent
-    of processing order.
+    of processing order; the hull and the unmarked vertices are cleared
+    together and the hull is reduced once for all of them
+    (:func:`~.geometry._affine_members`).
     """
     if known.is_empty():
         return known
-    hull = known.points(fw)
+    rest_p = [i for i in range(fw.n) if i not in known.p_indices]
+    rest_q = [j for j in range(fw.m) if j not in known.q_indices]
+    inside = _affine_members(
+        known.points(fw),
+        [fw.points_p[i] for i in rest_p] + [fw.points_q[j] for j in rest_q],
+    )
     return known.union(
-        [i for i in range(fw.n)
-         if i not in known.p_indices and in_affine_span(fw.points_p[i], hull)],
-        [j for j in range(fw.m)
-         if j not in known.q_indices and in_affine_span(fw.points_q[j], hull)],
+        [i for i, absorbed in zip(rest_p, inside) if absorbed],
+        [j for j, absorbed in zip(rest_q, inside[len(rest_p) :]) if absorbed],
     )

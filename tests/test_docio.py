@@ -215,3 +215,30 @@ def test_every_fixture_matches_annotation():
         verdict, chain = rigidity_test(fx.framework)
         assert verdict is fx.expected, name
         assert verify_chain(fx.framework, chain), name
+
+
+#: Text near the canonical ``"a"`` and ``"a/b"`` spellings: signs, zeros,
+#: slashes, spaces, underscores, decimal points and non-ASCII digits.
+_RATIONAL_LIKE = st.text(alphabet="0123456789-+/ ._e٣²", max_size=12)
+
+
+@given(st.one_of(st.text(max_size=12), _RATIONAL_LIKE,
+                 st.builds(lambda a, b: f"{a}/{b}", st.integers(), st.integers(0, 10**30))))
+def test_rat_from_reads_strings_as_fraction_does(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(docio.ParseError) as raised:
+            docio._rat_from(text, "P", 0)
+        assert str(raised.value) == f"P[0]: invalid rational {text!r} ({exc})"
+    else:
+        got = docio._rat_from(text, "P", 0)
+        assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize("text", ["9" * 4301, "-" + "9" * 4301, "1/" + "9" * 4301])
+def test_rat_from_keeps_the_digit_limit_error(text):
+    with pytest.raises(ValueError) as limit:
+        F(text)
+    with pytest.raises(docio.ParseError, match=re.escape(f"({limit.value})")):
+        docio._rat_from(text, "P")

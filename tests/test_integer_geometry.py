@@ -38,7 +38,12 @@ from bipartite_rigidity.separation import (
     verify_radon,
     verify_separation,
 )
-from bipartite_rigidity.reduction import ClosureViolated, KnownSet, project_out_known_set
+from bipartite_rigidity.reduction import (
+    ClosureViolated,
+    KnownSet,
+    affine_closure,
+    project_out_known_set,
+)
 from bipartite_rigidity.stress import COORD_CAP, _hatted, _prescaled, equilibrium_residual
 from conftest import flag, fraction_rref, k10x10
 
@@ -260,6 +265,26 @@ def test_in_affine_span_matches_reference(data):
     else:
         v = data.draw(st.tuples(*[RATIONALS] * len(points[0])))
     assert in_affine_span(v, points) == ref_in_span(v, points)
+
+
+@SETTINGS
+@given(st.data())
+def test_affine_closure_matches_per_vertex_membership(data):
+    # The closure clears and reduces the certified hull once for all
+    # unmarked vertices; each verdict must be the one in_affine_span, and
+    # the Fraction reference, give that vertex alone.
+    points = data.draw(point_sets(d=data.draw(st.integers(1, 3)), min_size=2, max_size=9))
+    fw = split(data.draw, points)
+    marked_p = data.draw(st.sets(st.integers(0, fw.n - 1), min_size=1))
+    marked_q = data.draw(st.sets(st.integers(0, fw.m - 1))) if fw.m else set()
+    known = KnownSet.of(marked_p, marked_q)
+    hull = known.points(fw)
+    inside = [in_affine_span(pt, hull) for pt in fw.all_points()]
+    assert inside == [ref_in_span(pt, hull) for pt in fw.all_points()]
+    assert affine_closure(fw, known) == known.union(
+        [i for i in range(fw.n) if inside[i]],
+        [j for j in range(fw.m) if inside[fw.n + j]],
+    )
 
 
 # -- certificates --------------------------------------------------------------

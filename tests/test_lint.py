@@ -76,7 +76,9 @@ def test_no_broad_exception_handlers():
 UNUSED_IMPORTS_ALLOWED = {
     # perfbench/spans.py HOOKS rebinds engine.max_margin_quadric.
     ("engine", "max_margin_quadric"),
-    # perfbench/spans.py HOOKS rebinds reduction.linear_rank.
+    # perfbench/spans.py HOOKS rebinds reduction.in_affine_span and
+    # reduction.linear_rank.
+    ("reduction", "in_affine_span"),
     ("reduction", "linear_rank"),
     # perfbench/spans.py HOOKS rebinds stress.affine_span_dim and
     # stress.affine_spans_equal.

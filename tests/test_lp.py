@@ -8,7 +8,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from bipartite_rigidity import lp
+from bipartite_rigidity.engine import rigidity_test
 from bipartite_rigidity.lp import (
+    LPOutcome,
     LPProblem,
     LPStatus,
     MalformedProblem,
@@ -95,6 +98,66 @@ def test_radon_tableau_stays_integral():
     splx = out.phase_one.splx
     assert all(type(v) is int for row in splx.T for v in row)
     assert type(splx.den) is int and splx.den > 0
+
+
+def test_tableau_holds_structural_columns_only(monkeypatch, rng):
+    # No artificial column is stored: after every pivot, of seeded problems
+    # and of a K(10,10) decision, each row holds the structural entries and
+    # the rhs, nothing more.
+    widths = set()
+    pivot = lp._Simplex._pivot
+
+    def recorded(splx, i, j):
+        pivot(splx, i, j)
+        widths.update(len(row) - splx.nx for row in splx.T)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recorded)
+    for _ in range(100):
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        objective = [rng.randint(-3, 3) for _ in range(n)]
+        maximize(LPProblem.create(rows, rhs, n, objective=objective))
+    rigidity_test(k10x10(1))
+    assert widths == {1}
+
+
+def test_duals_are_solved_once_and_only_when_read(monkeypatch):
+    # Deciding K(10,10) reads a Farkas vector after every infeasible phase 1
+    # (seed 3 is separated), a dual after a zero optimum (none occurs here)
+    # and nothing after a positive one (seed 1 maximizes six coordinates);
+    # each read solves the final basis once.
+    events = []  # [outcome, basis solves made before the next LP call]
+    basis_duals = lp._basis_duals
+
+    def counted(*args):
+        events[-1][1] += 1
+        return basis_duals(*args)
+
+    def recording(solve):
+        def run(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            events.append([out, 0])
+            return out
+        return run
+
+    monkeypatch.setattr(lp, "_basis_duals", counted)
+    monkeypatch.setattr(lp, "solve_feasibility", recording(lp.solve_feasibility))
+    monkeypatch.setattr(lp, "maximize", recording(lp.maximize))
+    for seed in (1, 3):
+        rigidity_test(k10x10(seed))
+
+    def reads(out) -> int:
+        zero_optimum = out.status is LPStatus.OPTIMAL and out.value == 0
+        return int(out.status is LPStatus.INFEASIBLE or zero_optimum)
+
+    assert [solves for _, solves in events] == [reads(out) for out, _ in events]
+    infeasible = [out for out, _ in events if out.status is LPStatus.INFEASIBLE]
+    positive = [out for out, _ in events if out.status is LPStatus.OPTIMAL and out.value > 0]
+    assert infeasible and positive  # sampling sanity: both kinds occur
+    before = [solves for _, solves in events]
+    assert infeasible[0].dual is infeasible[0].dual
+    assert [solves for _, solves in events] == before
 
 
 def test_single_variable_feasible():
@@ -372,6 +435,16 @@ def test_warm_start_matches_cold_solve(constraints, objectives):
         warm = maximize(prob, start=start)
         assert (warm.status, warm.point, warm.value, warm.dual) == (
             cold.status, cold.point, cold.value, cold.dual)
+
+
+def test_outcomes_compare_by_their_duals():
+    # The dual is solved when read, not stored as a field, and equality
+    # still reads it.
+    def infeasible(y):
+        return LPOutcome(LPStatus.INFEASIBLE, solve_dual=lambda: y)
+
+    assert infeasible((F(1),)) == infeasible((F(1),))
+    assert infeasible((F(1),)) != infeasible((F(2),))
 
 
 def test_maximize_rejects_foreign_start():
