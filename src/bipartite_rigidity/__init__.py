@@ -5,7 +5,8 @@ complete bipartite bar framework with rational coordinates is universally
 rigid, dimensionally rigid only, or not dimensionally rigid.  Verdicts are
 driven entirely by exact rational linear programming; positive certificates
 additionally carry floating maximum-rank PSD stress matrices, verified by
-exact recomputation of their correctly rounded entries and rank.
+exact recomputation of their correctly rounded entries and rank.  Deciding,
+replaying and parsing need no ``numpy``; only the floating extras import it.
 """
 
 from fractions import Fraction as Rational
@@ -15,6 +16,7 @@ from .engine import (
     InvalidInput,
     IterationRecord,
     Verdict,
+    chain_rejection,
     rigidity_test,
     rigidity_test_batch,
     verify_chain,
@@ -56,6 +58,7 @@ __all__ = [
     "Verdict",
     "affine_span_dim",
     "build_super_stable_stress",
+    "chain_rejection",
     "equilibrium_residual",
     "extract_balanced_diagonals",
     "generalized_stress",

@@ -5,7 +5,9 @@ Subcommands:
 * ``check <file>... [--certificate OUT] [--trace] [--dump-coords]``
   prints one verdict per input file and optionally writes the certificate
   chain.
-* ``verify <framework> <certificate>`` replays a chain against a framework.
+* ``verify <framework> <certificate>`` replays a chain against a framework
+  and prints ``valid``, or ``invalid: record <i>: <check>`` naming the
+  first rejected record and the check it fails.
 * ``separate <file>`` prints the balance coefficients or the max-margin
   quadric.
 * ``stress <file>`` prints the constructed stress matrix.
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import docio, fixtures
-from .engine import rigidity_test, rigidity_test_batch, verify_chain
+from .engine import chain_rejection, rigidity_test, rigidity_test_batch
 from .separation import EmptySide, RadonCertificate, max_margin_quadric, maximal_support_radon
 from .stress import build_super_stable_stress
 
@@ -42,9 +44,9 @@ def _read_framework(path: str):
 def _dump_coords(fw, out) -> None:
     print("# vertex class x...", file=out)
     for i, pt in enumerate(fw.points_p):
-        print(f"{i} P " + " ".join(str(c) for c in pt), file=out)
+        print(f"{i} P " + " ".join(map(docio._rat_to_str, pt)), file=out)
     for j, pt in enumerate(fw.points_q):
-        print(f"{j} Q " + " ".join(str(c) for c in pt), file=out)
+        print(f"{j} Q " + " ".join(map(docio._rat_to_str, pt)), file=out)
     print("# edges (P index, Q index)", file=out)
     for i in range(fw.n):
         for j in range(fw.m):
@@ -67,7 +69,7 @@ def _cmd_check(args) -> int:
                 if rec.kind == "balanced":
                     detail = f" support=P{list(rec.support_p)} Q{list(rec.support_q)}"
                 elif rec.kind == "separated":
-                    detail = f" margin={rec.separation.delta}"
+                    detail = f" margin={docio._rat_to_str(rec.separation.delta)}"
                 print(f"iteration {rec.index}: {rec.kind}{detail}")
         if args.certificate:
             Path(args.certificate).write_text(
@@ -90,11 +92,11 @@ def _cmd_verify(args) -> int:
         text = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as exc:
         raise docio.ParseError(f"{args.certificate}: {exc}") from None
-    chain = docio.parse_chain(text)
-    if verify_chain(fw, chain):
+    rejection = chain_rejection(fw, docio.parse_chain(text))
+    if rejection is None:
         print("valid")
         return EXIT_OK
-    print("invalid")
+    print("invalid: record {}: {}".format(*rejection))
     return EXIT_VERIFY_FAILED
 
 
@@ -104,14 +106,14 @@ def _cmd_separate(args) -> int:
     if isinstance(cert, RadonCertificate):
         print("balanced (lifted hulls intersect); coefficients:")
         for i, v in enumerate(cert.lambdas):
-            print(f"  lambda[{i}] = {v}")
+            print(f"  lambda[{i}] = {docio._rat_to_str(v)}")
         for j, v in enumerate(cert.mus):
-            print(f"  mu[{j}] = {v}")
+            print(f"  mu[{j}] = {docio._rat_to_str(v)}")
         return EXIT_OK
     matrix, delta = max_margin_quadric(fw)
-    print(f"separated; margin = {delta}")
+    print(f"separated; margin = {docio._rat_to_str(delta)}")
     for row in matrix.rows():
-        print("  " + " ".join(str(v) for v in row))
+        print("  " + " ".join(map(docio._rat_to_str, row)))
     return EXIT_OK
 
 
@@ -119,7 +121,8 @@ def _cmd_stress(args) -> int:
     fw = _read_framework(args.file)
     cert = maximal_support_radon(fw)
     if not isinstance(cert, RadonCertificate):
-        print(f"no positive stress: classes strictly separated (margin {cert.delta})")
+        print("no positive stress: classes strictly separated "
+              f"(margin {docio._rat_to_str(cert.delta)})")
         return EXIT_OK
     sub = fw.subframework(cert.support_p, cert.support_q)
     stress = build_super_stable_stress(

@@ -2,8 +2,15 @@
 
 Rational values serialize as canonical ``"a/b"`` strings (plain integers
 when the denominator is one) so no floating-point parse ambiguity can creep
-into coordinates or LP certificates.  Floating stress data serializes with
-17 significant digits, which round-trips IEEE doubles bit-faithfully.
+into coordinates or LP certificates.  Numerators and denominators past the
+interpreter's limit on decimal conversion (4300 digits by default) are
+written and read in chunks; the reader takes canonical ``"a/b"`` text with
+up to :data:`MAX_DIGITS` digits in each part, and gives a located
+:class:`ParseError` beyond that.  Floating stress data (``omega`` as rows)
+serializes with 17 significant digits, which round-trips IEEE doubles
+bit-faithfully; writing, reading and verifying a chain needs no ``numpy``,
+except that writing a built stress certificate measures its least
+eigenvalue and residual.
 
 Canonical serialization sorts keys and indents consistently; parsing then
 reserializing a canonical document reproduces it byte for byte.
@@ -16,14 +23,23 @@ import math
 from fractions import Fraction
 from typing import Any, Optional
 
-import numpy as np
-
 from .engine import CertificateChain, IterationRecord, Verdict
 from .geometry import BipartiteFramework, Point
 from .separation import RadonCertificate, SeparationCertificate, SymmetricMatrix
 from .stress import StressCertificate
 
 FORMAT_VERSION = 1
+
+#: The most decimal digits the reader takes in one numerator or denominator
+#: of a canonical ``"a/b"`` string.  Decimal conversion takes time quadratic
+#: in the digit count (about 0.1 s at this bound), so the reader bounds it
+#: in place of the interpreter's limit.  Other spellings are read by
+#: ``Fraction``, under the interpreter's limit.
+MAX_DIGITS = 100_000
+
+#: Numbers of at most this many bits have fewer than 640 decimal digits,
+#: so they convert under any limit the interpreter accepts.
+_CHUNK_BITS = 1920
 
 
 class ParseError(ValueError):
@@ -37,8 +53,47 @@ class DimensionMismatch(ParseError):
 # -- rational scalars --------------------------------------------------------
 
 
+def _digits(v: int, width: int = 0) -> str:
+    """Decimal digits of ``v >= 0``, zero-padded to ``width``, converted in chunks."""
+    if v.bit_length() <= _CHUNK_BITS:
+        return str(v).zfill(width)
+    half = v.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(v, 10**half)
+    return _digits(high, width - half) + _digits(low, half)
+
+
+def _int_of(digits: str) -> int:
+    """``int(digits)`` of ASCII decimal digits, in chunks past the interpreter's limit."""
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    try:
+        return int(digits)
+    except ValueError:  # past the limit: convert in chunks
+        half = len(digits) // 2
+        return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
+
+
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def _excerpt(text: str) -> str:
+    """``repr(text)``, or the repr of its start when it is very long."""
+    return repr(text) if len(text) <= 1000 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _rat_to_str(v: Fraction) -> str:
-    return str(v)
+    """The canonical ``"a/b"`` (or ``"a"``) text of a rational, at any size."""
+    try:
+        return str(v)
+    except ValueError:  # past the interpreter's digit limit: convert in chunks
+        num = "-" + _digits(-v.numerator) if v < 0 else _digits(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{_digits(v.denominator)}"
 
 
 def _at(locus: str, index: Optional[int]) -> str:
@@ -51,10 +106,9 @@ def _plain_rational(text: str) -> Optional[Fraction]:
 
     ``a`` may carry one leading ``-`` and ``b`` must be nonzero.  These are
     the canonical spellings, and for them this gives what ``Fraction(text)``
-    gives, without its regular expression: the digit strings go to ``int``
-    exactly as ``Fraction`` passes them, so a digit-count limit raises the
-    same error.  Every other spelling returns ``None`` and is left to
-    ``Fraction(text)``.
+    gives, without its regular expression, and past the interpreter's digit
+    limit up to :data:`MAX_DIGITS` digits per part (``ValueError`` beyond).
+    Every other spelling returns ``None`` and is left to ``Fraction(text)``.
     """
     num, slash, den = text.partition("/")
     negative = num[:1] == "-"
@@ -63,8 +117,8 @@ def _plain_rational(text: str) -> Optional[Fraction]:
         return None
     if slash and not (den.isascii() and den.isdigit() and den.strip("0")):
         return None
-    numerator = int(digits)
-    return Fraction(-numerator if negative else numerator, int(den) if slash else 1)
+    numerator = _int_of(digits)
+    return Fraction(-numerator if negative else numerator, _int_of(den) if slash else 1)
 
 
 def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
@@ -78,7 +132,7 @@ def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
             return Fraction(value) if fast is None else fast
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
-                f"{_at(locus, index)}: invalid rational {value!r} ({exc})"
+                f"{_at(locus, index)}: invalid rational {_excerpt(value)} ({exc})"
             ) from None
     raise ParseError(f"{_at(locus, index)}: expected an integer or 'a/b' string")
 
@@ -189,10 +243,7 @@ def _framework_from(doc: dict) -> BipartiteFramework:
 
 def parse_framework_document(text: str) -> tuple[BipartiteFramework, dict]:
     """Parse a framework document; returns the framework and its metadata."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     meta = {k: doc[k] for k in ("name", "expected_verdict") if k in doc}
@@ -247,9 +298,7 @@ def _record_to_doc(rec: IterationRecord) -> dict:
         }
     if rec.stress is not None:
         doc["stress"] = {
-            "omega": [
-                [_float_to_str(v) for v in row] for row in rec.stress.omega.tolist()
-            ],
+            "omega": [[_float_to_str(v) for v in row] for row in rec.stress.omega],
             "rank": rec.stress.rank,
             "min_eigenvalue": _float_to_str(rec.stress.min_eigenvalue),
             "residual": _float_to_str(rec.stress.residual),
@@ -280,17 +329,21 @@ def _stress_from(doc: Any, locus: str) -> StressCertificate:
     rows = _typed(doc.get("omega"), list, f"{locus}.omega")
     if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
         raise ParseError(f"{locus}.omega: expected a square matrix")
-    values = [
-        [_float_from(v, f"{locus}.omega[{i}][{j}]") for j, v in enumerate(row)]
+    omega = tuple(
+        tuple(_float_from(v, f"{locus}.omega[{i}][{j}]") for j, v in enumerate(row))
         for i, row in enumerate(rows)
-    ]
+    )
+    rank = _int_from(doc.get("rank"), f"{locus}.rank")
+    measured = (
+        _float_from(doc.get("min_eigenvalue"), f"{locus}.min_eigenvalue"),
+        _float_from(doc.get("residual"), f"{locus}.residual"),
+    )
     return StressCertificate(
-        omega=np.array(values).reshape(len(rows), len(rows)),
-        rank=_int_from(doc.get("rank"), f"{locus}.rank"),
-        min_eigenvalue=_float_from(doc.get("min_eigenvalue"), f"{locus}.min_eigenvalue"),
-        residual=_float_from(doc.get("residual"), f"{locus}.residual"),
-        lambdas=_rats_from(doc.get("lambdas", []), f"{locus}.lambdas"),
-        mus=_rats_from(doc.get("mus", []), f"{locus}.mus"),
+        omega,
+        rank,
+        _rats_from(doc.get("lambdas", []), f"{locus}.lambdas"),
+        _rats_from(doc.get("mus", []), f"{locus}.mus"),
+        lambda: measured,
     )
 
 
@@ -329,10 +382,7 @@ def serialize_chain(chain: CertificateChain) -> str:
 
 
 def parse_chain(text: str) -> CertificateChain:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     if _int_from(doc.get("format"), "format") != FORMAT_VERSION:

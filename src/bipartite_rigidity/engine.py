@@ -20,11 +20,13 @@ The test maintains a set of vertices already certified rigid.  Each pass:
 
 Progress is guaranteed, so the loop runs at most n + m passes.  Every pass
 is recorded; the verdict can be replayed from the records alone by
-:func:`verify_chain`.  Replay walks the same pass step as the decision
-(steps 1-3 and the one-sided case of step 4 come from one helper, given the
-certified set), then re-checks every certificate exactly: rational ones
-directly, and stress certificates by recomputing their correctly rounded
-entries and exact rank.
+:func:`verify_chain`, and :func:`chain_rejection` names the record and the
+check a rejected chain fails.  Replay walks the same pass step as the
+decision (steps 1-3 and the one-sided case of step 4 come from one helper,
+given the certified set), then re-checks every certificate exactly:
+rational ones directly, and stress certificates by recomputing their
+correctly rounded entries and exact rank.  Neither decide nor replay
+imports ``numpy``.
 """
 
 from __future__ import annotations
@@ -204,6 +206,25 @@ def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
 def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
     """Replay a chain against a framework; True iff every record checks out.
 
+    The same replay as :func:`chain_rejection`, which also says what failed.
+    """
+    return chain_rejection(fw, chain) is None
+
+
+def chain_rejection(
+    fw: BipartiteFramework, chain: CertificateChain
+) -> Optional[tuple[int, str]]:
+    """Replay a chain against a framework; None if every record checks out.
+
+    A rejected chain gives the index of the first record that fails and the
+    name of the failed check: ``input`` (the chain decides another
+    framework), ``index``, ``known-set`` (the certified set before the
+    pass), ``kind`` (a terminal record before the end, none at the end, or
+    another kind than the pass forces), ``cone/functional`` (the
+    reduction), ``separation``, ``verdict``, ``balance``, ``support``,
+    ``stress`` or ``closure`` (the certified set does not grow, or its
+    classes stop sharing their hull).
+
     Rational evidence (balance certificates, separating quadrics, known-set
     growth, span invariants, reduction geometry) is re-verified exactly;
     each stress certificate must equal its exact recomputation (bit-equal
@@ -211,64 +232,89 @@ def verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
 
     A record the replay cannot use (a shape that does not fit, a degenerate
     reduction, a value too large to convert) raises ``ValueError`` or
-    ``ArithmeticError`` and rejects the chain; any other exception is a
-    fault of the verifier and propagates.
+    ``ArithmeticError`` and fails the check ``unusable record``; any other
+    exception is a fault of the verifier and propagates.
     """
-    try:
-        return _verify_chain(fw, chain)
-    except (ValueError, ArithmeticError):
-        return False
-
-
-def _verify_chain(fw: BipartiteFramework, chain: CertificateChain) -> bool:
-    if chain.framework != fw or not chain.records:
-        return False
+    if chain.framework != fw:
+        return 0, "input"
     known = KnownSet.empty()
-    last = len(chain.records) - 1
-    for pos, rec in enumerate(chain.records):
-        if rec.index != pos or (rec.known_p, rec.known_q) != (known.p_indices, known.q_indices):
-            return False
-        terminal = rec.kind != "balanced"
-        # Only the last record is terminal, and only a separated one carries a quadric.
-        if terminal != (pos == last) or (rec.kind == "separated") == (rec.separation is None):
-            return False
-        step = _pass(fw, known)
-        if (rec.cone_point, rec.functional) != (step.cone_point, step.functional):
-            return False
-        if terminal:
-            return (
-                not (rec.support_p or rec.support_q or rec.radon or rec.stress)
-                and rec.kind == (step.forced or "separated")
-                and chain.verdict is _VERDICT[rec.kind]
-                and (step.forced is not None or verify_separation(rec.separation, step.sub))
-            )
-        cert = rec.radon
-        if step.forced or cert is None or not verify_radon(step.sub, cert):
-            return False
-        local_p = cert.support_p
-        local_q = cert.support_q
-        if not local_p or not local_q:
-            return False
-        if rec.support_p != tuple(step.comp_p[i] for i in local_p):
-            return False
-        if rec.support_q != tuple(step.comp_q[j] for j in local_q):
-            return False
-        if rec.stress is None:
-            return False
-        sub_support = step.sub.subframework(local_p, local_q)
-        if tuple(rec.stress.lambdas) != tuple(cert.lambdas[i] for i in local_p):
-            return False
-        if tuple(rec.stress.mus) != tuple(cert.mus[j] for j in local_q):
-            return False
-        if not verify_super_stable_certificate(sub_support, rec.stress):
-            return False
-        grown = known.union(rec.support_p, rec.support_q)
-        if grown.size <= known.size:
-            return False
-        known = affine_closure(fw, grown)
-        if not span_invariant_holds(fw, known):
-            return False
-    return False  # chain ended without a terminal record
+    for pos in range(len(chain.records)):
+        try:
+            outcome = _replay(fw, chain, pos, known)
+        except (ValueError, ArithmeticError):
+            outcome = "unusable record"
+        if isinstance(outcome, str):
+            return pos, outcome
+        known = outcome
+    return None if chain.records else (0, "kind")
+
+
+def _replay(
+    fw: BipartiteFramework, chain: CertificateChain, pos: int, known: KnownSet
+) -> Union[str, KnownSet]:
+    """Check record ``pos`` given the certified set before it.
+
+    Returns the name of the failed check, or the certified set after the
+    record when it holds.
+    """
+    rec = chain.records[pos]
+    if rec.index != pos:
+        return "index"
+    if (rec.known_p, rec.known_q) != (known.p_indices, known.q_indices):
+        return "known-set"
+    terminal = rec.kind != "balanced"
+    # Only the last record is terminal, and only a separated one carries a quadric.
+    if terminal != (pos == len(chain.records) - 1):
+        return "kind"
+    if (rec.kind == "separated") == (rec.separation is None):
+        return "separation"
+    step = _pass(fw, known)
+    if (rec.cone_point, rec.functional) != (step.cone_point, step.functional):
+        return "cone/functional"
+    if terminal:
+        if rec.support_p or rec.support_q:
+            return "support"
+        if rec.radon:
+            return "balance"
+        if rec.stress:
+            return "stress"
+        if rec.kind != (step.forced or "separated"):
+            return "kind"
+        if chain.verdict is not _VERDICT[rec.kind]:
+            return "verdict"
+        if step.forced is None and not verify_separation(rec.separation, step.sub):
+            return "separation"
+        return known
+    if step.forced:
+        return "kind"
+    cert = rec.radon
+    if cert is None or not verify_radon(step.sub, cert):
+        return "balance"
+    local_p = cert.support_p
+    local_q = cert.support_q
+    if (
+        not local_p
+        or not local_q
+        or rec.support_p != tuple(step.comp_p[i] for i in local_p)
+        or rec.support_q != tuple(step.comp_q[j] for j in local_q)
+    ):
+        return "support"
+    if (
+        rec.stress is None
+        or tuple(rec.stress.lambdas) != tuple(cert.lambdas[i] for i in local_p)
+        or tuple(rec.stress.mus) != tuple(cert.mus[j] for j in local_q)
+        or not verify_super_stable_certificate(
+            step.sub.subframework(local_p, local_q), rec.stress
+        )
+    ):
+        return "stress"
+    grown = known.union(rec.support_p, rec.support_q)
+    if grown.size <= known.size:
+        return "closure"
+    known = affine_closure(fw, grown)
+    if not span_invariant_holds(fw, known):
+        return "closure"
+    return known
 
 
 BatchResult = Union[tuple[Verdict, CertificateChain], Exception]

@@ -32,9 +32,14 @@ entry is converted to floating point by one correctly rounded integer
 division.  Thin, flat or large configurations therefore need no rescaling
 before the build.
 
-The floating quantities (recorded equilibrium residual, balance of
-read-back diagonals, coupling directions) read the prescaled coordinates
-``X / 2**k`` (:func:`_hatted`): the integer copy ``X`` shifted so its
+``omega`` is held as a tuple of float rows, so building and verifying a
+certificate needs no ``numpy``.  The floating extras import it inside the
+functions that compute them and take tuple rows or arrays alike: the least
+eigenvalue and equilibrium residual a certificate reports (measured the
+first time either is read; only the format-1 document and the ``stress``
+printout read them), read-back diagonals, the coupled family and the
+spectral norm.  They read the prescaled coordinates ``X / 2**k``
+(:func:`_hatted`): the integer copy ``X`` shifted so its
 largest magnitude is at most :data:`COORD_CAP`.  Scaling the configuration
 leaves equilibrium kernels and balance certificates untouched.  Each
 coordinate is one correctly rounded integer division, the same float as
@@ -59,12 +64,11 @@ the decision engine never depend on floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Sequence
 
 from .geometry import (
     BipartiteFramework,
@@ -98,29 +102,56 @@ class PatternViolation(ValueError):
     """The stress matrix violates the bipartite zero pattern."""
 
 
+#: A stress matrix as a tuple of float rows.
+Rows = tuple[tuple[float, ...], ...]
+
+
 @dataclass(frozen=True)
 class StressCertificate:
     """A floating PSD equilibrium stress matrix plus its measured data.
 
-    ``omega`` is the full (n+m) x (n+m) symmetric matrix.  Off-diagonal
-    entries inside the P block and inside the Q block are structurally
-    zero.  ``lambdas`` and ``mus`` are the exact rational diagonals the
-    certificate was built from.
+    ``omega`` is the full (n+m) x (n+m) symmetric matrix as a tuple of
+    float rows.  Off-diagonal entries inside the P block and inside the Q
+    block are structurally zero.  ``rank`` is the matrix rank (exact for
+    :func:`build_super_stable_stress`).  ``lambdas`` and ``mus`` are the
+    exact rational diagonals the certificate was built from.
+
+    ``min_eigenvalue`` and ``residual`` (the equilibrium residual) are
+    floating measurements that no verdict or verification reads.
+    ``_measure`` gives the pair the first time either is read, and the
+    result is kept.  A built certificate's ``_measure`` runs ``eigvalsh``
+    and :func:`equilibrium_residual` on the matrix it was built with; a
+    parsed one's returns the recorded pair.  Certificates compare by
+    ``omega``, ``rank`` and the coefficients.
     """
 
-    omega: np.ndarray
+    omega: Rows
     rank: int
-    min_eigenvalue: float
-    residual: float
     lambdas: tuple[Fraction, ...]
     mus: tuple[Fraction, ...]
+    _measure: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
+
+    @cached_property
+    def measured(self) -> tuple[float, float]:
+        """``(min_eigenvalue, residual)``, measured on first read."""
+        return self._measure()
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return self.measured[0]
+
+    @property
+    def residual(self) -> float:
+        return self.measured[1]
 
     @property
     def order(self) -> int:
-        return self.omega.shape[0]
+        return len(self.omega)
 
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.omega, 2))
+        import numpy as np
+
+        return float(np.linalg.norm(np.array(self.omega), 2))
 
 
 def _prescaled(fw: BipartiteFramework) -> tuple[list[list[int]], int, int]:
@@ -135,12 +166,14 @@ def _prescaled(fw: BipartiteFramework) -> tuple[list[list[int]], int, int]:
     return ints, c, shift
 
 
-def _hatted(fw: BipartiteFramework) -> np.ndarray:
+def _hatted(fw: BipartiteFramework) -> Any:
     """The (d+1) x (n+m) prescaled configuration matrix with a row of ones.
 
     Each coordinate is one correctly rounded division ``X / 2**k`` of the
     integer copy, so it equals ``float`` of the prescaled rational.
     """
+    import numpy as np
+
     ints, _, shift = _prescaled(fw)
     den = 1 << shift
     return np.array([[v / den for v in pt] + [1.0] for pt in ints]).T
@@ -180,7 +213,7 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
 
 def _exact_stress(
     fw: BipartiteFramework, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
-) -> tuple[np.ndarray, int]:
+) -> tuple[Rows, int]:
     """The correctly rounded closed-form stress matrix and its exact rank.
 
     The diagonal holds ``float`` of each coefficient and the cross block
@@ -196,46 +229,43 @@ def _exact_stress(
     if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
         raise DegenerateInput("all coefficients must be strictly positive")
     nums, den, rank_g = _cross_block(fw, lambdas, mus)
-    cross = np.array([[v / den for v in row] for row in nums])
-    omega = np.zeros((n + m, n + m))
-    omega[np.arange(n), np.arange(n)] = [float(v) for v in lambdas]
-    omega[np.arange(n, n + m), np.arange(n, n + m)] = [float(v) for v in mus]
-    omega[:n, n:] = cross
-    omega[n:, :n] = cross.T
-    return omega, n + m - rank_g
+    cross = [[v / den for v in row] for row in nums]
+    rows = []
+    for i, (lam, row) in enumerate(zip(lambdas, cross)):
+        head = [0.0] * n
+        head[i] = float(lam)
+        rows.append(tuple(head + row))
+    for j, mu in enumerate(mus):
+        tail = [0.0] * m
+        tail[j] = float(mu)
+        rows.append(tuple([row[j] for row in cross] + tail))
+    return tuple(rows), n + m - rank_g
 
 
-def _null_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
+def _null_basis(matrix: Any, rank: int) -> Any:
     """Orthonormal columns spanning the null space of a rank-``rank`` matrix."""
+    import numpy as np
+
     _, _, vt = np.linalg.svd(matrix, full_matrices=True)
     return vt[rank:].T
 
 
 def _certificate(
     fw: BipartiteFramework,
-    omega: np.ndarray,
+    omega: Rows,
     lambdas: Sequence[Fraction],
     mus: Sequence[Fraction],
-    rank: Optional[int] = None,
+    rank: int,
 ) -> StressCertificate:
-    """Record ``omega`` with its least eigenvalue and equilibrium residual.
+    """Record ``omega``; its least eigenvalue and residual wait for a read."""
 
-    Without a ``rank``, the numerical rank counts eigenvalues above
-    ``RANK_TOL`` relative to the spectral norm (or to one, when the norm is
-    smaller).
-    """
-    evals = np.linalg.eigvalsh(omega)
-    if rank is None:
-        spectral = float(np.max(np.abs(evals)))
-        rank = int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
-    return StressCertificate(
-        omega=omega,
-        rank=rank,
-        min_eigenvalue=float(evals[0]),
-        residual=equilibrium_residual(omega, fw),
-        lambdas=tuple(lambdas),
-        mus=tuple(mus),
-    )
+    def measure() -> tuple[float, float]:
+        import numpy as np
+
+        matrix = np.array(omega)
+        return float(np.linalg.eigvalsh(matrix)[0]), equilibrium_residual(matrix, fw)
+
+    return StressCertificate(omega, rank, tuple(lambdas), tuple(mus), measure)
 
 
 def build_super_stable_stress(
@@ -265,14 +295,19 @@ def generalized_stress(
     right directions of the two sides.  The zero coupling reproduces
     :func:`build_super_stable_stress`; values of magnitude above one break
     positive semidefiniteness, and each value of magnitude exactly one
-    drops the rank by one, so the rank recorded here is numerical.
+    drops the rank by one, so the rank recorded here is numerical: it
+    counts eigenvalues above ``RANK_TOL`` relative to the spectral norm (or
+    to one, when the norm is smaller).
     """
-    omega, rank = _exact_stress(fw, lambdas, mus)
+    import numpy as np
+
+    rows, rank = _exact_stress(fw, lambdas, mus)
     n, m = fw.n, fw.m
     r = n + m - rank  # rank G, one more than the span dimension
     pairs = min(n - r, m - r)
     if len(coupling) != pairs:
         raise ShapeMismatch(f"coupling expects {pairs} diagonal values, got {len(coupling)}")
+    omega = np.array(rows)
     if pairs:
         hatted = _hatted(fw)
         sqrt_l = np.sqrt([float(v) for v in lambdas])
@@ -282,16 +317,23 @@ def generalized_stress(
         values = np.array([float(v) for v in coupling])
         omega[:n, n:] += (sqrt_l[:, None] * null_p * values) @ (sqrt_m[:, None] * null_q).T
         omega[n:, :n] = omega[:n, n:].T
-    return _certificate(fw, omega, lambdas, mus)
+    evals = np.linalg.eigvalsh(omega)
+    spectral = float(np.max(np.abs(evals)))
+    rank = int(np.sum(evals > RANK_TOL * max(spectral, 1.0)))
+    return _certificate(fw, tuple(map(tuple, omega.tolist())), lambdas, mus, rank)
 
 
-def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
+def equilibrium_residual(omega: Any, fw: BipartiteFramework) -> float:
     """Max-norm equilibrium defect of a stress matrix for a framework.
 
-    Evaluates the hatted configuration matrix (of the canonically rescaled
-    framework) times the stress matrix; a row of ones is included, so zero
-    row sums are part of the check.  Returns the largest absolute entry.
+    ``omega`` is tuple rows or an array.  Evaluates the hatted
+    configuration matrix (of the canonically rescaled framework) times the
+    stress matrix; a row of ones is included, so zero row sums are part of
+    the check.  Returns the largest absolute entry.
     """
+    import numpy as np
+
+    omega = np.asarray(omega, dtype=float)
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
@@ -299,15 +341,19 @@ def equilibrium_residual(omega: np.ndarray, fw: BipartiteFramework) -> float:
 
 
 def extract_balanced_diagonals(
-    omega: np.ndarray, fw: BipartiteFramework, tol: float = RESIDUAL_TOL
-) -> tuple[np.ndarray, np.ndarray, bool]:
+    omega: Any, fw: BipartiteFramework, tol: float = RESIDUAL_TOL
+) -> tuple[Any, Any, bool]:
     """Read the diagonal coefficient blocks back out of a stress matrix.
 
-    The matrix must carry the bipartite zero pattern exactly (any nonzero
-    off-diagonal entry inside a class block raises
-    :class:`PatternViolation`).  Returns the two diagonals and whether
-    they balance the lifted classes within ``tol`` in floating point.
+    ``omega`` is tuple rows or an array.  The matrix must carry the
+    bipartite zero pattern exactly (any nonzero off-diagonal entry inside
+    a class block raises :class:`PatternViolation`).  Returns the two
+    diagonals as arrays and whether they balance the lifted classes within
+    ``tol`` in floating point.
     """
+    import numpy as np
+
+    omega = np.asarray(omega, dtype=float)
     total = fw.n + fw.m
     if omega.shape != (total, total):
         raise ShapeMismatch("stress order does not match the vertex count")
@@ -331,10 +377,16 @@ def verify_super_stable_certificate(fw: BipartiteFramework, cert: StressCertific
     diagonal class blocks.  Given those premises the matrix is PSD of that
     rank (module docstring), so no eigensolver, residual or tolerance is
     consulted.  Returns False rather than raising, also for coefficients
-    too large for a double.
+    too large for a double and for an ``omega`` that is not a tuple of
+    tuple rows.  Row comparison by ``==`` takes ``-0.0`` for ``0.0``, and
+    a NaN equals nothing.
     """
+    if not isinstance(cert.omega, tuple) or not all(
+        isinstance(row, tuple) for row in cert.omega
+    ):
+        return False
     try:
         omega, rank = _exact_stress(fw, cert.lambdas, cert.mus)
     except (ShapeMismatch, DegenerateInput, OverflowError):
         return False
-    return cert.rank == rank and np.array_equal(cert.omega, omega)
+    return cert.rank == rank and cert.omega == omega

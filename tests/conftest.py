@@ -42,6 +42,21 @@ def k10x10(seed: int) -> BipartiteFramework:
     return BipartiteFramework(3, tuple(pt() for _ in range(10)), tuple(pt() for _ in range(10)))
 
 
+def huge_k44(seed: int) -> BipartiteFramework:
+    """K(4,4) in d=3 with coordinates ``a/b``, ``|a|, b <= 10**400``, from ``random.Random(seed)``.
+
+    Seeds 0 and 3 decide "not dimensionally rigid" in about a second, with
+    separating quadrics whose entries run past 7000 digits.
+    """
+    rng = random.Random(seed)
+    bound = 10**400
+
+    def pt():
+        return tuple(F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(3))
+
+    return BipartiteFramework(3, tuple(pt() for _ in range(4)), tuple(pt() for _ in range(4)))
+
+
 def flag(seed: int) -> BipartiteFramework:
     """A multi-pass instance in d=3 from ``random.Random(seed)``: a line, a plane, then space.
 

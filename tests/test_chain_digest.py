@@ -48,7 +48,7 @@ def chain_fields(verdict, chain) -> list:
             else [_rats(rec.separation.matrix.upper), str(rec.separation.delta)],
             None
             if rec.stress is None
-            else [rec.stress.rank, [v.hex() for v in rec.stress.omega.ravel().tolist()]],
+            else [rec.stress.rank, [v.hex() for row in rec.stress.omega for v in row]],
         ])
     return [verdict.value, records]
 

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from bipartite_rigidity import docio
+from bipartite_rigidity import cli, docio
 from bipartite_rigidity.cli import main
 from bipartite_rigidity.engine import Verdict, rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import emit_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
-from conftest import thin_image
+from bipartite_rigidity.geometry import SymmetricMatrix
+from conftest import huge_k44, thin_image
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def test_certificate_verifies(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "valid"
     # wrong framework: rejected with exit 1
     assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 1
-    assert capsys.readouterr().out.strip() == "invalid"
+    assert capsys.readouterr().out.strip() == "invalid: record 0: input"
 
 
 def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
@@ -91,6 +92,7 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
     doc["iterations"][0]["balance"]["lambdas"][0] = "-1/4"
     cert_path.write_text(json.dumps(doc))
     assert main(["verify", str(corpus / "k22_line.json"), str(cert_path)]) == 1
+    assert capsys.readouterr().out.strip() == "invalid: record 0: balance"
     # a field of the wrong shape is an input error, located, not a rejection
     for key, value in (("index", "x"), ("balance", [1]), (None, 5)):
         bad = json.loads(json.dumps(doc))
@@ -121,7 +123,7 @@ def test_certificate_rejects_edited_field(corpus, tmp_path, capsys):
     cert_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(corpus / "separated_line.json"), str(cert_path)]) == 1
-    assert capsys.readouterr().out.strip() == "invalid"
+    assert capsys.readouterr().out.strip() == "invalid: record 0: separation"
 
 
 def test_check_thin_cube(tmp_path, capsys):
@@ -192,6 +194,44 @@ def test_evidence_subcommands_reject_empty_class(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def huge_file(tmp_path_factory):
+    # Its separating quadric has entries past the interpreter's
+    # 4300-digit limit on decimal conversion.
+    path = tmp_path_factory.mktemp("huge") / "huge_k44.json"
+    path.write_text(docio.serialize_framework(huge_k44(3)))
+    return path
+
+
+def test_check_trace_past_the_digit_limit(huge_file, capsys):
+    assert main(["check", str(huge_file), "--trace", "--dump-coords"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "not-dimensionally-rigid"
+    margin = [line for line in out if line.startswith("iteration 0: separated margin=")]
+    assert len(margin) == 1 and len(margin[0]) > 4300
+
+
+def test_check_certificate_past_the_digit_limit(huge_file, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["check", str(huge_file), "--certificate", str(cert_path)]) == 0
+    assert capsys.readouterr().out.strip() == "not-dimensionally-rigid"
+    assert main(["verify", str(huge_file), str(cert_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_separate_past_the_digit_limit(corpus, monkeypatch, capsys):
+    # The distance LP takes many seconds at this size, so a quadric with a
+    # 5000-digit entry stands in for its result.
+    big = F(10**5000 + 1, 3)
+    monkeypatch.setattr(cli, "max_margin_quadric",
+                        lambda fw: (SymmetricMatrix(2, (big, F(-1), F(1, 2))), big))
+    assert main(["separate", str(corpus / "separated_line.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"separated; margin = {docio._rat_to_str(big)}"
+    assert out[1].split() == [docio._rat_to_str(big), "-1"]
+    assert len(out[0]) > 5000
 
 
 def test_dump_coords(corpus, capsys):

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bipartite_rigidity import docio
-from bipartite_rigidity.engine import rigidity_test, verify_chain
+from bipartite_rigidity.engine import Verdict, rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, emit_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
+from conftest import huge_k44
 
 
 def test_parse_alternating_line():
@@ -100,7 +103,7 @@ def test_chain_round_trip_space_example():
     # floating stress data survives exactly (17 significant digits)
     for rec, orig in zip(parsed.records, chain.records):
         if orig.stress is not None:
-            assert (rec.stress.omega == orig.stress.omega).all()
+            assert rec.stress.omega == orig.stress.omega
 
 
 def test_parse_chain_errors():
@@ -236,9 +239,73 @@ def test_rat_from_reads_strings_as_fraction_does(text):
         assert type(got) is F and got == expected
 
 
-@pytest.mark.parametrize("text", ["9" * 4301, "-" + "9" * 4301, "1/" + "9" * 4301])
-def test_rat_from_keeps_the_digit_limit_error(text):
-    with pytest.raises(ValueError) as limit:
+@pytest.mark.parametrize("text, value", [
+    ("9" * 4301, 10**4301 - 1),
+    ("-" + "9" * 4301, 1 - 10**4301),
+    ("1/" + "9" * 4301, F(1, 10**4301 - 1)),
+    ("9" * docio.MAX_DIGITS, 10**docio.MAX_DIGITS - 1),
+], ids=["numerator", "negative", "denominator", "at-bound"])
+def test_rat_from_reads_past_the_interpreter_digit_limit(text, value):
+    # Fraction itself still refuses these; canonical text up to MAX_DIGITS
+    # digits per part reads back exactly.
+    with pytest.raises(ValueError):
         F(text)
-    with pytest.raises(docio.ParseError, match=re.escape(f"({limit.value})")):
-        docio._rat_from(text, "P")
+    assert docio._rat_from(text, "P") == value
+
+
+@pytest.mark.parametrize("text", [
+    "9" * (docio.MAX_DIGITS + 1),
+    "-" + "9" * (docio.MAX_DIGITS + 1),
+    "1/" + "9" * (docio.MAX_DIGITS + 1),
+], ids=["numerator", "negative", "denominator"])
+def test_rat_from_keeps_the_digit_limit_error(text):
+    # Past the reader's own bound the error is located and names the bound.
+    with pytest.raises(docio.ParseError, match=re.escape(
+            f"P[2]: invalid rational {text[:40]!r}... ({len(text)} characters) "
+            f"(more than {docio.MAX_DIGITS} digits)")):
+        docio._rat_from(text, "P", 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bits=st.integers(0, 60_000), seed=st.integers(), negative=st.booleans())
+def test_rationals_write_and_read_at_any_size(bits, seed, negative):
+    # The chunked conversions give what an unlimited interpreter gives.
+    v = random.Random(seed).getrandbits(bits) * (-1 if negative else 1)
+    for value in (F(v), F(v, 7**(bits // 7) + 1)):
+        text = docio._rat_to_str(value)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert docio._rat_from(text, "P") == value
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_chain_round_trip_past_the_digit_limit(seed):
+    # Coordinates near 10^400 give separating quadrics with entries past
+    # 4300 digits; the chain writes, reads back equal and verifies.
+    fw = huge_k44(seed)
+    verdict, chain = rigidity_test(fw)
+    assert verdict is Verdict.NOT_DIMENSIONALLY_RIGID
+    quadric = chain.records[-1].separation.matrix.upper
+    assert max(abs(v.numerator) for v in quadric) > 10**4300
+    text = docio.serialize_chain(chain)
+    parsed = docio.parse_chain(text)
+    assert parsed == chain
+    assert verify_chain(fw, parsed)
+    assert docio.serialize_chain(parsed) == text
+
+
+def test_chain_round_trip_is_equal():
+    # Stress matrices compare by value, so a parsed chain equals its source.
+    for name, fx in all_fixtures().items():
+        _, chain = rigidity_test(fx.framework)
+        assert docio.parse_chain(docio.serialize_chain(chain)) == chain, name
+
+
+def test_huge_json_integer_is_a_parse_error():
+    text = '{"d": 1, "P": [[' + "1" * 5000 + ']], "Q": [["1"]]}'
+    with pytest.raises(docio.ParseError, match="invalid JSON"):
+        docio.parse_framework(text)

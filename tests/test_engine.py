@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bipartite_rigidity import engine, stress
 from bipartite_rigidity.engine import (
     InvalidInput,
     Verdict,
+    chain_rejection,
     rigidity_test,
     rigidity_test_batch,
     verify_chain,
@@ -135,30 +137,91 @@ def test_chain_rejects_wrong_framework():
 
 
 def test_chain_rejects_mutations():
+    # Each edit is rejected, and the rejection names the record and check.
     fw = line_fw([0, 2], [1, 3])
     _, chain = rigidity_test(fw)
+    assert [rec.kind for rec in chain.records] == ["balanced", "exit"]
+    assert chain_rejection(fw, chain) is None
     rec = chain.records[0]
+
+    def with_first(mutated):
+        return dataclasses.replace(chain, records=(mutated,) + chain.records[1:])
+
     # sign flip on a balance coefficient
     bad_radon = dataclasses.replace(
         rec.radon, lambdas=(-rec.radon.lambdas[0],) + rec.radon.lambdas[1:]
     )
-    mutated = dataclasses.replace(rec, radon=bad_radon)
-    bad_chain = dataclasses.replace(chain, records=(mutated,) + chain.records[1:])
-    assert not verify_chain(fw, bad_chain)
+    bad_balance = with_first(dataclasses.replace(rec, radon=bad_radon))
     # support index swapped to a different vertex
-    mutated = dataclasses.replace(rec, support_p=(0, 0))
-    bad_chain = dataclasses.replace(chain, records=(mutated,) + chain.records[1:])
-    assert not verify_chain(fw, bad_chain)
+    bad_support = with_first(dataclasses.replace(rec, support_p=(0, 0)))
     # stress matrix corrupted
-    bad_omega = rec.stress.omega.copy()
-    bad_omega[0, 2] += 0.5
-    bad_stress = dataclasses.replace(rec.stress, omega=bad_omega)
-    mutated = dataclasses.replace(rec, stress=bad_stress)
-    bad_chain = dataclasses.replace(chain, records=(mutated,) + chain.records[1:])
-    assert not verify_chain(fw, bad_chain)
+    rows = rec.stress.omega
+    bad_row = rows[0][:2] + (rows[0][2] + 0.5,) + rows[0][3:]
+    bad_stress = dataclasses.replace(rec.stress, omega=(bad_row,) + rows[1:])
+    bad_omega = with_first(dataclasses.replace(rec, stress=bad_stress))
     # verdict swapped
-    bad_chain = dataclasses.replace(chain, verdict=Verdict.NOT_DIMENSIONALLY_RIGID)
-    assert not verify_chain(fw, bad_chain)
+    bad_verdict = dataclasses.replace(chain, verdict=Verdict.NOT_DIMENSIONALLY_RIGID)
+    for bad, named in (
+        (bad_balance, (0, "balance")),
+        (bad_support, (0, "support")),
+        (bad_omega, (0, "stress")),
+        (bad_verdict, (1, "verdict")),
+    ):
+        assert not verify_chain(fw, bad)
+        assert chain_rejection(fw, bad) == named
+
+
+def test_rejections_name_their_check():
+    fw = line_fw([0, 2], [1, 3])
+    _, chain = rigidity_test(fw)
+    first, last = chain.records
+    cases = (
+        (chain, line_fw([0, 1], [2, 3]), (0, "input")),
+        (dataclasses.replace(chain, records=()), fw, (0, "kind")),
+        (dataclasses.replace(chain, records=(first,)), fw, (0, "kind")),
+        (dataclasses.replace(chain, records=(dataclasses.replace(first, index=3), last)), fw,
+         (0, "index")),
+        (dataclasses.replace(chain, records=(first, dataclasses.replace(last, known_p=()))), fw,
+         (1, "known-set")),
+        (dataclasses.replace(chain, records=(first, dataclasses.replace(last, kind="dimspan"))),
+         fw, (1, "kind")),
+        (dataclasses.replace(chain, records=(dataclasses.replace(first, stress=None), last)), fw,
+         (0, "stress")),
+        (dataclasses.replace(chain, records=(first, dataclasses.replace(last, radon=first.radon))),
+         fw, (1, "balance")),
+    )
+    for bad, framework, named in cases:
+        assert chain_rejection(framework, bad) == named
+
+
+def test_unusable_record_is_named(monkeypatch):
+    # A documented rejection raised inside replay names the record it hit.
+    fw = line_fw([0, 2], [1, 3])
+    _, chain = rigidity_test(fw)
+
+    def unusable(*args, **kwargs):
+        raise ValueError("shape does not fit")
+
+    monkeypatch.setattr(engine, "verify_radon", unusable)
+    assert chain_rejection(fw, chain) == (0, "unusable record")
+    assert not verify_chain(fw, chain)
+
+
+def test_benchmark_mutation_names_its_check(monkeypatch):
+    # The edit the benchmark's gate makes: a negated balance coefficient,
+    # or a moved input point when the chain has no balanced pass.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    named = set()
+    for fx in all_fixtures().values():
+        _, chain = rigidity_test(fx.framework)
+        first = next((pos for pos, rec in enumerate(chain.records)
+                      if rec.radon is not None and rec.radon.support_p), None)
+        expected = (0, "input") if first is None else (first, "balance")
+        assert chain_rejection(fx.framework, workloads.mutate(chain)) == expected
+        named.add(expected[1])
+    assert named == {"input", "balance"}
 
 
 def test_verifier_faults_propagate(monkeypatch):

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bipartite_rigidity
+from bipartite_rigidity import docio, fixtures
+from bipartite_rigidity.engine import rigidity_test
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipartite_rigidity"
 
@@ -125,3 +131,83 @@ def test_no_unused_imports():
 def test_unused_import_check_sees_a_dropped_use():
     source = "from .lp import ZERO, ONE\n\ndef f():\n    return ZERO\n"
     assert unused_imports(source, "stress") == ["stress:1 ONE"]
+
+
+def module_level_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` of every import that runs when the module is imported.
+
+    Imports inside a function body run only when it is called, so they are
+    left out; class bodies and top-level ``if``/``try`` blocks are searched.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_level_numpy_import():
+    # Deciding, replaying and parsing need no numpy; only the float extras
+    # import it, inside the functions that use it.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module in module_level_imports(path.read_text())
+        if module.split(".")[0] == "numpy"
+    ]
+    assert found == []
+
+
+def test_module_level_import_check_skips_function_bodies():
+    source = (
+        "import numpy.linalg\nif True:\n    from numpy import array\n"
+        "def f():\n    import numpy as np\n    return np\n"
+    )
+    assert module_level_imports(source) == [(1, "numpy.linalg"), (3, "numpy")]
+
+
+#: Run in a fresh interpreter: decide and verify every fixture, parse the
+#: chain texts, run a one-file ``check``, then report whether numpy loaded.
+EXACT_PATH = """
+import json, sys
+from pathlib import Path
+import bipartite_rigidity
+from bipartite_rigidity import cli, docio, fixtures
+from bipartite_rigidity.engine import rigidity_test, verify_chain
+folder = Path(sys.argv[1])
+ok = True
+for name, fx in fixtures.all_fixtures().items():
+    verdict, chain = rigidity_test(fx.framework)
+    ok &= verify_chain(fx.framework, chain)
+    parsed = docio.parse_chain((folder / (name + ".chain.json")).read_text())
+    ok &= verify_chain(fx.framework, parsed) and parsed == chain
+code = cli.main(["check", str(folder / "cube_k44.json")])
+print(json.dumps([ok, code, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_path_never_loads_numpy(tmp_path):
+    # Writing a chain measures each stress's least eigenvalue, which loads
+    # numpy, so the chain texts are written here, not in the subprocess.
+    fixtures.emit_fixtures(tmp_path)
+    for name, fx in fixtures.all_fixtures().items():
+        text = docio.serialize_chain(rigidity_test(fx.framework)[1])
+        (tmp_path / f"{name}.chain.json").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_PATH, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    *printed, report = proc.stdout.splitlines()
+    assert printed == ["universally-rigid"]
+    assert json.loads(report) == [True, 0, False]

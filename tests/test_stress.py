@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from bipartite_rigidity import engine, stress
 from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
@@ -27,7 +28,7 @@ from bipartite_rigidity.stress import (
     generalized_stress,
     verify_super_stable_certificate,
 )
-from conftest import fraction_rref, k10x10, thin_image
+from conftest import flag, fraction_rref, k10x10, thin_image
 
 ALTERNATING = BipartiteFramework.from_lists(1, [[0], [2]], [[1], [3]])
 ALT_LAMBDAS = (F(1, 4), F(3, 4))
@@ -36,6 +37,11 @@ ALT_MUS = (F(3, 4), F(1, 4))
 
 def alt_cert() -> StressCertificate:
     return build_super_stable_stress(ALTERNATING, ALT_LAMBDAS, ALT_MUS)
+
+
+def as_rows(matrix) -> tuple:
+    """A matrix as the tuple of float rows a certificate holds."""
+    return tuple(map(tuple, np.asarray(matrix, dtype=float).tolist()))
 
 
 def test_alternating_line_certificate():
@@ -69,12 +75,12 @@ def test_unbalanced_coefficients_rejected():
 
 
 def test_diagonal_matches_input_exactly():
-    cert = alt_cert()
+    omega = np.array(alt_cert().omega)
     expected = [float(v) for v in ALT_LAMBDAS + ALT_MUS]
-    assert np.max(np.abs(np.diag(cert.omega) - expected)) <= 1e-12 * max(expected)
+    assert np.max(np.abs(np.diag(omega) - expected)) <= 1e-12 * max(expected)
     # class blocks are structurally diagonal
-    assert np.all(cert.omega[:2, :2] == np.diag(np.diag(cert.omega[:2, :2])))
-    assert np.all(cert.omega[2:, 2:] == np.diag(np.diag(cert.omega[2:, 2:])))
+    assert np.all(omega[:2, :2] == np.diag(np.diag(omega[:2, :2])))
+    assert np.all(omega[2:, 2:] == np.diag(np.diag(omega[2:, 2:])))
 
 
 def test_kernel_contains_configuration_rows():
@@ -88,7 +94,7 @@ def test_scaling_homogeneity():
     scaled = build_super_stable_stress(
         ALTERNATING, tuple(t * v for v in ALT_LAMBDAS), tuple(t * v for v in ALT_MUS)
     )
-    assert np.allclose(scaled.omega, 4.0 * cert.omega, atol=1e-12)
+    assert np.allclose(scaled.omega, 4.0 * np.array(cert.omega), atol=1e-12)
 
 
 def test_equilibrium_residual_zero_matrix():
@@ -98,7 +104,7 @@ def test_equilibrium_residual_zero_matrix():
 def test_equilibrium_residual_perturbation():
     cert = alt_cert()
     assert cert.residual <= 1e-12
-    bumped = cert.omega.copy()
+    bumped = np.array(cert.omega)
     bumped[0, 2] += 1.0
     assert equilibrium_residual(bumped, ALTERNATING) >= F(1, 3)
 
@@ -150,9 +156,9 @@ def test_verify_rejects_non_finite_entries():
     cert = build_super_stable_stress(fw, (F(1, 4),) * 4, (F(1, 4),) * 4)
     for value in (np.nan, np.inf, -np.inf):
         for entry in ((0, 0), (0, 5), (5, 0)):
-            omega = cert.omega.copy()
+            omega = np.array(cert.omega)
             omega[entry] = value
-            bad = dataclasses.replace(cert, omega=omega)
+            bad = dataclasses.replace(cert, omega=as_rows(omega))
             assert verify_super_stable_certificate(fw, bad) is False, (value, entry)
     huge = dataclasses.replace(cert, lambdas=(F(10**400),) * 4, mus=(F(10**400),) * 4)
     assert verify_super_stable_certificate(fw, huge) is False
@@ -173,18 +179,19 @@ def test_verify_rejects_edited_certificates():
     assert rec.kind == "balanced" and (rec.support_p, rec.support_q) == ((0, 1, 2, 3),) * 2
     assert verify_chain(fw, chain)
     cert = rec.stress
+    exact = np.array(cert.omega)
     z = np.array([1.0, 1, 0, 0, -1, -1, 0, 0])
-    upper = cert.omega.copy()
+    upper = exact.copy()
     upper[:, 7] += 5 * z
-    for omega in (upper, cert.omega + np.outer(z, z)):
+    for omega in (upper, exact + np.outer(z, z)):
         assert equilibrium_residual(omega, fw) == 0
-    ulp = cert.omega.copy()
+    ulp = exact.copy()
     ulp[0, 5] = ulp[5, 0] = np.nextafter(ulp[0, 5], np.inf)
-    nudged = cert.omega.copy()
+    nudged = exact.copy()
     nudged[0, 5] = nudged[5, 0] = nudged[0, 5] + 1e-10
     edits = [
-        dataclasses.replace(cert, omega=omega)
-        for omega in (upper, cert.omega + np.outer(z, z), ulp, nudged)
+        dataclasses.replace(cert, omega=as_rows(omega))
+        for omega in (upper, exact + np.outer(z, z), ulp, nudged)
     ] + [
         dataclasses.replace(
             cert,
@@ -200,6 +207,61 @@ def test_verify_rejects_edited_certificates():
         assert verify_super_stable_certificate(fw, bad) is False, k
         edited = dataclasses.replace(rec, stress=bad)
         assert not verify_chain(fw, dataclasses.replace(chain, records=(edited,) + chain.records[1:]))
+
+
+def test_verify_rejects_omega_of_another_shape():
+    # Only a tuple of tuple rows can equal the closed form: an array, lists
+    # or ragged rows are a rejection, not an error.
+    fw = fixture("cube_k44").framework
+    cert = build_super_stable_stress(fw, (F(1, 4),) * 4, (F(1, 4),) * 4)
+    assert verify_super_stable_certificate(fw, cert)
+    rows = cert.omega
+    for omega in (
+        np.array(rows),
+        [list(row) for row in rows],
+        list(rows),
+        tuple(np.array(row) for row in rows),
+        rows[:-1],
+        rows[:-1] + (rows[-1][:-1],),
+        rows[:-1] + (rows[-1] + (0.0,),),
+    ):
+        bad = dataclasses.replace(cert, omega=omega)
+        assert verify_super_stable_certificate(fw, bad) is False, type(omega)
+
+
+def test_measurements_wait_for_a_read_and_match_eager_ones(monkeypatch):
+    # Deciding runs no eigensolver and no residual; the first read of
+    # min_eigenvalue or residual gives exactly what computing them on the
+    # built matrix gives, and a second read computes nothing.
+    built = []
+    original = engine.build_super_stable_stress
+
+    def recording(fw, lambdas, mus):
+        cert = original(fw, lambdas, mus)
+        built.append((fw, cert))
+        return cert
+
+    def boom(*args, **kwargs):
+        raise AssertionError("measured before a read")
+
+    monkeypatch.setattr(engine, "build_super_stable_stress", recording)
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigvalsh", boom)
+        patched.setattr(stress, "equilibrium_residual", boom)
+        for fw in (
+            [fx.framework for fx in all_fixtures().values()]
+            + [k10x10(seed) for seed in (1, 2, 3)]
+            + [flag(seed) for seed in range(1, 6)]
+        ):
+            rigidity_test(fw)
+    assert len(built) >= 20
+    for fw, cert in built:
+        matrix = np.array(cert.omega)
+        assert cert.min_eigenvalue == float(np.linalg.eigvalsh(matrix)[0])
+        assert cert.residual == equilibrium_residual(matrix, fw)
+        assert (cert.min_eigenvalue, cert.residual) == cert.measured
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    assert all(cert.min_eigenvalue is cert.measured[0] for _, cert in built)
 
 
 def test_generalized_zero_coupling_matches_base():
