@@ -5,12 +5,13 @@ when the denominator is one) so no floating-point parse ambiguity can creep
 into coordinates or LP certificates.  Numerators and denominators past the
 interpreter's limit on decimal conversion (4300 digits by default) are
 written and read in chunks; the reader takes canonical ``"a/b"`` text with
-up to :data:`MAX_DIGITS` digits in each part, and gives a located
-:class:`ParseError` beyond that.  Floating stress data (``omega`` as rows)
-serializes with 17 significant digits, which round-trips IEEE doubles
-bit-faithfully; writing, reading and verifying a chain needs no ``numpy``,
-except that writing a built stress certificate measures its least
-eigenvalue and residual.
+up to :data:`MAX_DIGITS` digits in each part, and other spellings with a
+decimal exponent up to that bound, and gives a located :class:`ParseError`
+beyond that.  Floating stress data (``omega`` as rows) serializes with 17
+significant digits, which round-trips IEEE doubles bit-faithfully;
+writing, reading and verifying a chain needs no ``numpy``, except that
+writing a built stress certificate measures its least eigenvalue and
+residual.
 
 Canonical serialization sorts keys and indents consistently; parsing then
 reserializing a canonical document reproduces it byte for byte.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -34,8 +36,12 @@ FORMAT_VERSION = 1
 #: of a canonical ``"a/b"`` string.  Decimal conversion takes time quadratic
 #: in the digit count (about 0.1 s at this bound), so the reader bounds it
 #: in place of the interpreter's limit.  Other spellings are read by
-#: ``Fraction``, under the interpreter's limit.
+#: ``Fraction``, under the interpreter's limit, and their decimal exponent
+#: is bounded by the same number: ``Fraction`` computes ``10**exponent``.
 MAX_DIGITS = 100_000
+
+#: A decimal exponent as ``Fraction`` spells it (any script's digits).
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 #: Numbers of at most this many bits have fewer than 640 decimal digits,
 #: so they convert under any limit the interpreter accepts.
@@ -129,7 +135,12 @@ def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
     if isinstance(value, str):
         try:
             fast = _plain_rational(value)
-            return Fraction(value) if fast is None else fast
+            if fast is not None:
+                return fast
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+                raise ValueError(f"exponent beyond {MAX_DIGITS}")
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
                 f"{_at(locus, index)}: invalid rational {_excerpt(value)} ({exc})"

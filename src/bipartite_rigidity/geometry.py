@@ -14,6 +14,9 @@ sends a point ``v`` of d-space to the rank-one symmetric matrix
 ``v^ v^T`` (with a trailing 1 appended to ``v``), turning questions about
 separating quadrics into questions about separating hyperplanes in the
 space of symmetric matrices.
+Lifts, quadrics and Grams share one layout, the row-major upper triangle
+that :class:`SymmetricMatrix` stores, built only here: :func:`_lift` (of a
+hatted point) and :func:`_diagonal` (which entries are diagonal).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .lp import ZERO, ONE, _frac, _reduce_ints, _scale
+from .lp import ZERO, ONE, _clear, _frac, _reduce_ints
 
 Point = tuple[Fraction, ...]
 
@@ -114,46 +117,41 @@ class SymmetricMatrix:
     def rows(self) -> list[list[Fraction]]:
         return [[self.entry(i, j) for j in range(self.order)] for i in range(self.order)]
 
-    def quadratic_form(self, vec: Sequence[Fraction]) -> Fraction:
-        if len(vec) != self.order:
-            raise ValueError("vector length mismatch")
-        acc = ZERO
-        for i in range(self.order):
-            vi = vec[i]
-            if not vi:
-                continue
-            for j in range(self.order):
-                vj = vec[j]
-                if vj:
-                    acc += vi * self.entry(i, j) * vj
-        return acc
-
     def evaluate_point(self, point: Sequence[Fraction]) -> Fraction:
         """Value of the quadric form at a point of (order-1)-space."""
-        return self.quadratic_form(tuple(point) + (ONE,))
+        lift = _lift((*point, ONE))
+        if len(lift) != len(self.upper):
+            raise ValueError("vector length mismatch")
+        pairs = zip(self.upper, _diagonal(self.order), lift)
+        return sum((v * x if diag else 2 * v * x for v, diag, x in pairs), ZERO)
+
+
+def _lift(h: Sequence, g: Optional[Sequence] = None) -> list:
+    """The upper triangle of ``h g^T`` in :class:`SymmetricMatrix` order; ``g`` defaults to ``h``.
+
+    ``_lift(h)`` lifts a hatted point, ``_lift(-h, h)`` negates that lift.
+    """
+    g = h if g is None else g
+    return [a * b for i, a in enumerate(h) for b in g[i:]]
+
+
+def _diagonal(order: int) -> list[bool]:
+    """Which entries of the upper-triangle layout of ``order`` lie on the diagonal."""
+    return [i == j for i in range(order) for j in range(i, order)]
 
 
 def veronese(v: Sequence) -> SymmetricMatrix:
     """Lift a point of d-space to the rank-one symmetric matrix of order d+1."""
-    hat = tuple(_frac(c) for c in v) + (ONE,)
-    k = len(hat)
-    data = []
-    for i in range(k):
-        for j in range(i, k):
-            data.append(hat[i] * hat[j])
-    return SymmetricMatrix(k, tuple(data))
+    hat = (*(_frac(c) for c in v), ONE)
+    return SymmetricMatrix(len(hat), tuple(_lift(hat)))
 
 
 # -- exact elimination -------------------------------------------------------
 
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row multiplied by its least common denominator; the row space stays."""
-    out = []
-    for row in rows:
-        s = _scale(row)
-        out.append([v.numerator * (s // v.denominator) for v in row])
-    return out
+    """Each row cleared by its least common denominator; the row space stays."""
+    return [_clear(row)[0] for row in rows]
 
 
 def _cleared(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -168,12 +166,10 @@ def _hats(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     return [x + [c] for x in ints], c
 
 
-def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> list[list[int]]:
-    """The integer Gram matrix ``sum_k weights[k] * hats[k] hats[k]^T``."""
-    pairs = [(h, a) for h, a in zip(hats, weights) if a]
-    return [
-        [sum(a * h[i] * h[j] for h, a in pairs) for j in range(order)] for i in range(order)
-    ]
+def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> list[int]:
+    """The upper triangle (:func:`_lift`) of the Gram ``sum_k weights[k] hats[k] hats[k]^T``."""
+    lifts = [_lift(h, [a * v for v in h]) for h, a in zip(hats, weights) if a]
+    return [sum(col) for col in zip(*lifts)] if lifts else _lift([0] * order)
 
 
 def _span_dim(ints: Sequence[Sequence[int]]) -> int:

@@ -4,7 +4,8 @@ A dense two-phase simplex solver using Bland's anti-cycling rule.  Problems
 reach the tableau already cleared to integers: :class:`LPProblem` holds its
 rows and rhs as Python ints, each column scaled by a positive int, and
 :meth:`LPProblem.create` is the thin step that clears a rational problem
-onto that form.  The tableau holds ints over one common denominator and is
+onto that form through :func:`_clear`, the package's one clear of a
+rational vector.  The tableau holds ints over one common denominator and is
 pivoted fraction-free (:func:`pivot_rows`), so every division is exact.
 Outcomes are stated in :class:`fractions.Fraction` and are exact: feasible
 points satisfy every constraint with zero residual, optima are exact
@@ -28,7 +29,7 @@ never pays for it.
 
 Phase 1 never reads the objective, so every problem with the same rows and
 rhs ends phase 1 in the same basis.  A FEASIBLE outcome of
-:func:`solve_feasibility` keeps that state, and :func:`maximize` can start
+:func:`solve_feasibility` keeps that tableau, and :func:`maximize` can start
 from a copy of it (``start=``): it then runs phase 2 only, takes exactly the
 pivots a cold solve would take after phase 1, and returns the identical
 outcome.
@@ -42,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,20 +121,16 @@ class LPProblem:
         rows = [[_frac(v) for v in row] for row in rows]
         if any(len(row) != n_vars for row in rows):
             raise MalformedProblem("constraint row width mismatch")
-        rhs = [_frac(v) for v in rhs]
-        col_scale = tuple(_scale(col) for col in zip(*rows)) if rows else (1,) * n_vars
-        rhs_scale = _scale(rhs)
+        cols = [_clear(col) for col in zip(*rows)]
+        rhs, rhs_scale = _clear([_frac(v) for v in rhs])
         return cls(
-            rows=tuple(
-                tuple(v.numerator * (s // v.denominator) for v, s in zip(row, col_scale))
-                for row in rows
-            ),
-            rhs=tuple(v.numerator * (rhs_scale // v.denominator) for v in rhs),
+            rows=tuple(tuple(ints[i] for ints, _ in cols) for i in range(len(rows))),
+            rhs=tuple(rhs),
             n_vars=n_vars,
             objective=None
             if objective is None
             else tuple(_frac(v) for v in objective),
-            col_scale=col_scale,
+            col_scale=tuple(s for _, s in cols) if rows else (1,) * n_vars,
             rhs_scale=rhs_scale,
         )
 
@@ -150,14 +147,14 @@ class LPOutcome:
     solves it from the final basis the first time ``dual`` is read, and the
     result is kept.  ``value`` is the exact optimal objective value for
     OPTIMAL.  A FEASIBLE outcome of :func:`solve_feasibility` also carries
-    its phase-1 state, which :func:`maximize` accepts as ``start``.
-    Outcomes compare by status, point, value and dual.
+    its tableau after phase 1 (``phase_one``), which :func:`maximize`
+    accepts as ``start``.  Outcomes compare by status, point, value and dual.
     """
 
     status: LPStatus
     point: Optional[tuple[Fraction, ...]] = None
     value: Optional[Fraction] = None
-    phase_one: Optional[_PhaseOne] = field(default=None, repr=False)
+    phase_one: Optional[_Simplex] = field(default=None, repr=False)
     solve_dual: Optional[Callable[[], tuple[Fraction, ...]]] = field(default=None, repr=False)
 
     @cached_property
@@ -223,9 +220,10 @@ def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, den
 
 
-def _scale(values) -> int:
-    """The least positive integer that makes every value integral."""
-    return lcm(*(v.denominator for v in values))
+def _clear(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(ints, s)`` with ``ints[k] == values[k] * s``, ``s`` the least such positive int."""
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def _basis_duals(
@@ -289,10 +287,12 @@ class _Simplex:
     integral from the start and the constructor reads only ints.  The
     sign-flipped starting rows (``rows``, with ``flip``) and the column and
     rhs scales are kept: :meth:`solution` and :meth:`duals` undo the
-    scales, and the Farkas vector does not see them.
+    scales, and the Farkas vector does not see them.  A warm start must
+    match ``constraints``, the problem's ``(rows, rhs, col_scale, rhs_scale)``.
     """
 
     def __init__(self, prob: LPProblem):
+        self.constraints = (prob.rows, prob.rhs, prob.col_scale, prob.rhs_scale)
         self.m = len(prob.rows)
         self.nx = nx = prob.n_vars
         self.den = 1
@@ -386,9 +386,8 @@ class _Simplex:
                 self._pivot(i, j)
 
     def phase2(self, cost: Sequence[Fraction]) -> str:
-        scaled = [v * s for v, s in zip(cost, self.col_scale)]
-        self.cost_scale = _scale(scaled)
-        self.cost = c = [v.numerator * (self.cost_scale // v.denominator) for v in scaled]
+        self.cost, self.cost_scale = _clear([v * s for v, s in zip(cost, self.col_scale)])
+        c = self.cost
         priced = [(c[b], row) for b, row in zip(self.basis, self.T) if b < self.nx and c[b]]
         self.T[-1] = [
             (c[j] * self.den if j < self.nx else 0) - sum(ci * row[j] for ci, row in priced)
@@ -414,25 +413,6 @@ class _Simplex:
         return x
 
 
-class _PhaseOne(NamedTuple):
-    """A problem's tableau after phase 1 (internal)."""
-
-    constraints: tuple  # (rows, rhs, n_vars, col_scale, rhs_scale) of the problem
-    splx: _Simplex
-    feasible: bool
-
-
-def _constraints(prob: LPProblem) -> tuple:
-    return (prob.rows, prob.rhs, prob.n_vars, prob.col_scale, prob.rhs_scale)
-
-
-def _phase_one(prob: LPProblem) -> _PhaseOne:
-    """Run phase 1 on ``prob``; the objective is not read."""
-    splx = _Simplex(prob)
-    feasible = splx.phase1()
-    return _PhaseOne(_constraints(prob), splx, feasible)
-
-
 def solve_feasibility(prob: LPProblem) -> LPOutcome:
     """Decide ``A x = b, x >= 0`` exactly.
 
@@ -442,11 +422,10 @@ def solve_feasibility(prob: LPProblem) -> LPOutcome:
     """
     if prob.objective is not None:
         raise MalformedProblem("feasibility problem must not carry an objective")
-    state = _phase_one(prob)
-    if not state.feasible:
-        return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=state.splx.farkas())
-    point = tuple(state.splx.solution())
-    return LPOutcome(status=LPStatus.FEASIBLE, point=point, phase_one=state)
+    splx = _Simplex(prob)
+    if not splx.phase1():
+        return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=splx.farkas())
+    return LPOutcome(status=LPStatus.FEASIBLE, point=tuple(splx.solution()), phase_one=splx)
 
 
 def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
@@ -457,7 +436,7 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     column ``j``; an INFEASIBLE one carries a Farkas vector.
 
     ``start`` may be a FEASIBLE outcome of :func:`solve_feasibility` on a
-    problem with the same rows and rhs as ``prob``.  Phase 1 never
+    problem with the same rows, rhs and scales as ``prob``.  Phase 1 never
     reads the objective and is deterministic, so it would end in exactly the
     basis that outcome holds; the solve copies that tableau and runs phase 2
     only.  The outcome is identical to a solve without ``start``, which is
@@ -467,17 +446,15 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     if prob.objective is None:
         raise MalformedProblem("maximize requires an objective")
     if start is None:
-        state = _phase_one(prob)
-        if not state.feasible:
-            return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=state.splx.farkas())
-        splx = state.splx
+        splx = _Simplex(prob)
+        if not splx.phase1():
+            return LPOutcome(status=LPStatus.INFEASIBLE, solve_dual=splx.farkas())
     else:
-        state = start.phase_one
-        if state is None or state.constraints != _constraints(prob):
-            raise MalformedProblem(
-                "start is not a feasible outcome of this problem's constraints"
-            )
-        splx = state.splx.copy()
+        splx = start.phase_one
+        constraints = (prob.rows, prob.rhs, prob.col_scale, prob.rhs_scale)
+        if splx is None or splx.constraints != constraints:
+            raise MalformedProblem("start is not a feasible outcome of this problem's constraints")
+        splx = splx.copy()
     outcome = splx.phase2([-v for v in prob.objective])
     if outcome == "unbounded":
         return LPOutcome(status=LPStatus.UNBOUNDED)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -134,7 +134,10 @@ def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]
     Deterministic search: the coordinate functionals first, then all
     vectors with entries in {0..k} (largest entry exactly k) in
     lexicographic order for k = 1, 2, ...  The first functional that is
-    nonzero on every difference wins.
+    nonzero on every difference wins.  It wins by the shell ``k = r`` for
+    ``r`` rays: each ray's zero set ``c . v = 0`` fixes one coordinate of
+    ``c``, so at most ``r (k+1)^(d-1)`` of the ``(k+1)^d`` vectors in
+    ``{0..k}^d`` vanish on some ray.
     """
     d = len(p0)
     diffs = []
@@ -155,13 +158,12 @@ def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]
         c[axis] = 1
         if works(c):
             return tuple(Fraction(v) for v in c)
-    for k in range(1, 65):
+    for k in count(1):  # returns by k = len(diffs) (docstring)
         for combo in product(range(k + 1), repeat=d):
             if max(combo) != k or not any(combo):
                 continue
             if works(combo):
                 return tuple(Fraction(v) for v in combo)
-    raise AssertionError("functional search exhausted; input beyond supported scale")
 
 
 def slide_to_hyperplane(

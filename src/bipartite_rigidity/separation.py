@@ -17,7 +17,8 @@ zero in every point found so far, all from the feasibility solve's phase-1
 basis.  Both witnesses re-verify with zero residual, on integers: the
 points are cleared once per check to hatted integer points ``(X, c)``,
 ``X = c p`` with ``c`` the common denominator of the coordinates
-(:func:`verify_radon`, :func:`verify_separation`).
+(:func:`verify_radon`, :func:`verify_separation`), rational vectors by
+:func:`~.lp._clear`; lifts, quadrics and Grams use :mod:`.geometry`'s layout.
 :func:`max_margin_quadric` finds the separating quadric of largest margin
 through the same duality: it solves the LP for the least weighted distance
 between the lifted hulls and reads the quadric off that LP's dual.
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 from . import lp
-from .geometry import BipartiteFramework, SymmetricMatrix, _gram, _hats, _int_rows
-from .lp import LPProblem, LPStatus
+from .geometry import BipartiteFramework, SymmetricMatrix, _diagonal, _gram, _hats, _lift
+from .lp import LPProblem, LPStatus, _clear
 
 
 class EmptySide(ValueError):
@@ -85,12 +85,10 @@ def _lift_columns(fw: BipartiteFramework) -> tuple[list[list[int]], list[int]]:
     denominator ``den_a^2``), so it is the column scale a rational problem
     would be cleared by (:meth:`~.lp.LPProblem.create`).
     """
-    order = fw.dimension + 1
     cols, scales = [], []
     for k, pt in enumerate(fw.all_points()):
         (hat,), c = _hats([pt])
-        signed = hat if k < fw.n else [-v for v in hat]
-        cols.append([a * hat[j] for i, a in enumerate(signed) for j in range(i, order)])
+        cols.append(_lift(hat if k < fw.n else [-v for v in hat], hat))
         scales.append(c * c)
     return cols, scales
 
@@ -101,8 +99,7 @@ def _quadric(hat: int, y: Sequence[Fraction]) -> list[Fraction]:
     ``y`` holds one multiplier per balance row; off-diagonal entries are
     halved because each appears twice in the form.
     """
-    pairs = [(i, j) for i in range(hat) for j in range(i, hat)]
-    return [y[k] if i == j else y[k] / 2 for k, (i, j) in enumerate(pairs)]
+    return [v if diag else v / 2 for v, diag in zip(y, _diagonal(hat))]
 
 
 def _radon_problem(fw: BipartiteFramework) -> LPProblem:
@@ -143,9 +140,8 @@ def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
     ``delta = N_norm / max|U|``.
     """
     order = d + 1
-    (nums,) = _int_rows([y])
-    pairs = [(i, j) for i in range(order) for j in range(i, order)]
-    upper = [-2 * nums[k] if i == j else -nums[k] for k, (i, j) in enumerate(pairs)]
+    nums, _ = _clear(y)
+    upper = [-2 * v if diag else -v for v, diag in zip(nums, _diagonal(order))]
     norm = nums[len(upper)]
     upper[-1] -= norm
     scale = max(abs(v) for v in upper)
@@ -165,7 +161,7 @@ def _zero_on_region(prob: LPProblem, y: Sequence[Fraction]) -> set[int]:
     slackness; Goldman and Tucker 1956).  The signs are read on the integer
     columns, positive multiples of ``A_k``, with ``y`` cleared to integers.
     """
-    (nums,) = _int_rows([y])
+    nums, _ = _clear(y)
     acc = [0] * prob.n_vars
     for f, row in zip(nums, prob.rows):
         if f:
@@ -223,14 +219,14 @@ def maximal_support_radon(
             points.append(best.point)
         else:
             zero |= _zero_on_region(base, best.dual)
-    dens = [lcm(*(v.denominator for v in pt)) for pt in points]
-    top = max(dens)
-    weights = [den * -(-top // den) for den in dens]
+    cleared = [_clear(pt) for pt in points]
+    top = max(den for _, den in cleared)
     nums = [0] * total
-    for w, pt in zip(weights, points):
-        for k, v in enumerate(pt):
-            nums[k] += (w // v.denominator) * v.numerator
-    total_weight = sum(weights)
+    total_weight = 0
+    for ints, den in cleared:
+        f = -(-top // den)
+        total_weight += den * f
+        nums = [a + f * b for a, b in zip(nums, ints)]
     avg = [Fraction(num, total_weight) for num in nums]
     return RadonCertificate(lambdas=tuple(avg[: fw.n]), mus=tuple(avg[fw.n :]))
 
@@ -240,9 +236,10 @@ def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
 
     The coefficients are cleared by their common denominator ``w`` and the
     points to hatted integers ``(X, c) = c p^``, so balance reads as the
-    equality of the two integer Grams ``sum w lambda_i (X_i, c)(X_i, c)^T``
-    and ``sum w mu_j (X_j, c)(X_j, c)^T``: each is ``w c^2`` times the sum of
-    the lifts on its side.
+    equality of the upper triangles of the two integer Grams
+    ``sum w lambda_i (X_i, c)(X_i, c)^T`` and ``sum w mu_j (X_j, c)(X_j, c)^T``
+    (:func:`~.geometry._gram`): each is ``w c^2`` times the sum of the lifts
+    on its side.
     """
     n = fw.n
     coeffs = (*cert.lambdas, *cert.mus)
@@ -250,8 +247,7 @@ def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
         return False
     if any(v < 0 for v in coeffs):
         return False
-    w = lcm(*(v.denominator for v in coeffs))
-    ints = [v.numerator * (w // v.denominator) for v in coeffs]
+    ints, w = _clear(coeffs)
     if sum(ints[:n]) != w or sum(ints[n:]) != w:
         return False
     hats, _ = _hats(fw.all_points())
@@ -267,8 +263,7 @@ def _distance_problem(fw: BipartiteFramework) -> LPProblem:
     no scale; the last row is ``sum lambda + sum mu = 1``.  The objective
     is minus the weighted L1 norm of the residual.
     """
-    hat = fw.dimension + 1
-    weights = [1 if i == j else 2 for i in range(hat) for j in range(i, hat)]
+    weights = [1 if diag else 2 for diag in _diagonal(fw.dimension + 1)]
     k_entries = len(weights)
     n_lm = fw.n + fw.m
     cols, scales = _lift_columns(fw)
@@ -326,19 +321,14 @@ def verify_separation(cert: SeparationCertificate, fw: BipartiteFramework) -> bo
         return False
     if any(abs(v) > 1 for v in matrix.upper):
         return False
-    den = lcm(delta.denominator, *(v.denominator for v in matrix.upper))
-    pairs = [(i, j) for i in range(matrix.order) for j in range(i, matrix.order)]
+    ints, _ = _clear((*matrix.upper, delta))
     # Off-diagonal entries appear twice in the form.
-    terms = [
-        (i, j, v.numerator * (den // v.denominator) * (1 if i == j else 2))
-        for (i, j), v in zip(pairs, matrix.upper)
-        if v
-    ]
+    weights = [v if diag else 2 * v for v, diag in zip(ints, _diagonal(matrix.order))]
     hats, c = _hats(fw.all_points())
-    bound = delta.numerator * (den // delta.denominator) * c * c
+    bound = ints[-1] * c * c
 
     def form(h: list[int]) -> int:
-        return sum(s * h[i] * h[j] for i, j, s in terms)
+        return sum(s * x for s, x in zip(weights, _lift(h)) if s)
 
     return all(form(h) >= bound for h in hats[: fw.n]) and all(
         form(h) <= -bound for h in hats[fw.n :]

@@ -25,12 +25,12 @@ degree one in the coefficients jointly: scaling ``L`` and ``M`` by ``w``
 scales ``G`` and ``Q^ M`` by ``w`` and leaves ``X`` alone.  So the hatted
 points are multiplied by the common denominator ``c`` of the coordinates,
 ``(X, c) = c p^`` (``T = c I``, so ``B`` does not change), and the
-coefficients by theirs, ``w``; the two integer Grams are compared to check
-balance, ``[G | Q^ M]`` is reduced on integers over one common denominator
-``den``, and ``B`` comes out as integer numerators over ``w * den``.  Each
-entry is converted to floating point by one correctly rounded integer
-division.  Thin, flat or large configurations therefore need no rescaling
-before the build.
+coefficients by theirs, ``w`` (:func:`~.lp._clear`); the upper triangles
+of the two integer Grams are compared to check balance, ``[G | Q^ M]`` is
+reduced on integers over one common denominator ``den``, and ``B`` comes
+out as integer numerators over ``w * den``.  Each entry is converted to
+floating point by one correctly rounded integer division.  Thin, flat or
+large configurations therefore need no rescaling before the build.
 
 ``omega`` is held as a tuple of float rows, so building and verifying a
 certificate needs no ``numpy``.  The floating extras import it inside the
@@ -67,11 +67,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Any, Callable, Sequence
 
 from .geometry import (
     BipartiteFramework,
+    SymmetricMatrix,
     affine_span_dim,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     affine_spans_equal,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     _cleared,
@@ -79,6 +79,7 @@ from .geometry import (
     _hats,
     _reduce_ints,
 )
+from .lp import _clear
 
 #: Relative eigenvalue threshold for the numerical rank of a coupled stress.
 RANK_TOL = 1e-8
@@ -183,22 +184,23 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
     """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
     Hatted points and coefficients are cleared to integers (module
-    docstring), the two integer Grams are compared, and ``[G | Q^ M]`` is
-    row reduced on integers; ``X`` takes the reduced right side in its
-    pivot rows and zeros elsewhere.  Exact balance puts every column of
-    ``Q^ M`` in the range of ``G``, so no pivot lands on the right side.
+    docstring), the upper triangles of the two integer Grams are compared,
+    and ``[G | Q^ M]`` is row reduced on integers; ``X`` takes the reduced
+    right side in its pivot rows and zeros elsewhere.  Exact balance puts
+    every column of ``Q^ M`` in the range of ``G``, so no pivot lands on the
+    right side.
     Returns the numerators, their positive denominator and ``rank G`` (the
     pivot count).
     """
     hat = fw.dimension + 1
     hats, _ = _hats(fw.all_points())
     p_hats, q_hats = hats[: fw.n], hats[fw.n :]
-    w = lcm(*(v.denominator for v in (*lambdas, *mus)))
-    a = [v.numerator * (w // v.denominator) for v in lambdas]
-    b = [v.numerator * (w // v.denominator) for v in mus]
-    gram = _gram(p_hats, a, hat)
-    if gram != _gram(q_hats, b, hat):
+    coeffs, w = _clear((*lambdas, *mus))
+    a, b = coeffs[: fw.n], coeffs[fw.n :]
+    upper = _gram(p_hats, a, hat)
+    if upper != _gram(q_hats, b, hat):
         raise DegenerateInput("coefficients do not balance the lifted classes")
+    gram = SymmetricMatrix(hat, tuple(upper)).rows()
     system = [gram[i] + [bj * q[i] for q, bj in zip(q_hats, b)] for i in range(hat)]
     pivots, den = _reduce_ints(system)
     x = [[0] * fw.m for _ in range(hat)]

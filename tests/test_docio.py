@@ -6,12 +6,13 @@ import json
 import random
 import re
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipartite_rigidity import docio
+from bipartite_rigidity import cli, docio
 from bipartite_rigidity.engine import Verdict, rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, emit_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
@@ -228,6 +229,13 @@ _RATIONAL_LIKE = st.text(alphabet="0123456789-+/ ._e٣²", max_size=12)
 @given(st.one_of(st.text(max_size=12), _RATIONAL_LIKE,
                  st.builds(lambda a, b: f"{a}/{b}", st.integers(), st.integers(0, 10**30))))
 def test_rat_from_reads_strings_as_fraction_does(text):
+    # Fraction computes 10**exponent with no limit, so a text whose exponent
+    # is past the bound is refused without ever being handed to it.
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exponent and abs(int(exponent[1])) > docio.MAX_DIGITS:
+        with pytest.raises(docio.ParseError, match="exponent beyond"):
+            docio._rat_from(text, "P", 0)
+        return
     try:
         expected = F(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -237,6 +245,28 @@ def test_rat_from_reads_strings_as_fraction_does(text):
     else:
         got = docio._rat_from(text, "P", 0)
         assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize("text", [
+    "1e999999999", "1E-999999999", "0e99999999", "1e1_000_000", "1e\u0661" + "\u0660" * 6,
+])
+def test_rat_from_refuses_exponents_past_the_bound(text):
+    with pytest.raises(docio.ParseError, match=r"P\[0\]: .*exponent beyond"):
+        docio._rat_from(text, "P", 0)
+
+
+def test_rat_from_reads_exponents_at_the_bound():
+    assert docio._rat_from("1e100000", "P") == 10**100000
+    assert docio._rat_from(" -2.5E-100_000 ", "P") == F(-25, 10**100001)
+
+
+def test_check_refuses_a_huge_exponent_quickly(tmp_path, capsys):
+    path = tmp_path / "fw.json"
+    path.write_text('{"d": 1, "P": [["0"], ["1e9999999999"]], "Q": [["1"]]}')
+    begin = time.perf_counter()
+    assert cli.main(["check", str(path)]) == 2
+    assert time.perf_counter() - begin < 1
+    assert "P[1][0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, value", [

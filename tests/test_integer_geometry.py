@@ -510,7 +510,7 @@ def assert_same_balance_lp(fw) -> None:
         d = fw.dimension
         assert _farkas_quadric(d, first.dual) == ref_farkas_quadric(d, first.dual)
         return
-    assert first.phase_one.splx.T == start.phase_one.splx.T
+    assert first.phase_one.T == start.phase_one.T
     # The coordinates maximal_support_radon may maximize: zero in the first point.
     total = fw.n + fw.m
     for j in (j for j in range(total) if first.point[j] == 0):

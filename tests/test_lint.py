@@ -133,6 +133,99 @@ def test_unused_import_check_sees_a_dropped_use():
     assert unused_imports(source, "stress") == ["stress:1 ONE"]
 
 
+#: The only functions that read a rational's parts or take an lcm: the one
+#: clear of a vector, the clear of a point set over one shared scale, and
+#: the writer of canonical text.
+RATIONAL_PARTS_READERS = {"lp._clear", "geometry._cleared", "docio._rat_to_str"}
+
+
+def rational_part_reads(source: str, module: str) -> set[str]:
+    """The functions (``module.qualname``) reading ``.numerator``, ``.denominator`` or ``lcm``."""
+    found = set()
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr in ("numerator", "denominator", "lcm"):
+                found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if node.id == "lcm" and isinstance(node.ctx, ast.Load):
+                found.add(".".join(self.scope))
+
+    Scopes().visit(ast.parse(source))
+    return found
+
+
+def test_rationals_are_cleared_in_one_place():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= rational_part_reads(path.read_text(), path.stem)
+    assert found == RATIONAL_PARTS_READERS
+
+
+def test_rational_part_check_sees_a_read():
+    source = ("from math import lcm\nclass A:\n    def f(self, v):\n"
+              "        return v.numerator\ndef g(vs):\n    return lcm(*vs)\n")
+    assert rational_part_reads(source, "m") == {"m.A.f", "m.g"}
+
+
+def triangle_loops(source: str) -> list[int]:
+    """Lines where ``range(i, ...)`` runs inside a loop over ``i``: an upper-triangle walk."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        scopes = []
+        if isinstance(node, ast.For):
+            scopes.append((node.target, node.body))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            tail = [getattr(node, name) for name in ("elt", "key", "value") if hasattr(node, name)]
+            for k, gen in enumerate(node.generators):
+                scopes.append((gen.target, node.generators[k + 1 :] + tail))
+        for target, body in scopes:
+            if not isinstance(target, ast.Name):
+                continue
+            found.extend(
+                sub.lineno
+                for part in body
+                for sub in ast.walk(part)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == "range" and sub.args
+                and isinstance(sub.args[0], ast.Name) and sub.args[0].id == target.id
+            )
+    return found
+
+
+def test_upper_triangle_layout_lives_in_geometry():
+    # Lifts, quadrics and Grams share one layout; only geometry walks it.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "geometry"
+        for line in triangle_loops(path.read_text())
+    ]
+    assert found == []
+    assert triangle_loops((PACKAGE / "geometry.py").read_text())
+
+
+def test_triangle_check_sees_loops_and_comprehensions():
+    source = (
+        "pairs = [(i, j) for i in range(k) for j in range(i, k)]\n"
+        "for a in range(k):\n    for b in range(a, k):\n        pass\n"
+        "square = [(i, j) for i in range(k) for j in range(k)]\n"
+    )
+    assert sorted(triangle_loops(source)) == [1, 3]
+
+
 def module_level_imports(source: str) -> list[tuple[int, str]]:
     """``(line, module)`` of every import that runs when the module is imported.
 

@@ -95,7 +95,7 @@ def test_radon_tableau_stays_integral():
     # back into the tableau would multiply the solve time several times.
     out = solve_feasibility(_radon_problem(k10x10(1)))
     assert out.status is LPStatus.FEASIBLE
-    splx = out.phase_one.splx
+    splx = out.phase_one
     assert all(type(v) is int for row in splx.T for v in row)
     assert type(splx.den) is int and splx.den > 0
 
@@ -368,7 +368,7 @@ def test_redundant_row_keeps_artificial_basic():
     objective = [1, 2, -1, 1]
     start = solve_feasibility(LPProblem.create(rows, rhs, 4))
     assert start.status is LPStatus.FEASIBLE
-    splx = start.phase_one.splx
+    splx = start.phase_one
     assert any(b >= splx.nx for b in splx.basis)
     prob = LPProblem.create(rows, rhs, 4, objective=objective)
     assert oracle_lp(rows, rhs, objective) == ("optimal", F(10))

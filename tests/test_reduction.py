@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,53 @@ def test_slide_functional_deterministic_search():
     # both axes fail; the first working small combination is (1, 1).
     c = slide_functional((F(0), F(0)), [(F(0), F(2)), (F(3), F(0))])
     assert c == (F(1), F(1))
+
+
+def ref_slide_functional(p0, points):
+    """The search as it was with a fixed cap of 64 shells, kept as a reference."""
+    d = len(p0)
+    diffs = [tuple(a - b for a, b in zip(v, p0)) for v in points]
+
+    def works(c):
+        return all(sum(ci * vi for ci, vi in zip(c, diff)) != 0 for diff in diffs)
+
+    for axis in range(d):
+        c = [0] * d
+        c[axis] = 1
+        if works(c):
+            return tuple(F(v) for v in c)
+    for k in range(1, 65):
+        for combo in product(range(k + 1), repeat=d):
+            if max(combo) != k or not any(combo):
+                continue
+            if works(combo):
+                return tuple(F(v) for v in combo)
+    raise AssertionError("functional search exhausted; input beyond supported scale")
+
+
+@st.composite
+def ray_sets(draw):
+    """A cone point and up to seven points off it, in d = 1..4, with small entries."""
+    d = draw(st.integers(1, 4))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    p0 = tuple(draw(st.lists(coord, min_size=d, max_size=d)))
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(
+        lambda v: tuple(a + b for a, b in zip(p0, v)))
+    return p0, draw(st.lists(point.filter(lambda v: v != p0), max_size=7))
+
+
+@given(ray_sets())
+def test_slide_functional_matches_the_capped_search(rays):
+    p0, points = rays
+    c = slide_functional(p0, points)
+    assert c == ref_slide_functional(p0, points)
+    assert max(c) <= max(len(points), 1)
+
+
+def test_slide_functional_past_the_first_shell():
+    # Both axes and every vector of the first shell vanish on some ray.
+    rays = [(F(0), F(1)), (F(1), F(0)), (F(1), F(-1))]
+    assert slide_functional((F(0), F(0)), rays) == (F(1), F(2))
 
 
 def test_slide_idempotent_on_hyperplane():
