@@ -14,7 +14,15 @@ writing a built stress certificate measures its least eigenvalue and
 residual.
 
 Canonical serialization sorts keys and indents consistently; parsing then
-reserializing a canonical document reproduces it byte for byte.
+reserializing a canonical document reproduces it byte for byte.  The
+canonical text is ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+newline, and :func:`canonical_json` is the one function that writes it,
+in one recursive pass of its own: with ``indent`` set, ``json.dumps``
+before Python 3.13 takes the pure-Python encoder, which costs several
+generator steps per value.  The readers take a whole list of rationals,
+or a whole ``omega`` row, at once, and fall back to reading value by
+value (and spelling out the locus of each value) only for a list that
+the one-pass reading does not cover.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 #: Numbers of at most this many bits have fewer than 640 decimal digits,
 #: so they convert under any limit the interpreter accepts.
 _CHUNK_BITS = 1920
+
+#: A string as JSON text, every non-ASCII character escaped: the quoting
+#: ``json.dumps`` applies by default, in C.
+_quote = json.encoder.encode_basestring_ascii
 
 
 class ParseError(ValueError):
@@ -127,6 +139,33 @@ def _plain_rational(text: str) -> Optional[Fraction]:
     return Fraction(-numerator if negative else numerator, _int_of(den) if slash else 1)
 
 
+#: A plain rational (see :func:`_plain_rational`) whose parts have at most
+#: 640 digits, so ``int`` converts them under any limit the interpreter
+#: accepts: the spellings a list reader converts without a call per value.
+_SHORT_PLAIN = re.compile(r"(-?[0-9]{1,640})(?:/(?!0+\Z)([0-9]{1,640}))?")
+
+
+def _rat_list(items: list, locus: str, index: Optional[int] = None) -> tuple[Fraction, ...]:
+    """The rationals of a list, read as :func:`_rat_from` reads each item.
+
+    A list of short plain rationals is converted at once; any other list
+    goes value by value, so a refused value raises exactly the error
+    :func:`_rat_from` raises for it.  The list is item ``index`` of
+    ``locus``, which is spelled out only then.
+    """
+    try:
+        matches = list(map(_SHORT_PLAIN.fullmatch, items))
+    except TypeError:  # an item that is not a string
+        matches = None
+    if matches is not None and all(matches):
+        return tuple([
+            Fraction(int(match[1]), int(match[2])) if match[2] else Fraction(int(match[1]))
+            for match in matches
+        ])
+    where = _at(locus, index)
+    return tuple(_rat_from(v, where, k) for k, v in enumerate(items))
+
+
 def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{_at(locus, index)}: expected a rational, got a boolean")
@@ -148,8 +187,8 @@ def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
     raise ParseError(f"{_at(locus, index)}: expected an integer or 'a/b' string")
 
 
-def _float_to_str(v: float) -> str:
-    return format(float(v), ".17g")
+#: The text of a float: 17 significant digits, which round-trip every double.
+_float_to_str = "{:.17g}".format
 
 
 def _float_from(value: Any, locus: str) -> float:
@@ -162,6 +201,22 @@ def _float_from(value: Any, locus: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{locus}: expected a finite number, got {value!r}")
     return number
+
+
+def _floats_from(row: list, locus: str, index: int) -> tuple[float, ...]:
+    """The floats of a list, read as :func:`_float_from` reads each item.
+
+    The list is converted at once; only when some value is refused does it
+    go value by value, so the locus of the refused value (item ``index`` of
+    ``locus``, then its own item) is spelled out only for the error.
+    """
+    try:
+        numbers = tuple(map(float, row))
+    except (TypeError, ValueError, OverflowError):
+        numbers = None
+    if numbers is not None and bool not in map(type, row) and all(map(math.isfinite, numbers)):
+        return numbers
+    return tuple(_float_from(v, f"{locus}[{index}][{j}]") for j, v in enumerate(row))
 
 
 def _int_from(value: Any, locus: str, index: Optional[int] = None) -> int:
@@ -180,15 +235,14 @@ def _typed(value: Any, shape: type, locus: str) -> Any:
 
 
 def _rats_from(value: Any, locus: str) -> tuple[Fraction, ...]:
-    return tuple(
-        _rat_from(v, locus, k) for k, v in enumerate(_typed(value, list, locus))
-    )
+    return _rat_list(_typed(value, list, locus), locus)
 
 
 def _ints_from(value: Any, locus: str) -> tuple[int, ...]:
-    return tuple(
-        _int_from(v, locus, k) for k, v in enumerate(_typed(value, list, locus))
-    )
+    items = _typed(value, list, locus)
+    if set(map(type, items)) <= {int}:
+        return tuple(items)
+    return tuple(_int_from(v, locus, k) for k, v in enumerate(items))
 
 
 # -- framework documents -----------------------------------------------------
@@ -220,8 +274,52 @@ def serialize_framework(
     return canonical_json(framework_to_document(fw, name, expected_verdict))
 
 
-def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def canonical_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, written in one pass.
+
+    For a JSON value whose objects have string keys the text is the same,
+    and so is the error for an integer past the interpreter's digit limit
+    or a value JSON has no spelling for.  Strings and keys are quoted by
+    ``json``'s own C quoting, a list of strings is joined at once, and only
+    floats, booleans and ``None`` are handed to ``json.dumps``.
+    """
+    return _json_text(value, "\n") + "\n"
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """The canonical text of ``value`` whose lines after the first begin with ``newline``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        body = None
+        if isinstance(value[0], str):  # most likely a list of strings, quoted and joined in C
+            try:
+                body = ("," + inner).join(map(_quote, value))
+            except TypeError:  # a later item that is not a string
+                pass
+        if body is None:
+            body = ("," + inner).join([_json_text(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join(
+                [
+                    _quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
+                    for k, v in sorted(value.items())
+                ]
+            )
+            + newline + "}"
+        )
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float, a boolean or None
 
 
 def _points_from(doc: dict, key: str, d: int) -> tuple[Point, ...]:
@@ -230,14 +328,13 @@ def _points_from(doc: dict, key: str, d: int) -> tuple[Point, ...]:
         raise ParseError(f"{key}: expected a list of coordinate lists")
     points = []
     for idx, coords in enumerate(raw):
-        locus = f"{key}[{idx}]"
         if not isinstance(coords, list):
-            raise ParseError(f"{locus}: expected a coordinate list")
+            raise ParseError(f"{key}[{idx}]: expected a coordinate list")
         if len(coords) != d:
             raise DimensionMismatch(
-                f"{locus}: got {len(coords)} coordinates in dimension {d}"
+                f"{key}[{idx}]: got {len(coords)} coordinates in dimension {d}"
             )
-        points.append(tuple(_rat_from(c, locus, k) for k, c in enumerate(coords)))
+        points.append(_rat_list(coords, key, idx))
     return tuple(points)
 
 
@@ -309,7 +406,7 @@ def _record_to_doc(rec: IterationRecord) -> dict:
         }
     if rec.stress is not None:
         doc["stress"] = {
-            "omega": [[_float_to_str(v) for v in row] for row in rec.stress.omega],
+            "omega": [list(map(_float_to_str, row)) for row in rec.stress.omega],
             "rank": rec.stress.rank,
             "min_eigenvalue": _float_to_str(rec.stress.min_eigenvalue),
             "residual": _float_to_str(rec.stress.residual),
@@ -340,10 +437,8 @@ def _stress_from(doc: Any, locus: str) -> StressCertificate:
     rows = _typed(doc.get("omega"), list, f"{locus}.omega")
     if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
         raise ParseError(f"{locus}.omega: expected a square matrix")
-    omega = tuple(
-        tuple(_float_from(v, f"{locus}.omega[{i}][{j}]") for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+    where = f"{locus}.omega"
+    omega = tuple(_floats_from(row, where, i) for i, row in enumerate(rows))
     rank = _int_from(doc.get("rank"), f"{locus}.rank")
     measured = (
         _float_from(doc.get("min_eigenvalue"), f"{locus}.min_eigenvalue"),

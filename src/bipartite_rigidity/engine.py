@@ -145,7 +145,9 @@ def _pass(fw: BipartiteFramework, known: KnownSet) -> _Step:
         return _Step(comp_p, comp_q, forced="exit")
     cone_point, functional, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
     reduced_all = red_p + red_q
-    if affine_span_dim(reduced_all) == len(reduced_all) - 1:
+    # More than d + 1 points of d-space are never affinely independent.
+    count = len(reduced_all)
+    if count <= fw.dimension + 1 and affine_span_dim(reduced_all) == count - 1:
         return _Step(comp_p, comp_q, cone_point, functional, forced="dimspan")
     if not red_p or not red_q:
         return _Step(comp_p, comp_q, cone_point, functional, forced="one-sided")

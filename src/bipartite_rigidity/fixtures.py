@@ -12,7 +12,6 @@ certificates, as flagged in the manifest.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction as F
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -279,8 +278,6 @@ def emit_fixtures(out_dir) -> list[Path]:
             }
         )
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    manifest_path.write_text(canonical_json(manifest), encoding="utf-8")
     written.append(manifest_path)
     return written

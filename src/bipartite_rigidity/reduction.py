@@ -137,7 +137,8 @@ def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]
     nonzero on every difference wins.  It wins by the shell ``k = r`` for
     ``r`` rays: each ray's zero set ``c . v = 0`` fixes one coordinate of
     ``c``, so at most ``r (k+1)^(d-1)`` of the ``(k+1)^d`` vectors in
-    ``{0..k}^d`` vanish on some ray.
+    ``{0..k}^d`` vanish on some ray.  In 0-space every point coincides
+    with the cone point, so with no points the functional is empty.
     """
     d = len(p0)
     diffs = []
@@ -146,6 +147,8 @@ def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]
         if all(c == 0 for c in diff):
             raise DegeneratePoint("a vertex coincides with the cone point")
         diffs.append(diff)
+    if d == 0:  # no ray: a point of 0-space coincides with the cone point
+        return ()
 
     def works(c: Sequence[int]) -> bool:
         return all(

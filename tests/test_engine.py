@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipartite_rigidity import engine, stress
 from bipartite_rigidity.engine import (
@@ -20,7 +21,8 @@ from bipartite_rigidity.engine import (
     verify_chain,
 )
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework
+from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
+from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
     k10x10,
@@ -431,3 +433,65 @@ def test_balance_coefficients_stay_short():
             v for rec in chain.records if rec.radon for v in rec.radon.lambdas + rec.radon.mus
         ]
         assert coefficients and max(map(bits, coefficients)) <= 600
+
+
+def ref_pass(fw, known):
+    """The pass step with the affine rank of the reduced points always taken, kept as a reference."""
+    comp_p = [i for i in range(fw.n) if i not in known.p_indices]
+    comp_q = [j for j in range(fw.m) if j not in known.q_indices]
+    if len(comp_p) <= 1 and len(comp_q) <= 1:
+        return engine._Step(comp_p, comp_q, forced="exit")
+    cone_point, functional, red_p, red_q = engine._reduce(fw, known, comp_p, comp_q)
+    reduced_all = red_p + red_q
+    if affine_span_dim(reduced_all) == len(reduced_all) - 1:
+        return engine._Step(comp_p, comp_q, cone_point, functional, forced="dimspan")
+    if not red_p or not red_q:
+        return engine._Step(comp_p, comp_q, cone_point, functional, forced="one-sided")
+    sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
+    return engine._Step(comp_p, comp_q, cone_point, functional, sub)
+
+
+def assert_passes_match(fw):
+    """``_pass`` equals the reference on every certified set the decision meets."""
+    _, chain = rigidity_test(fw)
+    for rec in chain.records:
+        known = KnownSet(rec.known_p, rec.known_q)
+        assert engine._pass(fw, known) == ref_pass(fw, known)
+    return [rec.kind for rec in chain.records]
+
+
+@st.composite
+def pass_frameworks(draw):
+    """d = 0..3 with 2..10 points: repeated points, collinear points and free points."""
+    d = draw(st.integers(0, 3))
+    coord = st.integers(-2, 2).map(F)
+    point = st.tuples(*[coord] * d)
+    a, b = draw(point), draw(point)
+    on_line = st.fractions(-2, 2, max_denominator=2).map(
+        lambda t: tuple(x + t * (y - x) for x, y in zip(a, b)))
+    vertex = st.one_of(st.sampled_from([a, b]), on_line, point)
+    p = draw(st.lists(vertex, min_size=1, max_size=5))
+    q = draw(st.lists(vertex, min_size=1, max_size=5))
+    return BipartiteFramework(d, tuple(p), tuple(q))
+
+
+def test_pass_skips_the_affine_rank_only_when_the_count_decides():
+    # Past d + 1 points the reduced set is never affinely independent; at or
+    # below it the rank decides, as in the dimspan fixture.
+    kinds = {name: assert_passes_match(fx.framework) for name, fx in all_fixtures().items()}
+    assert kinds["triangle_k21"] == ["dimspan"]
+    cases = [
+        (BipartiteFramework.from_lists(2, [[0, 0], [2, 0]], [[0, 1]]), ["dimspan"]),
+        (BipartiteFramework.from_lists(2, [[0, 0], [2, 2]], [[1, 1]]), ["separated"]),
+        (BipartiteFramework.from_lists(1, [[0], [0]], [[1]]), ["separated"]),
+        (BipartiteFramework.from_lists(0, [[], []], [[]]), ["balanced", "exit"]),
+        (line_fw([0, 2, 4], [1, 3]), ["balanced", "exit"]),
+    ]
+    for fw, expected in cases:
+        assert assert_passes_match(fw) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(pass_frameworks())
+def test_pass_matches_the_always_ranked_reference(fw):
+    assert_passes_match(fw)

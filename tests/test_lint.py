@@ -304,3 +304,35 @@ def test_exact_path_never_loads_numpy(tmp_path):
     *printed, report = proc.stdout.splitlines()
     assert printed == ["universally-rigid"]
     assert json.loads(report) == [True, 0, False]
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """Lines calling ``json.dumps`` or ``json.dump`` (or a bare ``dumps``/``dump``) with ``indent=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("dumps", "dump") and any(kw.arg == "indent" for kw in node.keywords):
+            found.append(node.lineno)
+    return found
+
+
+def test_one_canonical_json_writer():
+    # With ``indent`` set, ``json.dumps`` takes the pure-Python encoder;
+    # every indented document goes through ``docio.canonical_json``.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in indented_json_calls(path.read_text())
+    ]
+    assert found == []
+
+
+def test_indented_json_check_sees_calls():
+    source = (
+        "import json\nfrom json import dump\n"
+        "json.dumps(doc, indent=2)\njson.dumps(doc)\ndump(doc, f, indent=None)\n"
+    )
+    assert indented_json_calls(source) == [3, 5]

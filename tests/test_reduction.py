@@ -158,6 +158,15 @@ def test_slide_degenerate_point():
         slide_to_hyperplane((F(0),), [(F(0),)], functional=(F(1),))
 
 
+def test_slide_functional_in_zero_space():
+    # 0-space has no ray: with no points the functional is empty, and any
+    # point coincides with the cone point.
+    assert slide_functional((), []) == ()
+    with pytest.raises(DegeneratePoint):
+        slide_functional((), [()])
+    assert slide_to_hyperplane((), [], ()) == []
+
+
 def test_rationality_preserved():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
