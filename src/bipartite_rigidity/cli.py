@@ -33,12 +33,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 
 
-def _read_framework(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise docio.ParseError(f"{path}: {exc}") from None
-    return docio.parse_framework(text)
+
+
+def _read_framework(path: str):
+    return docio.parse_framework(_read_text(path))
 
 
 def _dump_coords(fw, out) -> None:
@@ -88,11 +91,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     fw = _read_framework(args.framework)
-    try:
-        text = Path(args.certificate).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise docio.ParseError(f"{args.certificate}: {exc}") from None
-    rejection = chain_rejection(fw, docio.parse_chain(text))
+    rejection = chain_rejection(fw, docio.parse_chain(_read_text(args.certificate)))
     if rejection is None:
         print("valid")
         return EXIT_OK

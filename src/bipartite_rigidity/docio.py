@@ -98,6 +98,8 @@ def _load_json(text: str) -> Any:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _excerpt(text: str) -> str:

@@ -116,10 +116,10 @@ def _reduce(
             [fw.points_p[i] for i in comp_p],
             [fw.points_q[j] for j in comp_q],
         )
-    p0, proj_p, proj_q = project_out_known_set(fw, known)
-    functional = slide_functional(p0, proj_p + proj_q)
-    slid = slide_to_hyperplane(p0, proj_p + proj_q, functional)
-    return p0, functional, slid[: len(proj_p)], slid[len(proj_p) :]
+    p0, rays = project_out_known_set(fw, known)
+    functional = slide_functional(rays)
+    slid = slide_to_hyperplane(p0, rays, functional)
+    return p0, functional, slid[: len(comp_p)], slid[len(comp_p) :]
 
 
 class _Step(NamedTuple):

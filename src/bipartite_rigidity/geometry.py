@@ -2,7 +2,8 @@
 
 Points are tuples of ``Fraction``.  Ranks and spans are computed on cleared
 integer coordinates: a point set is multiplied by the common denominator
-``c`` of its coordinates once per call (:func:`_cleared`), which is an
+``c`` of its coordinates once per call (:func:`_cleared`, the package's
+one clear :func:`~.lp._clear` over all its coordinates), which is an
 invertible affine map and keeps every span dimension, and the integer
 difference rows are reduced by the shared fraction-free Gauss-Jordan
 kernel (:func:`~.lp._reduce_ints` over :func:`~.lp.pivot_rows`), reading only
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .lp import ZERO, ONE, _clear, _frac, _reduce_ints
@@ -156,8 +157,9 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 
 def _cleared(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Integer coordinates ``c * p`` of ``points`` and their common denominator ``c``."""
-    c = lcm(*(v.denominator for pt in points for v in pt))
-    return [[v.numerator * (c // v.denominator) for v in pt] for pt in points], c
+    flat, c = _clear([v for pt in points for v in pt])
+    it = iter(flat)
+    return [list(islice(it, len(pt))) for pt in points], c
 
 
 def _hats(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

@@ -222,8 +222,9 @@ def _reduce_ints(rows: list[list[int]]) -> tuple[list[int], int]:
 
 def _clear(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``(ints, s)`` with ``ints[k] == values[k] * s``, ``s`` the least such positive int."""
-    s = lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
+    dens = [v.denominator for v in values]
+    s = lcm(*dens)
+    return [v.numerator * (s // d) for v, d in zip(values, dens)], s
 
 
 def _basis_duals(

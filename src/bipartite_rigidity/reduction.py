@@ -6,17 +6,17 @@ certified set's affine hull (collapsing it to a single cone point), then
 rescale every remaining vertex along its ray from the cone point into a
 common affine hyperplane.  Both operations are computed exactly in ambient
 rational coordinates; no irrational re-coordinatization is ever needed.
-The projection runs on the coordinates cleared by one common denominator
-and the shared fraction-free reduction (:func:`~.geometry._reduce_ints`);
-its images come out as integers over one denominator, and each coordinate
-becomes one ``Fraction``.
+The projection clears the coordinates by one common denominator and
+reduces them fraction-free (:func:`~.geometry._reduce_ints`), so it yields
+integer rays from the cone point; the slide searches its functional on
+integer dot products and builds each slid coordinate as one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, count, product
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -29,7 +29,7 @@ from .geometry import (
     _cleared,
     _reduce_ints,
 )
-from .lp import ZERO
+from .lp import _clear
 
 
 class ClosureViolated(ValueError):
@@ -87,108 +87,90 @@ def span_invariant_holds(fw: BipartiteFramework, known: KnownSet) -> bool:
 
 def project_out_known_set(
     fw: BipartiteFramework, known: KnownSet
-) -> tuple[Point, list[Point], list[Point]]:
+) -> tuple[Point, list[list[int]]]:
     """Collapse the certified set to a single cone point, exactly.
 
     Returns the cone point (the image of the first certified vertex) and
-    the projected complement vertices of each class (in increasing index
-    order).  The projection along the certified hull's directions is
-    ``x - B^T (B B^T)^{-1} B x`` for any basis ``B`` of them, so it runs on
-    the points cleared by one common denominator ``c``: ``B`` is the
-    nonzero rows of the reduced integer difference rows, one fraction-free
-    reduction of ``[B B^T | B X]`` over ``den`` gives ``(B B^T)^{-1} B X``
-    for every cleared point ``X`` at once, and each image coordinate is one
-    ``Fraction`` over ``den * c``.  Requires that no complement vertex lies
-    in the certified set's affine hull, which the closure step guarantees.
+    the integer ray ``N - N_0`` of each complement vertex (class P, then
+    Q, in increasing index order): its image minus the cone point, as
+    numerators over one denominator.  The projection along the certified
+    hull's directions is ``x - B^T (B B^T)^{-1} B x`` for any basis ``B``
+    of them, and it is linear, so it runs on the points cleared by one
+    common denominator ``c``: ``B`` is the nonzero rows of the reduced
+    integer difference rows, and one fraction-free reduction of
+    ``[B B^T | B X]`` over ``den`` gives ``(B B^T)^{-1} B X`` for the first
+    cleared vertex and every difference from it at once; all images are
+    over ``den * c``.  A zero ray, a complement vertex in the certified
+    hull, raises :class:`ClosureViolated`; the closure step rules it out.
     """
     if known.is_empty():
         raise ValueError("cannot project out an empty certified set")
     anchors = known.points(fw)
     comp = [("P", i, pt) for i, pt in enumerate(fw.points_p) if i not in known.p_indices]
-    n_p = len(comp)
     comp += [("Q", j, pt) for j, pt in enumerate(fw.points_q) if j not in known.q_indices]
     ints, c = _cleared(anchors + [pt for _, _, pt in comp])
     base = ints[0]
-    basis = [[a - b for a, b in zip(pt, base)] for pt in ints[1 : len(anchors)]]
+    diffs = [[a - b for a, b in zip(pt, base)] for pt in ints[1:]]
+    basis = diffs[: len(anchors) - 1]
     basis = basis[: len(_reduce_ints(basis)[0])]
-    targets = [base] + ints[len(anchors) :]
+    targets = [base] + diffs[len(anchors) - 1 :]
     system = [[sum(a * b for a, b in zip(u, v)) for v in basis + targets] for u in basis]
     _, den = _reduce_ints(system)
     k = len(basis)
-    nums = [
+    cone, *rays = [
         [den * v - sum(b[j] * row[k + t] for b, row in zip(basis, system))
          for j, v in enumerate(x)]
         for t, x in enumerate(targets)
     ]
-    for (cls, idx, _), num in zip(comp, nums[1:]):
-        if num == nums[0]:
+    for (cls, idx, _), ray in zip(comp, rays):
+        if not any(ray):
             raise ClosureViolated(f"class-{cls} vertex {idx} projects onto the cone point")
     scale = den * c
-    images = [tuple(Fraction(v, scale) for v in num) for num in nums]
-    return images[0], images[1 : 1 + n_p], images[1 + n_p :]
+    return tuple(Fraction(v, scale) for v in cone), rays
 
 
-def slide_functional(p0: Point, points: Sequence[Point]) -> tuple[Fraction, ...]:
-    """A rational linear functional nonzero on every ray from the cone point.
+def slide_functional(rays: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """A functional with small nonnegative integer entries, nonzero on every ray.
 
-    Deterministic search: the coordinate functionals first, then all
+    Deterministic search on integer dot products, whose signs no positive
+    rescaling of a ray changes: the coordinate functionals first, then all
     vectors with entries in {0..k} (largest entry exactly k) in
-    lexicographic order for k = 1, 2, ...  The first functional that is
-    nonzero on every difference wins.  It wins by the shell ``k = r`` for
-    ``r`` rays: each ray's zero set ``c . v = 0`` fixes one coordinate of
-    ``c``, so at most ``r (k+1)^(d-1)`` of the ``(k+1)^d`` vectors in
-    ``{0..k}^d`` vanish on some ray.  In 0-space every point coincides
-    with the cone point, so with no points the functional is empty.
+    lexicographic order for k = 1, 2, ...  The first one nonzero on every
+    ray wins, by the shell ``k = r`` for ``r`` rays: each ray's zero set
+    ``c . v = 0`` fixes one coordinate of ``c``, so at most
+    ``r (k+1)^(d-1)`` of the ``(k+1)^d`` vectors in ``{0..k}^d`` vanish on
+    some ray.  With no ray the functional is empty.
     """
-    d = len(p0)
-    diffs = []
-    for v in points:
-        diff = tuple(a - b for a, b in zip(v, p0))
-        if all(c == 0 for c in diff):
-            raise DegeneratePoint("a vertex coincides with the cone point")
-        diffs.append(diff)
-    if d == 0:  # no ray: a point of 0-space coincides with the cone point
+    if not rays:
         return ()
-
-    def works(c: Sequence[int]) -> bool:
-        return all(
-            sum((ci * vi for ci, vi in zip(c, diff) if ci and vi), ZERO) != 0
-            for diff in diffs
-        )
-
-    for axis in range(d):
-        c = [0] * d
-        c[axis] = 1
-        if works(c):
+    if not all(any(ray) for ray in rays):
+        raise DegeneratePoint("a vertex coincides with the cone point")
+    d = len(rays[0])
+    axes = (tuple(int(i == axis) for i in range(d)) for axis in range(d))
+    shells = (c for k in count(1) for c in product(range(k + 1), repeat=d) if max(c) == k)
+    for c in chain(axes, shells):  # returns by k = len(rays) (docstring)
+        if all(sum(a * b for a, b in zip(c, ray)) for ray in rays):
             return tuple(Fraction(v) for v in c)
-    for k in count(1):  # returns by k = len(diffs) (docstring)
-        for combo in product(range(k + 1), repeat=d):
-            if max(combo) != k or not any(combo):
-                continue
-            if works(combo):
-                return tuple(Fraction(v) for v in combo)
 
 
 def slide_to_hyperplane(
-    p0: Point, points: Sequence[Point], functional: Sequence[Fraction]
+    p0: Point, rays: Sequence[Sequence[int]], functional: Sequence[Fraction]
 ) -> list[Point]:
-    """Rescale each vertex along its ray from the cone point.
+    """Slide each vertex along its ray onto ``functional . (x - p0) = 1``.
 
-    Every output satisfies ``functional . (output - p0) == 1``, so the slid
-    vertices lie in a common affine hyperplane missing the cone point.
-    Coincident outputs are permitted; rescaling along rays preserves both
-    rigidity notions being decided.
+    Each output is ``p0 + r / (functional . r)``, the same for any positive
+    multiple of ``r``; with ``p0`` and the functional cleared once, each
+    coordinate is one ``Fraction`` of integers.  Coincident outputs are
+    permitted; rescaling along rays preserves both rigidity notions.
     """
-    c = tuple(functional)
+    f, fs = _clear(functional)
+    x0, c0 = _clear(p0)
     out = []
-    for v in points:
-        diff = tuple(a - b for a, b in zip(v, p0))
-        if all(x == 0 for x in diff):
-            raise DegeneratePoint("a vertex coincides with the cone point")
-        value = sum((ci * vi for ci, vi in zip(c, diff) if ci and vi), ZERO)
-        if value == 0:
+    for ray in rays:
+        s = sum(a * b for a, b in zip(f, ray))
+        if s == 0:
             raise ValueError("functional vanishes on a ray; search it first")
-        out.append(tuple(b + x / value for b, x in zip(p0, diff)))
+        out.append(tuple(Fraction(a * s + b * fs * c0, c0 * s) for a, b in zip(x0, ray)))
     return out
 
 

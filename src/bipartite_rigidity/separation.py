@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 from . import lp
 from .geometry import BipartiteFramework, SymmetricMatrix, _diagonal, _gram, _hats, _lift
-from .lp import LPProblem, LPStatus, _clear
+from .lp import ONE, LPProblem, LPStatus, _clear
 
 
 class EmptySide(ValueError):
@@ -87,7 +87,7 @@ def _lift_columns(fw: BipartiteFramework) -> tuple[list[list[int]], list[int]]:
     """
     cols, scales = [], []
     for k, pt in enumerate(fw.all_points()):
-        (hat,), c = _hats([pt])
+        hat, c = _clear((*pt, ONE))
         cols.append(_lift(hat if k < fw.n else [-v for v in hat], hat))
         scales.append(c * c)
     return cols, scales

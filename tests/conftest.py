@@ -261,13 +261,13 @@ def oracle_lp(rows, rhs, objective=None):
 
 @pytest.fixture
 def fraction_products(monkeypatch):
-    """A list that grows by one per ``Fraction`` multiplication."""
+    """A list that grows by the operator's name per ``Fraction`` product, sum or difference."""
     seen = []
-    for name in ("__mul__", "__rmul__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         original = getattr(F, name)
 
-        def counted(self, other, _original=original):
-            seen.append(1)
+        def counted(self, other, _original=original, _name=name):
+            seen.append(_name)
             return _original(self, other)
 
         monkeypatch.setattr(F, name, counted)

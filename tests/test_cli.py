@@ -58,6 +58,40 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/path.json"]) == 2
 
 
+NOT_UTF8 = b'\xff\xfe{"d":1}'
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "{bad}"],
+    ["verify", "{bad}", "{good}"],
+    ["verify", "{good}", "{bad}"],
+    ["separate", "{bad}"],
+    ["stress", "{bad}"],
+])
+def test_non_utf8_input_is_an_input_error(command, corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    good = corpus / "k22_line.json"
+    code = main([arg.format(bad=bad, good=good) for arg in command])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "{deep}"],
+    ["verify", "{deep}", "{good}"],
+    ["verify", "{good}", "{deep}"],
+])
+def test_deeply_nested_input_is_an_input_error(command, corpus, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    good = corpus / "k22_line.json"
+    code = main([arg.format(deep=deep, good=good) for arg in command])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
 def test_trace_line_count_matches_chain(corpus, capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code = main(

@@ -339,3 +339,11 @@ def test_huge_json_integer_is_a_parse_error():
     text = '{"d": 1, "P": [[' + "1" * 5000 + ']], "Q": [["1"]]}'
     with pytest.raises(docio.ParseError, match="invalid JSON"):
         docio.parse_framework(text)
+
+
+@pytest.mark.parametrize("parse", [docio.parse_framework, docio.parse_chain])
+def test_deeply_nested_json_is_a_parse_error(parse):
+    # The recursion limit stays as it is; the reader reports the nesting.
+    for text in ("[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000):
+        with pytest.raises(docio.ParseError, match="^invalid JSON: nested too deeply$"):
+            parse(text)

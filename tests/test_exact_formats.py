@@ -97,6 +97,9 @@ def test_clear_edge_cases():
     big = 10**400
     assert _clear([F(1, big), F(-3, 2 * big), F(0)]) == ([2, -3, 0], 2 * big)
     assert _clear([F(7), 5]) == ([7, 5], 1)
+    # Floats have no rational parts to read, so a float never clears quietly.
+    with pytest.raises(AttributeError):
+        _clear([F(1, 2), 0.5])
 
 
 # -- one upper-triangle lift -------------------------------------------------

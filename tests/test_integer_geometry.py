@@ -8,16 +8,19 @@ configurations and denominators up to 10**400, and demand the same answers.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import chain, count, product
 from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bipartite_rigidity import lp
-from bipartite_rigidity.engine import rigidity_test
+from bipartite_rigidity.engine import _reduce, rigidity_test
 from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
@@ -40,12 +43,15 @@ from bipartite_rigidity.separation import (
 )
 from bipartite_rigidity.reduction import (
     ClosureViolated,
+    DegeneratePoint,
     KnownSet,
     affine_closure,
     project_out_known_set,
+    slide_functional,
+    slide_to_hyperplane,
 )
 from bipartite_rigidity.stress import COORD_CAP, _hatted, _prescaled, equilibrium_residual
-from conftest import flag, fraction_rref, k10x10
+from conftest import flag, fraction_rref, k10x10, random_framework
 
 BIG = 10**400
 
@@ -634,11 +640,27 @@ def test_balance_lp_builds_and_reads_on_ints(fraction_products):
 # -- the projection of a certified set on integers -------------------------------
 
 
+def assert_positive_multiple(ray, diff):
+    """``ray`` is ``t * diff`` for some ``t > 0``, by exact cross-multiplication."""
+    k = next(i for i, v in enumerate(diff) if v)
+    assert ray[k] * diff[k] > 0
+    assert all(r * diff[k] == v * ray[k] for r, v in zip(ray, diff))
+
+
+def assert_rays_like_reference(p0, rays, expected):
+    ref_p0, ref_p, ref_q = expected
+    assert p0 == ref_p0
+    assert len(rays) == len(ref_p) + len(ref_q)
+    for ray, image in zip(rays, ref_p + ref_q):
+        assert_positive_multiple(ray, [a - b for a, b in zip(image, ref_p0)])
+
+
 @SETTINGS
 @given(st.data())
 def test_project_out_matches_fraction_reference(data):
     # Random known sets, ones whose hull swallows a complement vertex
-    # included: the same images, or the same error.
+    # included: the same cone point and rays along the same images, or the
+    # same error.
     points = data.draw(point_sets(d=data.draw(st.integers(1, 3)), min_size=2, max_size=8))
     fw = split(data.draw, points)
     known = KnownSet.of(
@@ -654,21 +676,104 @@ def test_project_out_matches_fraction_reference(data):
             project_out_known_set(fw, known)
         assert str(raised.value) == str(err)
     else:
-        assert project_out_known_set(fw, known) == expected
+        assert_rays_like_reference(*project_out_known_set(fw, known), expected)
 
 
 def test_project_out_runs_on_ints(fraction_products):
     # flag seed 1 certifies a line, then a plane; projecting out its second
-    # known set gives the recorded cone point and multiplies no Fraction.
+    # known set and searching the functional gives the recorded cone point
+    # and functional with no Fraction product or sum, and the slide builds
+    # each coordinate as one Fraction of integers.
     fw = flag(1)
     record = next(r for r in rigidity_test(fw)[1].records if r.cone_point is not None)
     known = KnownSet(record.known_p, record.known_q)
     assert len(known.points(fw)) > 2
     fraction_products.clear()
     F(1, 2) * F(1, 3)
-    assert len(fraction_products) == 1  # the counter sees a product
+    F(1, 2) + F(1, 3)
+    assert fraction_products == ["__mul__", "__add__"]  # the counter sees both
     fraction_products.clear()
-    p0, proj_p, proj_q = project_out_known_set(fw, known)
+    p0, rays = project_out_known_set(fw, known)
+    functional = slide_functional(rays)
+    slid = slide_to_hyperplane(p0, rays, functional)
     assert fraction_products == []
-    assert p0 == record.cone_point
-    assert (p0, proj_p, proj_q) == ref_project_out(fw, known)
+    assert (p0, functional) == (record.cone_point, record.functional)
+    assert_rays_like_reference(p0, rays, ref_project_out(fw, known))
+    ref_p0, ref_functional, ref_p, ref_q = ref_reduce(fw, known)
+    assert (p0, functional, slid) == (ref_p0, ref_functional, ref_p + ref_q)
+
+
+# -- the whole reduction of a pass against the Fraction pipeline -----------------
+
+
+def ref_slide(p0, points):
+    """The functional search and slide on ``Fraction`` differences from the cone point."""
+    diffs = [tuple(a - b for a, b in zip(v, p0)) for v in points]
+    if any(not any(diff) for diff in diffs):
+        raise DegeneratePoint("a vertex coincides with the cone point")
+    d = len(p0)
+    axes = [tuple(int(i == axis) for i in range(d)) for axis in range(d)]
+    shells = (c for k in count(1) for c in product(range(k + 1), repeat=d) if max(c) == k)
+    functional = () if d == 0 else next(
+        c for c in chain(axes, shells)
+        if all(sum((a * b for a, b in zip(c, diff)), F(0)) != 0 for diff in diffs)
+    )
+    slid = []
+    for diff in diffs:
+        value = sum((a * b for a, b in zip(functional, diff)), F(0))
+        slid.append(tuple(b + x / value for b, x in zip(p0, diff)))
+    return tuple(F(v) for v in functional), slid
+
+
+def ref_reduce(fw, known):
+    """Project, search and slide, all in ``Fraction`` arithmetic."""
+    p0, proj_p, proj_q = ref_project_out(fw, known)
+    functional, slid = ref_slide(p0, proj_p + proj_q)
+    return p0, functional, slid[: len(proj_p)], slid[len(proj_p) :]
+
+
+@functools.lru_cache(maxsize=None)
+def decided_known_sets(seed: int) -> tuple:
+    """``(framework, known set)`` of every pass with a certified set, in two seeded decisions."""
+    out = []
+    for fw in (flag(seed), random_framework(random.Random(seed), d_max=3, nm_max=10)):
+        for rec in rigidity_test(fw)[1].records:
+            if rec.known_p or rec.known_q:
+                out.append((fw, KnownSet(rec.known_p, rec.known_q)))
+    return tuple(out)
+
+
+@st.composite
+def random_known_sets(draw):
+    """Random known sets, closed or not; tiny integers often make an axis vanish on a ray."""
+    coords = draw(st.sampled_from([RATIONALS, st.integers(-2, 2).map(F)]))
+    fw = split(draw, draw(point_sets(min_size=2, max_size=8, coords=coords)))
+    known = KnownSet.of(
+        draw(st.lists(st.integers(0, fw.n - 1), min_size=1, max_size=fw.n)),
+        draw(st.lists(st.integers(0, fw.m - 1), max_size=fw.m)) if fw.m else [],
+    )
+    return fw, affine_closure(fw, known) if draw(st.booleans()) else known
+
+
+@SETTINGS
+@given(st.one_of(
+    st.integers(0, 40).map(decided_known_sets).filter(bool).flatmap(st.sampled_from),
+    random_known_sets(),
+))
+def test_reduce_matches_fraction_pipeline(case):
+    # d = 0..3, repeated and collinear points, denominators up to 10**400,
+    # and known sets of seeded decisions: the integer pass gives the same
+    # cone point, functional and slid points as the Fraction pipeline, or
+    # the same error with the same message.
+    fw, known = case
+    comp_p = [i for i in range(fw.n) if i not in known.p_indices]
+    comp_q = [j for j in range(fw.m) if j not in known.q_indices]
+    assume(comp_p or comp_q)  # a pass with no complement exits before reducing
+    try:
+        expected = ref_reduce(fw, known)
+    except ValueError as err:  # ClosureViolated is a ValueError
+        with pytest.raises(type(err)) as raised:
+            _reduce(fw, known, comp_p, comp_q)
+        assert str(raised.value) == str(err)
+    else:
+        assert _reduce(fw, known, comp_p, comp_q) == expected

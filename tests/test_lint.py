@@ -134,13 +134,15 @@ def test_unused_import_check_sees_a_dropped_use():
 
 
 #: The only functions that read a rational's parts or take an lcm: the one
-#: clear of a vector, the clear of a point set over one shared scale, and
-#: the writer of canonical text.
-RATIONAL_PARTS_READERS = {"lp._clear", "geometry._cleared", "docio._rat_to_str"}
+#: clear of a vector and the writer of canonical text.
+RATIONAL_PARTS_READERS = {"lp._clear", "docio._rat_to_str"}
 
 
 def rational_part_reads(source: str, module: str) -> set[str]:
-    """The functions (``module.qualname``) reading ``.numerator``, ``.denominator`` or ``lcm``."""
+    """The functions (``module.qualname``) reading a rational's parts or taking an ``lcm``.
+
+    Parts are read by ``.numerator``, ``.denominator`` or ``.as_integer_ratio``.
+    """
     found = set()
 
     class Scopes(ast.NodeVisitor):
@@ -155,7 +157,7 @@ def rational_part_reads(source: str, module: str) -> set[str]:
         visit_ClassDef = visit_FunctionDef
 
         def visit_Attribute(self, node):
-            if node.attr in ("numerator", "denominator", "lcm"):
+            if node.attr in ("numerator", "denominator", "as_integer_ratio", "lcm"):
                 found.add(".".join(self.scope))
             self.generic_visit(node)
 
@@ -176,8 +178,9 @@ def test_rationals_are_cleared_in_one_place():
 
 def test_rational_part_check_sees_a_read():
     source = ("from math import lcm\nclass A:\n    def f(self, v):\n"
-              "        return v.numerator\ndef g(vs):\n    return lcm(*vs)\n")
-    assert rational_part_reads(source, "m") == {"m.A.f", "m.g"}
+              "        return v.numerator\ndef g(vs):\n    return lcm(*vs)\n"
+              "def h(v):\n    return v.as_integer_ratio()\n")
+    assert rational_part_reads(source, "m") == {"m.A.f", "m.g", "m.h"}
 
 
 def triangle_loops(source: str) -> list[int]:
@@ -266,6 +269,24 @@ def test_module_level_import_check_skips_function_bodies():
         "def f():\n    import numpy as np\n    return np\n"
     )
     assert module_level_imports(source) == [(1, "numpy.linalg"), (3, "numpy")]
+
+
+def test_package_import_loads_only_the_decision_path():
+    # ``import bipartite_rigidity`` is the whole set-up of a decision; the
+    # document, command-line and fixture modules, and what they import, load
+    # only when asked for.
+    unneeded = ["bipartite_rigidity.docio", "bipartite_rigidity.cli",
+                "bipartite_rigidity.fixtures", "json", "argparse", "numpy"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bipartite_rigidity\n"
+         f"print([name for name in {unneeded!r} if name in sys.modules],\n"
+         "      'bipartite_rigidity.engine' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] True\n"
 
 
 #: Run in a fresh interpreter: decide and verify every fixture, parse the

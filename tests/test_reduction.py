@@ -35,10 +35,10 @@ def fw_collinear_with_offline():
 def test_projection_kills_line():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
-    p0, proj_p, proj_q = project_out_known_set(fw, known)
+    p0, rays = project_out_known_set(fw, known)
     assert p0 == (F(0), F(0))
-    assert proj_p == [(F(0), F(1))]  # the off-line vertex keeps its height
-    assert proj_q == []
+    [(x, y)] = rays  # the off-line vertex keeps its height
+    assert x == 0 and y > 0
 
 
 def test_projection_closure_violation():
@@ -78,20 +78,23 @@ def test_slide_examples():
     # Scaling along rays from the origin onto the line y = 1.
     out = slide_to_hyperplane(
         (F(0), F(0)),
-        [(F(0), F(1)), (F(1), F(1)), (F(0), F(2))],
+        [(0, 1), (1, 1), (0, 2)],
         functional=(F(0), F(1)),
     )
     assert out == [(F(0), F(1)), (F(1), F(1)), (F(0), F(1))]
-    out = slide_to_hyperplane((F(0),), [(F(2),)], functional=(F(1),))
+    out = slide_to_hyperplane((F(0),), [(2,)], functional=(F(1),))
     assert out == [(F(1),)]
+    # A rational cone point and functional: 1/3 + 3 / (3/2).
+    out = slide_to_hyperplane((F(1, 3),), [(3,), (-6,)], functional=(F(1, 2),))
+    assert out == [(F(7, 3),), (F(7, 3),)]
 
 
 def test_slide_functional_deterministic_search():
     # x fails on the first point, y works for all.
-    c = slide_functional((F(0), F(0)), [(F(0), F(2)), (F(3), F(1))])
+    c = slide_functional([(0, 2), (3, 1)])
     assert c == (F(0), F(1))
     # both axes fail; the first working small combination is (1, 1).
-    c = slide_functional((F(0), F(0)), [(F(0), F(2)), (F(3), F(0))])
+    c = slide_functional([(0, 2), (3, 0)])
     assert c == (F(1), F(1))
 
 
@@ -130,50 +133,51 @@ def ray_sets(draw):
 
 @given(ray_sets())
 def test_slide_functional_matches_the_capped_search(rays):
+    # With no ray there is nothing to be nonzero on: the functional is empty.
     p0, points = rays
-    c = slide_functional(p0, points)
-    assert c == ref_slide_functional(p0, points)
-    assert max(c) <= max(len(points), 1)
+    c = slide_functional([tuple(int(a - b) for a, b in zip(v, p0)) for v in points])
+    assert c == (ref_slide_functional(p0, points) if points else ())
+    assert max(c, default=0) <= len(points)
 
 
 def test_slide_functional_past_the_first_shell():
     # Both axes and every vector of the first shell vanish on some ray.
-    rays = [(F(0), F(1)), (F(1), F(0)), (F(1), F(-1))]
-    assert slide_functional((F(0), F(0)), rays) == (F(1), F(2))
+    assert slide_functional([(0, 1), (1, 0), (1, -1)]) == (F(1), F(2))
 
 
 def test_slide_idempotent_on_hyperplane():
     p0 = (F(0), F(0))
-    pts = [(F(1), F(2)), (F(-2), F(4))]
-    c = slide_functional(p0, pts)
-    once = slide_to_hyperplane(p0, pts, c)
-    twice = slide_to_hyperplane(p0, once, c)
+    rays = [(1, 2), (-2, 4)]
+    c = slide_functional(rays)
+    once = slide_to_hyperplane(p0, rays, c)
+    twice = slide_to_hyperplane(p0, [tuple(a - b for a, b in zip(v, p0)) for v in once], c)
     assert once == twice
 
 
 def test_slide_degenerate_point():
+    # A zero ray: no functional is nonzero on it.
     with pytest.raises(DegeneratePoint):
-        slide_functional((F(0),), [(F(0),)])
-    with pytest.raises(DegeneratePoint):
-        slide_to_hyperplane((F(0),), [(F(0),)], functional=(F(1),))
+        slide_functional([(0,)])
+    with pytest.raises(ValueError, match="functional vanishes on a ray"):
+        slide_to_hyperplane((F(0),), [(0,)], functional=(F(1),))
 
 
 def test_slide_functional_in_zero_space():
     # 0-space has no ray: with no points the functional is empty, and any
     # point coincides with the cone point.
-    assert slide_functional((), []) == ()
+    assert slide_functional([]) == ()
     with pytest.raises(DegeneratePoint):
-        slide_functional((), [()])
+        slide_functional([()])
     assert slide_to_hyperplane((), [], ()) == []
 
 
 def test_rationality_preserved():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
-    p0, proj_p, _ = project_out_known_set(fw, known)
-    for pt in [p0] + proj_p:
-        assert all(isinstance(c, F) for c in pt)
-    slid = slide_to_hyperplane(p0, proj_p, slide_functional(p0, proj_p))
+    p0, rays = project_out_known_set(fw, known)
+    assert all(isinstance(c, F) for c in p0)
+    assert all(isinstance(c, int) for ray in rays for c in ray)
+    slid = slide_to_hyperplane(p0, rays, slide_functional(rays))
     assert all(isinstance(c, F) for pt in slid for c in pt)
 
 
@@ -263,9 +267,8 @@ def test_reduced_framework_spans():
 
     fw = fixture("projection_k44").framework
     known = KnownSet.of([0, 1], [0, 1])
-    p0, proj_p, proj_q = project_out_known_set(fw, known)
-    c = slide_functional(p0, proj_p + proj_q)
-    slid = slide_to_hyperplane(p0, proj_p + proj_q, c)
+    p0, rays = project_out_known_set(fw, known)
+    slid = slide_to_hyperplane(p0, rays, slide_functional(rays))
     assert affine_span_dim(slid) == 1
     xs = sorted(pt[0] for pt in slid)
     assert xs == [F(0), F(1), F(2), F(3)]
