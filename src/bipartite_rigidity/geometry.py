@@ -1,20 +1,21 @@
 """Configurations, the Veronese lift, and exact affine-span utilities.
 
-Points are tuples of ``Fraction``.  Ranks and spans are computed on cleared
-integer coordinates: a point set is multiplied by the common denominator
-``c`` of its coordinates once per call (:func:`_cleared`, the package's
-one clear :func:`~.lp._clear` over all its coordinates), which is an
-invertible affine map and keeps every span dimension, and the integer
-difference rows are reduced by the shared fraction-free Gauss-Jordan
-kernel (:func:`~.lp._reduce_ints` over :func:`~.lp.pivot_rows`), reading only
-the pivots.  So dimension comparisons are exact and no ``Fraction`` is
-built on the way.  Callers that need the reduced rows themselves (the
-projection in :mod:`.reduction`, the stress cross block) read them off
-:func:`_reduce_ints` as integers over its denominator.  The Veronese lift
-sends a point ``v`` of d-space to the rank-one symmetric matrix
-``v^ v^T`` (with a trailing 1 appended to ``v``), turning questions about
-separating quadrics into questions about separating hyperplanes in the
-space of symmetric matrices.
+Points are tuples of ``Fraction``.  Every exact check reads them through
+one function, :func:`_hats`: each point ``p`` is cleared by its own common
+denominator ``c`` (:func:`~.lp._clear`) to the integer hat
+``h = (X, c) = c p^``, scale last.  No check takes a shared scale; each is
+unchanged when each hat is rescaled by its own positive factor.  Span
+dimensions and membership are ranks of the offset rows
+``c_b X - c X_b = c_b c (p - p_b)`` (:func:`_differences`), reduced by the
+shared fraction-free Gauss-Jordan kernel (:func:`~.lp._reduce_ints` over
+:func:`~.lp.pivot_rows`), reading only the pivots; the projection in
+:mod:`.reduction` reads the reduced rows themselves.  Since
+``h h^T = c^2 p^ p^^T``, coefficients balance the lifted classes iff two
+integer Grams with weights ``W coeff / c^2`` agree (:func:`_balance`).  So
+no ``Fraction`` is built on the way.  The Veronese lift sends a point ``v``
+of d-space to the rank-one symmetric matrix ``v^ v^T`` (with a trailing 1
+appended to ``v``), turning questions about separating quadrics into
+questions about separating hyperplanes in the space of symmetric matrices.
 Lifts, quadrics and Grams share one layout, the row-major upper triangle
 that :class:`SymmetricMatrix` stores, built only here: :func:`_lift` (of a
 hatted point) and :func:`_diagonal` (which entries are diagonal).
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .lp import ZERO, ONE, _clear, _frac, _reduce_ints
@@ -155,17 +155,15 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return [_clear(row)[0] for row in rows]
 
 
-def _cleared(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer coordinates ``c * p`` of ``points`` and their common denominator ``c``."""
-    flat, c = _clear([v for pt in points for v in pt])
-    it = iter(flat)
-    return [list(islice(it, len(pt))) for pt in points], c
+def _hats(points: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each point cleared by its own common denominator: the hat ``(X, c) = c * p^``."""
+    return [[*ints, c] for ints, c in map(_clear, points)]
 
 
-def _hats(points: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The cleared hatted points ``(c * p, c) = c * p^`` and their factor ``c``."""
-    ints, c = _cleared(points)
-    return [x + [c] for x in ints], c
+def _differences(hats: Sequence[Sequence[int]], base: Sequence[int]) -> list[list[int]]:
+    """The offset rows ``c_b X - c X_b = c_b c (p - p_b)`` of ``hats`` from the hat ``base``."""
+    *xb, cb = base
+    return [[cb * x - h[-1] * y for x, y in zip(h, xb)] for h in hats]
 
 
 def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> list[int]:
@@ -174,10 +172,20 @@ def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> 
     return [sum(col) for col in zip(*lifts)] if lifts else _lift([0] * order)
 
 
-def _span_dim(ints: Sequence[Sequence[int]]) -> int:
-    """Affine span dimension of nonempty integer points: the rank of their differences."""
-    base = ints[0]
-    return len(_reduce_ints([[a - b for a, b in zip(pt, base)] for pt in ints[1:]])[0])
+def _balance(
+    fw: BipartiteFramework, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
+) -> Optional[tuple[list[list[int]], list[int], int, list[int]]]:
+    """Hats, integer weights ``a_k = W coeff_k / c_k^2``, ``W`` and the Gram; None unless balanced.
+
+    ``sum a_k h_k h_k^T = W sum coeff_k p^_k p^_k^T`` on each side.  The
+    coefficients are cleared first, so each ``Fraction`` is built from ints.
+    """
+    n, hats = fw.n, _hats(fw.all_points())
+    ints, w = _clear((*lambdas, *mus))
+    weights, s = _clear([Fraction(v, h[-1] * h[-1]) for v, h in zip(ints, hats)])
+    upper = _gram(hats[:n], weights[:n], fw.dimension + 1)
+    balanced = upper == _gram(hats[n:], weights[n:], fw.dimension + 1)
+    return (hats, weights, w * s, upper) if balanced else None
 
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -186,10 +194,11 @@ def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
 
 
 def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine span, computed exactly on cleared integers."""
+    """Dimension of the affine span: the rank of the hats' offset rows."""
     if not points:
         raise EmptyInput("affine span of an empty point set")
-    return _span_dim(_cleared(points)[0])
+    base, *hats = _hats(points)
+    return len(_reduce_ints(_differences(hats, base))[0])
 
 
 def _affine_members(
@@ -197,19 +206,16 @@ def _affine_members(
 ) -> list[bool]:
     """Whether each candidate lies in the affine span of nonempty ``points``.
 
-    The points and the candidates are cleared by one common denominator,
-    the hull's integer difference rows are reduced once, and each
-    ``candidate - points[0]`` is cleared against their pivots on integers
-    (scaled by the kernel's denominator at each step); it lies in their
-    span iff nothing is left.
+    The hull's offset rows are reduced once, and each candidate's offset
+    row is cleared against their pivots on integers (scaled by the
+    kernel's denominator at each step); it lies in their span iff nothing
+    is left.
     """
-    ints, _ = _cleared([*points, *candidates])
-    base = ints[0]
-    rows = [[a - b for a, b in zip(pt, base)] for pt in ints[1 : len(points)]]
+    base, *hats = _hats([*points, *candidates])
+    rows = _differences(hats[: len(points) - 1], base)
     pivots, den = _reduce_ints(rows)
     members = []
-    for x in ints[len(points) :]:
-        rest = [a - b for a, b in zip(x, base)]
+    for rest in _differences(hats[len(points) - 1 :], base):
         for row, c in zip(rows, pivots):
             f = rest[c]
             if f:
@@ -231,14 +237,12 @@ def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fra
     """Exact equality of two affine hulls.
 
     The hulls agree iff they have the same dimension and their union spans
-    nothing more.  Both are cleared by one common denominator first.
+    nothing more: three ranks of offset rows.
     """
     if not a and not b:
         return True
     if not a or not b:
         return False
-    ints, _ = _cleared([*a, *b])
-    da = _span_dim(ints[: len(a)])
-    if da != _span_dim(ints[len(a) :]):
-        return False
-    return _span_dim(ints) == da
+    hats = _hats([*a, *b])
+    parts = (hats[: len(a)], hats[len(a) :], hats)
+    return len({len(_reduce_ints(_differences(hs[1:], hs[0]))[0]) for hs in parts}) == 1

@@ -6,10 +6,12 @@ certified set's affine hull (collapsing it to a single cone point), then
 rescale every remaining vertex along its ray from the cone point into a
 common affine hyperplane.  Both operations are computed exactly in ambient
 rational coordinates; no irrational re-coordinatization is ever needed.
-The projection clears the coordinates by one common denominator and
-reduces them fraction-free (:func:`~.geometry._reduce_ints`), so it yields
-integer rays from the cone point; the slide searches its functional on
-integer dot products and builds each slid coordinate as one ``Fraction``.
+The projection reduces the offset rows of the points' hats
+(:func:`~.geometry._differences`) fraction-free, so it yields integer
+rays from the cone point, each a positive multiple of its image's offset;
+the slide, which no positive rescaling of a ray changes, searches its
+functional on integer dot products and builds each slid coordinate as
+one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .geometry import (
     in_affine_span,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     linear_rank,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     _affine_members,
-    _cleared,
+    _differences,
+    _hats,
     _reduce_ints,
 )
 from .lp import _clear
@@ -95,25 +98,22 @@ def project_out_known_set(
     Q, in increasing index order): its image minus the cone point, as
     numerators over one denominator.  The projection along the certified
     hull's directions is ``x - B^T (B B^T)^{-1} B x`` for any basis ``B``
-    of them, and it is linear, so it runs on the points cleared by one
-    common denominator ``c``: ``B`` is the nonzero rows of the reduced
-    integer difference rows, and one fraction-free reduction of
-    ``[B B^T | B X]`` over ``den`` gives ``(B B^T)^{-1} B X`` for the first
-    cleared vertex and every difference from it at once; all images are
-    over ``den * c``.  A zero ray, a complement vertex in the certified
-    hull, raises :class:`ClosureViolated`; the closure step rules it out.
+    of them, and it is linear, so it runs on the hats: ``B`` is the nonzero
+    reduced offset rows of the certified hull, and one fraction-free
+    reduction of ``[B B^T | B Y]`` over ``den`` maps ``X_0`` (over
+    ``den c_0``) and every complement offset row at once.  A zero ray, a
+    complement vertex in the certified hull, raises
+    :class:`ClosureViolated`; the closure step rules it out.
     """
     if known.is_empty():
         raise ValueError("cannot project out an empty certified set")
     anchors = known.points(fw)
     comp = [("P", i, pt) for i, pt in enumerate(fw.points_p) if i not in known.p_indices]
     comp += [("Q", j, pt) for j, pt in enumerate(fw.points_q) if j not in known.q_indices]
-    ints, c = _cleared(anchors + [pt for _, _, pt in comp])
-    base = ints[0]
-    diffs = [[a - b for a, b in zip(pt, base)] for pt in ints[1:]]
-    basis = diffs[: len(anchors) - 1]
+    base, *hats = _hats(anchors + [pt for _, _, pt in comp])
+    basis = _differences(hats[: len(anchors) - 1], base)
     basis = basis[: len(_reduce_ints(basis)[0])]
-    targets = [base] + diffs[len(anchors) - 1 :]
+    targets = [base[:-1]] + _differences(hats[len(anchors) - 1 :], base)
     system = [[sum(a * b for a, b in zip(u, v)) for v in basis + targets] for u in basis]
     _, den = _reduce_ints(system)
     k = len(basis)
@@ -125,7 +125,7 @@ def project_out_known_set(
     for (cls, idx, _), ray in zip(comp, rays):
         if not any(ray):
             raise ClosureViolated(f"class-{cls} vertex {idx} projects onto the cone point")
-    scale = den * c
+    scale = den * base[-1]
     return tuple(Fraction(v, scale) for v in cone), rays
 
 

@@ -14,11 +14,12 @@ Farkas vector, read as a quadratic form, is the separating quadric.  When
 it has a solution, :func:`maximal_support_radon` reaches the unique maximal
 support of the balance region by maximizing only the coordinates that are
 zero in every point found so far, all from the feasibility solve's phase-1
-basis.  Both witnesses re-verify with zero residual, on integers: the
-points are cleared once per check to hatted integer points ``(X, c)``,
-``X = c p`` with ``c`` the common denominator of the coordinates
-(:func:`verify_radon`, :func:`verify_separation`), rational vectors by
-:func:`~.lp._clear`; lifts, quadrics and Grams use :mod:`.geometry`'s layout.
+basis.  Both witnesses re-verify with zero residual on each point's
+integer hat ``(X_k, c_k) = c_k p^_k`` (:func:`~.geometry._hats`), which
+also gives the LP its columns: balance is the equality of two integer
+Grams with weights ``W coeff_k / c_k^2``, and a form at ``p_k`` is
+compared with ``delta c_k^2``.  Lifts, quadrics and Grams use
+:mod:`.geometry`'s layout.
 :func:`max_margin_quadric` finds the separating quadric of largest margin
 through the same duality: it solves the LP for the least weighted distance
 between the lifted hulls and reads the quadric off that LP's dual.
@@ -31,8 +32,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import lp
-from .geometry import BipartiteFramework, SymmetricMatrix, _diagonal, _gram, _hats, _lift
-from .lp import ONE, LPProblem, LPStatus, _clear
+from .geometry import BipartiteFramework, SymmetricMatrix, _balance, _diagonal, _hats, _lift
+from .lp import LPProblem, LPStatus, _clear
 
 
 class EmptySide(ValueError):
@@ -76,21 +77,17 @@ class SeparationCertificate:
 def _lift_columns(fw: BipartiteFramework) -> tuple[list[list[int]], list[int]]:
     """The balance columns of the points on integers, and their scales.
 
-    Each point ``p_j`` is cleared by its own common denominator ``c_j``, so
-    its hat ``(X_j, c_j) = c_j p^_j`` is integral.  Its column is the upper
-    triangle of ``(X_j, c_j)(X_j, c_j)^T = c_j^2 lift(p_j)``, negated for Q;
-    a row's product with ``x_j / c_j^2`` is that entry of
+    Each point's hat ``h_j = (X_j, c_j) = c_j p^_j`` (:func:`~.geometry._hats`)
+    gives the column ``h_j h_j^T = c_j^2 lift(p_j)`` as an upper triangle,
+    negated for Q; a row's product with ``x_j / c_j^2`` is that entry of
     ``sum lambda lift(p) - sum mu lift(q)``.  ``c_j^2`` is the least common
     multiple of the lift's denominators (the diagonal entry ``p_a^2`` has
     denominator ``den_a^2``), so it is the column scale a rational problem
     would be cleared by (:meth:`~.lp.LPProblem.create`).
     """
-    cols, scales = [], []
-    for k, pt in enumerate(fw.all_points()):
-        hat, c = _clear((*pt, ONE))
-        cols.append(_lift(hat if k < fw.n else [-v for v in hat], hat))
-        scales.append(c * c)
-    return cols, scales
+    hats = _hats(fw.all_points())
+    cols = [_lift(h if k < fw.n else [-v for v in h], h) for k, h in enumerate(hats)]
+    return cols, [h[-1] * h[-1] for h in hats]
 
 
 def _quadric(hat: int, y: Sequence[Fraction]) -> list[Fraction]:
@@ -234,25 +231,20 @@ def maximal_support_radon(
 def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
     """Exact re-verification of a Radon certificate (zero residual).
 
-    The coefficients are cleared by their common denominator ``w`` and the
-    points to hatted integers ``(X, c) = c p^``, so balance reads as the
-    equality of the upper triangles of the two integer Grams
-    ``sum w lambda_i (X_i, c)(X_i, c)^T`` and ``sum w mu_j (X_j, c)(X_j, c)^T``
-    (:func:`~.geometry._gram`): each is ``w c^2`` times the sum of the lifts
-    on its side.
+    Balance is checked by :func:`~.geometry._balance`, and each side's
+    coefficients sum to one iff its ``sum a_k c_k^2`` is ``W``.
     """
     n = fw.n
-    coeffs = (*cert.lambdas, *cert.mus)
     if len(cert.lambdas) != n or len(cert.mus) != fw.m:
         return False
-    if any(v < 0 for v in coeffs):
+    if any(v < 0 for v in (*cert.lambdas, *cert.mus)):
         return False
-    ints, w = _clear(coeffs)
-    if sum(ints[:n]) != w or sum(ints[n:]) != w:
+    balanced = _balance(fw, cert.lambdas, cert.mus)
+    if balanced is None:
         return False
-    hats, _ = _hats(fw.all_points())
-    order = fw.dimension + 1
-    return _gram(hats[:n], ints[:n], order) == _gram(hats[n:], ints[n:], order)
+    hats, weights, w, _ = balanced
+    sums = [a * h[-1] * h[-1] for a, h in zip(weights, hats)]
+    return sum(sums[:n]) == w == sum(sums[n:])
 
 
 def _distance_problem(fw: BipartiteFramework) -> LPProblem:
@@ -310,7 +302,7 @@ def verify_separation(cert: SeparationCertificate, fw: BipartiteFramework) -> bo
     """Exact evaluation of all quadratic forms against the stated margin.
 
     With ``D`` the common denominator of the matrix entries and ``delta``,
-    and the hatted integer points ``(X, c) = c p^``, the integer form
+    and each point's hat ``(X, c) = c p^``, the integer form
     ``(X, c)^T (D S) (X, c)`` is ``D c^2`` times the form's value at ``p``; it
     is compared with ``D delta c^2``.
     """
@@ -324,12 +316,12 @@ def verify_separation(cert: SeparationCertificate, fw: BipartiteFramework) -> bo
     ints, _ = _clear((*matrix.upper, delta))
     # Off-diagonal entries appear twice in the form.
     weights = [v if diag else 2 * v for v, diag in zip(ints, _diagonal(matrix.order))]
-    hats, c = _hats(fw.all_points())
-    bound = ints[-1] * c * c
+    margin = ints[-1]
 
     def form(h: list[int]) -> int:
         return sum(s * x for s, x in zip(weights, _lift(h)) if s)
 
-    return all(form(h) >= bound for h in hats[: fw.n]) and all(
-        form(h) <= -bound for h in hats[fw.n :]
+    hats = _hats(fw.all_points())
+    return all(form(h) >= margin * h[-1] * h[-1] for h in hats[: fw.n]) and all(
+        form(h) <= -margin * h[-1] * h[-1] for h in hats[fw.n :]
     )

@@ -17,33 +17,28 @@ Equilibrium then holds exactly (``P^ L + Q^ B^T = 0`` and
 with ``Pi`` the orthogonal projector onto the row space of ``Q^ M^{1/2}``,
 makes omega PSD of rank ``n + m - d' - 1`` (``d'`` the span dimension).
 
-``B`` is built on integers.  It is affine invariant: an invertible affine
-map of the coordinates acts on every hatted point by one invertible matrix
-``T``, which turns ``G`` into ``T G T^T`` and ``G^-`` into
-``T^-T G^- T^-1``, and the factors cancel.  It is also homogeneous of
-degree one in the coefficients jointly: scaling ``L`` and ``M`` by ``w``
-scales ``G`` and ``Q^ M`` by ``w`` and leaves ``X`` alone.  So the hatted
-points are multiplied by the common denominator ``c`` of the coordinates,
-``(X, c) = c p^`` (``T = c I``, so ``B`` does not change), and the
-coefficients by theirs, ``w`` (:func:`~.lp._clear`); the upper triangles
-of the two integer Grams are compared to check balance, ``[G | Q^ M]`` is
-reduced on integers over one common denominator ``den``, and ``B`` comes
-out as integer numerators over ``w * den``.  Each entry is converted to
-floating point by one correctly rounded integer division.  Thin, flat or
-large configurations therefore need no rescaling before the build.
+``B`` is built on integers, on each point's hat ``h_k = c_k p^_k``
+(:func:`~.geometry._hats`, ``c_k`` its own denominator).  A hat rescaled
+by its own factor changes nothing once its coefficient absorbs it:
+``coeff_k p^_k p^_k^T = (coeff_k / c_k^2) h_k h_k^T`` and
+``mu_j q^_j = (mu_j / c_j^2) c_j h_j``.  With the weights
+``a_k = W coeff_k / c_k^2`` cleared to integers
+(:func:`~.geometry._balance`), both sides' integer Grams are ``W G``
+under balance, ``[W G | W Q^ M]`` reduced on integers over ``den`` gives
+``X``, and ``B`` comes out as integer numerators over ``W den``, each
+converted to floating point by one correctly rounded integer division.
 
 ``omega`` is held as a tuple of float rows, so building and verifying a
 certificate needs no ``numpy``.  The floating extras import it inside the
 functions that compute them and take tuple rows or arrays alike: the least
 eigenvalue and equilibrium residual a certificate reports (measured the
-first time either is read; only the format-1 document and the ``stress``
-printout read them), read-back diagonals, the coupled family and the
-spectral norm.  They read the prescaled coordinates ``X / 2**k``
-(:func:`_hatted`): the integer copy ``X`` shifted so its
-largest magnitude is at most :data:`COORD_CAP`.  Scaling the configuration
-leaves equilibrium kernels and balance certificates untouched.  Each
-coordinate is one correctly rounded integer division, the same float as
-converting the exact rational.
+first time either is read), read-back diagonals, the coupled family and
+the spectral norm.  They need one uniform scale, so they read
+``X / 2**k`` (:func:`_hatted`), with ``X = c p`` all points cleared by
+one common denominator (:func:`_prescaled`) and ``k`` the least shift
+that brings every magnitude to at most :data:`COORD_CAP`; each is one
+correctly rounded integer division.  Scaling the configuration leaves
+equilibrium kernels and balance certificates untouched.
 
 An optional diagonal coupling ``C`` generalizes the construction: with
 ``N_P`` and ``N_Q`` orthonormal null bases of ``P^ L^{1/2}`` and
@@ -74,9 +69,7 @@ from .geometry import (
     SymmetricMatrix,
     affine_span_dim,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     affine_spans_equal,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
-    _cleared,
-    _gram,
-    _hats,
+    _balance,
     _reduce_ints,
 )
 from .lp import _clear
@@ -156,13 +149,15 @@ class StressCertificate:
 
 
 def _prescaled(fw: BipartiteFramework) -> tuple[list[list[int]], int, int]:
-    """The cleared integer coordinates ``X = c p`` of every point, ``c`` and a shift.
+    """All points cleared by one common denominator ``c`` to ``X = c p``, ``c`` and the shift.
 
     The shift ``k`` is the least one with every ``|X| / 2**k`` at most
-    ``COORD_CAP``; the prescaled coordinates are ``X / 2**k``.
+    ``COORD_CAP``.
     """
-    ints, c = _cleared(fw.all_points())
-    peak = max((abs(v) for pt in ints for v in pt), default=0)
+    d = fw.dimension
+    flat, c = _clear([v for pt in fw.all_points() for v in pt])
+    ints = [flat[k * d : k * d + d] for k in range(fw.n + fw.m)]
+    peak = max(map(abs, flat), default=0)
     shift = (-(-peak // COORD_CAP) - 1).bit_length() if peak > COORD_CAP else 0
     return ints, c, shift
 
@@ -183,32 +178,28 @@ def _hatted(fw: BipartiteFramework) -> Any:
 def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int, int]:
     """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
-    Hatted points and coefficients are cleared to integers (module
-    docstring), the upper triangles of the two integer Grams are compared,
-    and ``[G | Q^ M]`` is row reduced on integers; ``X`` takes the reduced
-    right side in its pivot rows and zeros elsewhere.  Exact balance puts
-    every column of ``Q^ M`` in the range of ``G``, so no pivot lands on the
-    right side.
-    Returns the numerators, their positive denominator and ``rank G`` (the
-    pivot count).
+    On the hats and weights of :func:`~.geometry._balance`, ``a_k c_k h_k``
+    is ``W coeff_k p^_k``; ``[W G | W Q^ M]`` is row reduced on integers, and
+    ``X`` takes the reduced right side in its pivot rows and zeros
+    elsewhere (balance keeps every pivot off the right side).  Returns the
+    numerators ``-a_i c_i h_i^T X_j``, their denominator ``W den`` and
+    ``rank G`` (the pivot count).
     """
-    hat = fw.dimension + 1
-    hats, _ = _hats(fw.all_points())
-    p_hats, q_hats = hats[: fw.n], hats[fw.n :]
-    coeffs, w = _clear((*lambdas, *mus))
-    a, b = coeffs[: fw.n], coeffs[fw.n :]
-    upper = _gram(p_hats, a, hat)
-    if upper != _gram(q_hats, b, hat):
+    hat, n = fw.dimension + 1, fw.n
+    balanced = _balance(fw, lambdas, mus)
+    if balanced is None:
         raise DegenerateInput("coefficients do not balance the lifted classes")
+    hats, weights, w, upper = balanced
+    rhs = [[b * q[-1] * v for v in q] for q, b in zip(hats[n:], weights[n:])]
     gram = SymmetricMatrix(hat, tuple(upper)).rows()
-    system = [gram[i] + [bj * q[i] for q, bj in zip(q_hats, b)] for i in range(hat)]
+    system = [row + [q[i] for q in rhs] for i, row in enumerate(gram)]
     pivots, den = _reduce_ints(system)
     x = [[0] * fw.m for _ in range(hat)]
     for row, col in zip(system, pivots):
         x[col] = row[hat:]
     nums = [
-        [-ai * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(fw.m)]
-        for p, ai in zip(p_hats, a)
+        [-a * p[-1] * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(fw.m)]
+        for p, a in zip(hats[:n], weights)
     ]
     return nums, w * den, len(pivots)
 

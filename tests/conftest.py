@@ -261,9 +261,11 @@ def oracle_lp(rows, rhs, objective=None):
 
 @pytest.fixture
 def fraction_products(monkeypatch):
-    """A list that grows by the operator's name per ``Fraction`` product, sum or difference."""
+    """A list that grows by the operator's name per ``Fraction`` product, quotient, sum or difference."""
     seen = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+    names = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+             "__add__", "__radd__", "__sub__", "__rsub__")
+    for name in names:
         original = getattr(F, name)
 
         def counted(self, other, _original=original, _name=name):

@@ -49,8 +49,15 @@ from bipartite_rigidity.reduction import (
     project_out_known_set,
     slide_functional,
     slide_to_hyperplane,
+    span_invariant_holds,
 )
-from bipartite_rigidity.stress import COORD_CAP, _hatted, _prescaled, equilibrium_residual
+from bipartite_rigidity.stress import (
+    COORD_CAP,
+    _hatted,
+    _prescaled,
+    equilibrium_residual,
+    verify_super_stable_certificate,
+)
 from conftest import flag, fraction_rref, k10x10, random_framework
 
 BIG = 10**400
@@ -426,20 +433,28 @@ def test_prescale_shift_at_powers_of_two(peak, den):
 
 def test_verifiers_run_on_ints(fraction_products):
     # K(10,10) seed 1 balances on its first pass and seed 3 is separated on
-    # its first; replaying those certificates multiplies no Fraction.
+    # its first; replaying those certificates, the stress included, and
+    # closing the certified set multiplies, divides, adds and subtracts no
+    # Fraction.
     rigid, separated = k10x10(1), k10x10(3)
-    radon = rigidity_test(rigid)[1].records[0].radon
+    record = rigidity_test(rigid)[1].records[0]
+    radon, cert = record.radon, record.stress
     separation = rigidity_test(separated)[1].records[0].separation
-    assert radon is not None and separation is not None
+    assert radon is not None and cert is not None and separation is not None
     fraction_products.clear()
     F(1, 2) * F(1, 3)
-    assert len(fraction_products) == 1  # the counter sees a product
+    F(1, 2) / F(1, 3)
+    1 / F(1, 3)
+    assert fraction_products == ["__mul__", "__truediv__", "__rtruediv__"]
     fraction_products.clear()
     assert verify_radon(rigid, radon)
     assert verify_separation(separation, separated)
     assert affine_span_dim(rigid.all_points()) == 3
     support = rigid.subframework(radon.support_p, radon.support_q)
     assert affine_span_dim(support.points_p) == affine_span_dim(support.all_points())
+    assert verify_super_stable_certificate(support, cert)
+    known = affine_closure(rigid, KnownSet.of(radon.support_p, radon.support_q))
+    assert span_invariant_holds(rigid, known)
     assert fraction_products == []
 
 

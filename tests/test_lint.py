@@ -183,6 +183,57 @@ def test_rational_part_check_sees_a_read():
     assert rational_part_reads(source, "m") == {"m.A.f", "m.g", "m.h"}
 
 
+def joint_clears(source: str, module: str) -> set[str]:
+    """The functions (``module.qualname``) calling ``_clear`` on a comprehension with two ``for``s.
+
+    Such a call clears a whole point set by one common denominator.
+    """
+    found = set()
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            comps = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
+            if name == "_clear" and any(
+                isinstance(arg, comps) and len(arg.generators) >= 2 for arg in node.args
+            ):
+                found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    Scopes().visit(ast.parse(source))
+    return found
+
+
+def test_one_joint_clear():
+    # Every exact check clears each point by its own denominator
+    # (geometry._hats); only the float prescale needs one uniform scale.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= joint_clears(path.read_text(), path.stem)
+    assert found == {"stress._prescaled"}
+
+
+def test_joint_clear_check_sees_calls():
+    source = (
+        "def f(points):\n    return _clear([v for pt in points for v in pt])\n"
+        "def g(points):\n    return [_clear(pt) for pt in points]\n"
+        "class A:\n    def h(self, rows):\n"
+        "        return lp._clear(v for row in rows if row for v in row)\n"
+    )
+    assert joint_clears(source, "m") == {"m.f", "m.A.h"}
+
+
 def triangle_loops(source: str) -> list[int]:
     """Lines where ``range(i, ...)`` runs inside a loop over ``i``: an upper-triangle walk."""
     found = []
