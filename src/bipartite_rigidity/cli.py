@@ -3,8 +3,11 @@
 Subcommands:
 
 * ``check <file>... [--certificate OUT] [--trace] [--dump-coords]``
-  prints one verdict per input file and optionally writes the certificate
-  chain.
+  decides each input file in turn and prints its verdict (with several
+  files, ``<path>: <verdict>``, or ``<path>: error: <message>`` for a
+  framework the decision refuses), each after that file's iteration lines
+  under ``--trace``; ``--dump-coords`` prints every file's coordinate
+  tables first, and ``--certificate`` writes the chain of a single file.
 * ``verify <framework> <certificate>`` replays a chain against a framework
   and prints ``valid``, or ``invalid: record <i>: <check>`` naming the
   first rejected record and the check it fails.
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import docio, fixtures
-from .engine import chain_rejection, rigidity_test, rigidity_test_batch
+from .engine import chain_rejection, rigidity_test
 from .separation import EmptySide, RadonCertificate, max_margin_quadric, maximal_support_radon
 from .stress import build_super_stable_stress
 
@@ -64,8 +67,13 @@ def _cmd_check(args) -> int:
     if args.dump_coords:
         for fw in frameworks:
             _dump_coords(fw, sys.stdout)
-    if len(frameworks) == 1:
-        verdict, chain = rigidity_test(frameworks[0])
+    for path, fw in zip(args.files, frameworks):
+        prefix = f"{path}: " if len(frameworks) > 1 else ""
+        try:
+            verdict, chain = rigidity_test(fw)
+        except ValueError as exc:
+            print(f"{prefix}error: {exc}")
+            continue
         if args.trace:
             for rec in chain.records:
                 detail = ""
@@ -78,14 +86,7 @@ def _cmd_check(args) -> int:
             Path(args.certificate).write_text(
                 docio.serialize_chain(chain), encoding="utf-8"
             )
-        print(verdict.value)
-        return EXIT_OK
-    for path, result in zip(args.files, rigidity_test_batch(frameworks)):
-        if isinstance(result, Exception):
-            print(f"{path}: error: {result}")
-        else:
-            verdict, _ = result
-            print(f"{path}: {verdict.value}")
+        print(f"{prefix}{verdict.value}")
     return EXIT_OK
 
 
@@ -182,10 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (docio.ParseError, EmptySide) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (docio.ParseError, EmptySide, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

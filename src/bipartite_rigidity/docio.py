@@ -2,7 +2,9 @@
 
 Rational values serialize as canonical ``"a/b"`` strings (plain integers
 when the denominator is one) so no floating-point parse ambiguity can creep
-into coordinates or LP certificates.  Numerators and denominators past the
+into coordinates or LP certificates.  This module is the package's one
+reader of rational text: the constructors elsewhere take ``int`` and
+``Fraction`` values only.  Numerators and denominators past the
 interpreter's limit on decimal conversion (4300 digits by default) are
 written and read in chunks; the reader takes canonical ``"a/b"`` text with
 up to :data:`MAX_DIGITS` digits in each part, and other spellings with a
@@ -22,7 +24,8 @@ before Python 3.13 takes the pure-Python encoder, which costs several
 generator steps per value.  The readers take a whole list of rationals,
 or a whole ``omega`` row, at once, and fall back to reading value by
 value (and spelling out the locus of each value) only for a list that
-the one-pass reading does not cover.
+the one-pass reading does not cover: a value that is not canonical, or
+a part past the interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -121,49 +124,34 @@ def _at(locus: str, index: Optional[int]) -> str:
     return locus if index is None else f"{locus}[{index}]"
 
 
-def _plain_rational(text: str) -> Optional[Fraction]:
-    """``text`` read as ``"a"`` or ``"a/b"`` in plain decimal digits, else ``None``.
-
-    ``a`` may carry one leading ``-`` and ``b`` must be nonzero.  These are
-    the canonical spellings, and for them this gives what ``Fraction(text)``
-    gives, without its regular expression, and past the interpreter's digit
-    limit up to :data:`MAX_DIGITS` digits per part (``ValueError`` beyond).
-    Every other spelling returns ``None`` and is left to ``Fraction(text)``.
-    """
-    num, slash, den = text.partition("/")
-    negative = num[:1] == "-"
-    digits = num[1:] if negative else num
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    if slash and not (den.isascii() and den.isdigit() and den.strip("0")):
-        return None
-    numerator = _int_of(digits)
-    return Fraction(-numerator if negative else numerator, _int_of(den) if slash else 1)
-
-
-#: A plain rational (see :func:`_plain_rational`) whose parts have at most
-#: 640 digits, so ``int`` converts them under any limit the interpreter
-#: accepts: the spellings a list reader converts without a call per value.
-_SHORT_PLAIN = re.compile(r"(-?[0-9]{1,640})(?:/(?!0+\Z)([0-9]{1,640}))?")
+#: The canonical spelling of a rational: ``"a"`` or ``"a/b"`` in plain
+#: ASCII digits, ``a`` with at most one leading ``-`` and ``b`` nonzero.
+#: Group 1 is the signed numerator, group 2 its digits, group 3 the
+#: denominator's digits (``None`` for ``"a"``).
+_PLAIN = re.compile(r"(-?([0-9]+))(?:/(?!0+\Z)([0-9]+))?")
 
 
 def _rat_list(items: list, locus: str, index: Optional[int] = None) -> tuple[Fraction, ...]:
     """The rationals of a list, read as :func:`_rat_from` reads each item.
 
-    A list of short plain rationals is converted at once; any other list
+    A list of canonical spellings (:data:`_PLAIN`) is converted at once;
+    any other list, or one with a part past the interpreter's digit limit,
     goes value by value, so a refused value raises exactly the error
     :func:`_rat_from` raises for it.  The list is item ``index`` of
     ``locus``, which is spelled out only then.
     """
     try:
-        matches = list(map(_SHORT_PLAIN.fullmatch, items))
+        matches = list(map(_PLAIN.fullmatch, items))
     except TypeError:  # an item that is not a string
         matches = None
     if matches is not None and all(matches):
-        return tuple([
-            Fraction(int(match[1]), int(match[2])) if match[2] else Fraction(int(match[1]))
-            for match in matches
-        ])
+        try:
+            return tuple([
+                Fraction(int(match[1]), int(match[3])) if match[3] else Fraction(int(match[1]))
+                for match in matches
+            ])
+        except ValueError:  # a part past the interpreter's digit limit
+            pass
     where = _at(locus, index)
     return tuple(_rat_from(v, where, k) for k, v in enumerate(items))
 
@@ -175,9 +163,13 @@ def _rat_from(value: Any, locus: str, index: Optional[int] = None) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            fast = _plain_rational(value)
-            if fast is not None:
-                return fast
+            plain = _PLAIN.fullmatch(value)
+            if plain:
+                numerator = _int_of(plain[2])
+                return Fraction(
+                    -numerator if plain[1][0] == "-" else numerator,
+                    _int_of(plain[3]) if plain[3] else 1,
+                )
             exponent = _EXPONENT.search(value)
             if exponent and abs(int(exponent[1])) > MAX_DIGITS:
                 raise ValueError(f"exponent beyond {MAX_DIGITS}")

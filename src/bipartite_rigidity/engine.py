@@ -106,20 +106,21 @@ _VERDICT = {
 
 
 def _reduce(
-    fw: BipartiteFramework, known: KnownSet, comp_p: Sequence[int], comp_q: Sequence[int]
+    fw: BipartiteFramework, known: KnownSet, comp: KnownSet
 ) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]], list[Point], list[Point]]:
-    """Project out the certified set and slide; identity on the first pass."""
+    """Project out the certified set and slide; identity on the first pass.
+
+    The reduced points come in the order of ``comp.points(fw)``, so the
+    first ``len(comp.p_indices)`` are class P.
+    """
     if known.is_empty():
-        return (
-            None,
-            None,
-            [fw.points_p[i] for i in comp_p],
-            [fw.points_q[j] for j in comp_q],
-        )
-    p0, rays = project_out_known_set(fw, known)
-    functional = slide_functional(rays)
-    slid = slide_to_hyperplane(p0, rays, functional)
-    return p0, functional, slid[: len(comp_p)], slid[len(comp_p) :]
+        cone_point, functional, reduced = None, None, comp.points(fw)
+    else:
+        cone_point, rays = project_out_known_set(fw, known)
+        functional = slide_functional(rays)
+        reduced = slide_to_hyperplane(cone_point, rays, functional)
+    n = len(comp.p_indices)
+    return cone_point, functional, reduced[:n], reduced[n:]
 
 
 class _Step(NamedTuple):
@@ -129,8 +130,8 @@ class _Step(NamedTuple):
     forces; when it is None the balance LP on ``sub`` decides the pass.
     """
 
-    comp_p: list[int]
-    comp_q: list[int]
+    comp_p: tuple[int, ...]
+    comp_q: tuple[int, ...]
     cone_point: Optional[Point] = None
     functional: Optional[tuple[Fraction, ...]] = None
     sub: Optional[BipartiteFramework] = None
@@ -139,11 +140,11 @@ class _Step(NamedTuple):
 
 def _pass(fw: BipartiteFramework, known: KnownSet) -> _Step:
     """Steps 1-3 and the one-sided rule of one pass, for decide and replay."""
-    comp_p = [i for i in range(fw.n) if i not in known.p_indices]
-    comp_q = [j for j in range(fw.m) if j not in known.q_indices]
+    comp = known.complement(fw)
+    comp_p, comp_q = comp.p_indices, comp.q_indices
     if len(comp_p) <= 1 and len(comp_q) <= 1:
         return _Step(comp_p, comp_q, forced="exit")
-    cone_point, functional, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
+    cone_point, functional, red_p, red_q = _reduce(fw, known, comp)
     reduced_all = red_p + red_q
     # More than d + 1 points of d-space are never affinely independent.
     count = len(reduced_all)

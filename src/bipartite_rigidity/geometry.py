@@ -63,6 +63,11 @@ class BipartiteFramework:
 
     @classmethod
     def from_lists(cls, dimension: int, p: Iterable, q: Iterable) -> "BipartiteFramework":
+        """A framework from coordinate lists of ``int`` or ``Fraction`` values.
+
+        Any other value raises ``TypeError``; text is read by
+        :func:`~.docio.parse_framework`.
+        """
         return cls(
             dimension=dimension,
             points_p=tuple(as_point(v) for v in p),
@@ -234,15 +239,7 @@ def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact equality of two affine hulls.
-
-    The hulls agree iff they have the same dimension and their union spans
-    nothing more: three ranks of offset rows.
-    """
-    if not a and not b:
-        return True
+    """Exact equality of two affine hulls: each lies in the other."""
     if not a or not b:
-        return False
-    hats = _hats([*a, *b])
-    parts = (hats[: len(a)], hats[len(a) :], hats)
-    return len({len(_reduce_ints(_differences(hs[1:], hs[0]))[0]) for hs in parts}) == 1
+        return not a and not b
+    return all(_affine_members(a, b)) and all(_affine_members(b, a))

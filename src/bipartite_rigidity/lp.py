@@ -61,11 +61,13 @@ class LPStatus(Enum):
 
 
 def _frac(x) -> Fraction:
+    """An ``int`` or ``Fraction`` as a ``Fraction``; any other type raises ``TypeError``.
+
+    Text is read as a rational only by :mod:`.docio`, which bounds its size.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -112,7 +114,7 @@ class LPProblem:
         *,
         objective: Optional[Sequence] = None,
     ) -> "LPProblem":
-        """Clear the rational problem ``rows @ x = rhs``.
+        """Clear the rational problem ``rows @ x = rhs`` of ``int`` or ``Fraction`` entries.
 
         Each column is scaled by the least common multiple of its
         denominators and the rhs by that of its own, so the problem is

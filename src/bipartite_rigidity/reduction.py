@@ -45,7 +45,7 @@ class DegeneratePoint(ValueError):
 
 @dataclass(frozen=True)
 class KnownSet:
-    """Indices of vertices already certified, per class.
+    """Indices of vertices already certified, per class, or of the rest (:meth:`complement`).
 
     The decision loop maintains the exact invariant that the affine hull
     of the marked P vertices equals the affine hull of the marked Q
@@ -78,6 +78,17 @@ class KnownSet:
             fw.points_q[j] for j in self.q_indices
         ]
 
+    def complement(self, fw: BipartiteFramework) -> "KnownSet":
+        """The unmarked vertices of ``fw``, per class.
+
+        Its :meth:`points` list the uncertified vertices in the order every
+        pass uses: class P, then Q, each by increasing index.
+        """
+        return KnownSet(
+            tuple(i for i in range(fw.n) if i not in self.p_indices),
+            tuple(j for j in range(fw.m) if j not in self.q_indices),
+        )
+
 
 def span_invariant_holds(fw: BipartiteFramework, known: KnownSet) -> bool:
     """Exact check that both marked classes span the same affine hull."""
@@ -108,9 +119,8 @@ def project_out_known_set(
     if known.is_empty():
         raise ValueError("cannot project out an empty certified set")
     anchors = known.points(fw)
-    comp = [("P", i, pt) for i, pt in enumerate(fw.points_p) if i not in known.p_indices]
-    comp += [("Q", j, pt) for j, pt in enumerate(fw.points_q) if j not in known.q_indices]
-    base, *hats = _hats(anchors + [pt for _, _, pt in comp])
+    comp = known.complement(fw)
+    base, *hats = _hats(anchors + comp.points(fw))
     basis = _differences(hats[: len(anchors) - 1], base)
     basis = basis[: len(_reduce_ints(basis)[0])]
     targets = [base[:-1]] + _differences(hats[len(anchors) - 1 :], base)
@@ -122,7 +132,8 @@ def project_out_known_set(
          for j, v in enumerate(x)]
         for t, x in enumerate(targets)
     ]
-    for (cls, idx, _), ray in zip(comp, rays):
+    labels = [("P", i) for i in comp.p_indices] + [("Q", j) for j in comp.q_indices]
+    for (cls, idx), ray in zip(labels, rays):
         if not any(ray):
             raise ClosureViolated(f"class-{cls} vertex {idx} projects onto the cone point")
     scale = den * base[-1]
@@ -185,13 +196,9 @@ def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
     """
     if known.is_empty():
         return known
-    rest_p = [i for i in range(fw.n) if i not in known.p_indices]
-    rest_q = [j for j in range(fw.m) if j not in known.q_indices]
-    inside = _affine_members(
-        known.points(fw),
-        [fw.points_p[i] for i in rest_p] + [fw.points_q[j] for j in rest_q],
-    )
+    rest = known.complement(fw)
+    inside = _affine_members(known.points(fw), rest.points(fw))
     return known.union(
-        [i for i, absorbed in zip(rest_p, inside) if absorbed],
-        [j for j, absorbed in zip(rest_q, inside[len(rest_p) :]) if absorbed],
+        [i for i, absorbed in zip(rest.p_indices, inside) if absorbed],
+        [j for j, absorbed in zip(rest.q_indices, inside[len(rest.p_indices) :]) if absorbed],
     )

@@ -45,9 +45,7 @@ def _balanced_subframeworks(fw: BipartiteFramework, chain):
         if rec.kind != "balanced":
             continue
         known = KnownSet.of(rec.known_p, rec.known_q)
-        comp_p = [i for i in range(fw.n) if i not in rec.known_p]
-        comp_q = [j for j in range(fw.m) if j not in rec.known_q]
-        _, _, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
+        _, _, red_p, red_q = _reduce(fw, known, known.complement(fw))
         sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
         yield rec, sub.subframework(rec.radon.support_p, rec.radon.support_q)
 

@@ -13,7 +13,7 @@ import pytest
 
 from bipartite_rigidity import cli, docio
 from bipartite_rigidity.cli import main
-from bipartite_rigidity.engine import Verdict, rigidity_test, verify_chain
+from bipartite_rigidity.engine import Verdict, rigidity_test, rigidity_test_batch, verify_chain
 from bipartite_rigidity.fixtures import emit_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.geometry import SymmetricMatrix
@@ -194,6 +194,59 @@ def test_check_many_files(corpus, capsys):
     assert lines[0].endswith("universally-rigid")
     assert lines[1].endswith("not-dimensionally-rigid")
     assert lines[2].endswith("universally-rigid")
+
+
+def fixture_paths(corpus) -> list[str]:
+    return sorted(str(p) for p in corpus.glob("*.json") if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-coords"]], ids=["plain", "dump-coords"])
+def test_check_many_files_prints_tables_then_verdicts(corpus, capsys, flags):
+    # Every coordinate table first, as the single-file check prints it,
+    # then one `<path>: <verdict>` line per file, with the batch's verdicts.
+    paths = fixture_paths(corpus)
+    tables = []
+    for path in paths:
+        assert main(["check", path, *flags]) == 0
+        tables += capsys.readouterr().out.splitlines()[:-1]
+    assert bool(tables) == bool(flags)
+    frameworks = [docio.parse_framework(Path(path).read_text()) for path in paths]
+    verdicts = [f"{path}: {result[0].value}"
+                for path, result in zip(paths, rigidity_test_batch(frameworks))]
+    assert main(["check", *flags, *paths]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in tables + verdicts)
+
+
+def test_check_many_files_traces_each_file(corpus, capsys):
+    # Each file's iteration lines, then its verdict line.
+    paths = fixture_paths(corpus)
+    expected = []
+    for path in paths:
+        assert main(["check", "--trace", path]) == 0
+        *iterations, verdict = capsys.readouterr().out.splitlines()
+        assert iterations
+        expected += [*iterations, f"{path}: {verdict}"]
+    assert main(["check", "--trace", *paths]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_check_many_files_reports_a_refused_framework(corpus, monkeypatch, capsys):
+    refused = docio.parse_framework((corpus / "k11.json").read_text())
+
+    def decide(fw):
+        if fw == refused:
+            raise ValueError("refused")
+        return rigidity_test(fw)
+
+    monkeypatch.setattr(cli, "rigidity_test", decide)
+    paths = [str(corpus / "k22_line.json"), str(corpus / "k11.json"),
+             str(corpus / "separated_line.json")]
+    assert main(["check", *paths]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{paths[0]}: universally-rigid",
+        f"{paths[1]}: error: refused",
+        f"{paths[2]}: not-dimensionally-rigid",
+    ]
 
 
 def test_certificate_flag_needs_single_file(corpus, capsys):

@@ -360,13 +360,11 @@ def test_consistency_of_chained_certificates(rng):
             for rec in chain.records:
                 if rec.kind != "balanced":
                     continue
-                comp_p = [i for i in range(fw.n) if i not in rec.known_p]
-                comp_q = [j for j in range(fw.m) if j not in rec.known_q]
                 from bipartite_rigidity.engine import _reduce
                 from bipartite_rigidity.reduction import KnownSet
 
                 known = KnownSet.of(rec.known_p, rec.known_q)
-                _, _, red_p, red_q = _reduce(fw, known, comp_p, comp_q)
+                _, _, red_p, red_q = _reduce(fw, known, known.complement(fw))
                 sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
                 local_p = rec.radon.support_p
                 local_q = rec.radon.support_q
@@ -437,11 +435,11 @@ def test_balance_coefficients_stay_short():
 
 def ref_pass(fw, known):
     """The pass step with the affine rank of the reduced points always taken, kept as a reference."""
-    comp_p = [i for i in range(fw.n) if i not in known.p_indices]
-    comp_q = [j for j in range(fw.m) if j not in known.q_indices]
+    comp_p = tuple(i for i in range(fw.n) if i not in known.p_indices)
+    comp_q = tuple(j for j in range(fw.m) if j not in known.q_indices)
     if len(comp_p) <= 1 and len(comp_q) <= 1:
         return engine._Step(comp_p, comp_q, forced="exit")
-    cone_point, functional, red_p, red_q = engine._reduce(fw, known, comp_p, comp_q)
+    cone_point, functional, red_p, red_q = engine._reduce(fw, known, KnownSet(comp_p, comp_q))
     reduced_all = red_p + red_q
     if affine_span_dim(reduced_all) == len(reduced_all) - 1:
         return engine._Step(comp_p, comp_q, cone_point, functional, forced="dimspan")

@@ -8,12 +8,20 @@ references below spell each format out on its own, with no call into either.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bipartite_rigidity.geometry import SymmetricMatrix, _diagonal, _gram, _lift, veronese
+from bipartite_rigidity.geometry import (
+    BipartiteFramework,
+    SymmetricMatrix,
+    _diagonal,
+    _gram,
+    _lift,
+    veronese,
+)
 from bipartite_rigidity.lp import (
     LPOutcome,
     LPProblem,
@@ -163,8 +171,8 @@ def test_evaluate_point_rejects_a_wrong_length():
 
 
 def test_feasible_outcome_holds_its_tableau():
-    prob = LPProblem.create([[1, 1]], ["2/3"], 2, objective=[1, 0])
-    start = solve_feasibility(LPProblem.create([[1, 1]], ["2/3"], 2))
+    prob = LPProblem.create([[1, 1]], [F(2, 3)], 2, objective=[1, 0])
+    start = solve_feasibility(LPProblem.create([[1, 1]], [F(2, 3)], 2))
     assert start.phase_one.constraints == (prob.rows, prob.rhs, prob.col_scale,
                                            prob.rhs_scale)
     assert maximize(prob, start=start) == maximize(prob)
@@ -176,9 +184,9 @@ def test_maximize_rejects_starts_of_other_constraints():
     prob = LPProblem.create([[1, 1]], [2], 2, objective=[1, 0])
     cases = [
         # Same rows and rhs values, another rhs scale.
-        solve_feasibility(LPProblem.create([[1, 1]], ["2/3"], 2)),
+        solve_feasibility(LPProblem.create([[1, 1]], [F(2, 3)], 2)),
         # Another column scale.
-        solve_feasibility(LPProblem.create([["1/2", 1]], [2], 2)),
+        solve_feasibility(LPProblem.create([[F(1, 2), 1]], [2], 2)),
         # An outcome that carries no tableau.
         LPOutcome(LPStatus.FEASIBLE, point=(F(2), F(0))),
         LPOutcome(LPStatus.INFEASIBLE, solve_dual=lambda: (F(1),)),
@@ -191,3 +199,26 @@ def test_maximize_rejects_starts_of_other_constraints():
     wide = LPProblem.create([], [], 3, objective=[1, 0, 0])
     with pytest.raises(MalformedProblem):
         maximize(wide, start=solve_feasibility(LPProblem.create([], [], 2)))
+
+
+# -- numbers only ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: BipartiteFramework.from_lists(1, [[v]], [[0]]),
+    lambda v: veronese([v]),
+    lambda v: SymmetricMatrix.from_upper(1, [v]),
+    lambda v: LPProblem.create([[v]], [1], 1),
+    lambda v: LPProblem.create([[1]], [v], 1),
+    lambda v: LPProblem.create([[1]], [1], 1, objective=[v]),
+], ids=["from_lists", "veronese", "from_upper", "create-rows", "create-rhs", "create-objective"])
+def test_constructors_take_numbers_only(build):
+    # Text is read only by docio, which bounds it; here it is refused at
+    # once, however large the number it spells.
+    build(F(1, 2))
+    build(3)
+    for text in ("1/2", "1e10000000"):
+        begin = time.perf_counter()
+        with pytest.raises(TypeError):
+            build(text)
+        assert time.perf_counter() - begin < 0.1

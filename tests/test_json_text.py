@@ -109,8 +109,11 @@ _OTHER_RATS = st.one_of(
         "1.5", "1e3", "1_000", "٣", "NaN", "1e999", "inf", "1/2\n",
     ]),
     st.text(alphabet="0123456789-+/ ._e", max_size=8),
-    st.integers(10**639, 10**700).map(str),  # past the short spelling, read per value
+    st.integers(10**639, 10**700).map(str),
     st.builds(lambda n: f"1/{n}", st.integers(10**639, 10**700)),
+    # past the interpreter's digit limit: read value by value
+    st.builds(lambda k: "-" + "9" * k, st.integers(4290, 4310)),
+    st.builds(lambda k: "1/" + "7" * k, st.integers(4290, 4310)),
     st.integers(),
     st.booleans(),
     st.floats(),
