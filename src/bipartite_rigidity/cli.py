@@ -3,11 +3,12 @@
 Subcommands:
 
 * ``check <file>... [--certificate OUT] [--trace] [--dump-coords]``
-  decides each input file in turn and prints its verdict (with several
-  files, ``<path>: <verdict>``, or ``<path>: error: <message>`` for a
-  framework the decision refuses), each after that file's iteration lines
-  under ``--trace``; ``--dump-coords`` prints every file's coordinate
-  tables first, and ``--certificate`` writes the chain of a single file.
+  decides the input files with :func:`rigidity_test_batch` and prints
+  each verdict (with several files, ``<path>: <verdict>``), or
+  ``error: <message>`` for a framework the decision refuses, each after
+  that file's iteration lines under ``--trace``; ``--dump-coords`` prints
+  every file's coordinate tables first, and ``--certificate`` writes the
+  chain of a single file.
 * ``verify <framework> <certificate>`` replays a chain against a framework
   and prints ``valid``, or ``invalid: record <i>: <check>`` naming the
   first rejected record and the check it fails.
@@ -17,7 +18,8 @@ Subcommands:
 * ``fixtures <dir>`` emits the example corpus.
 
 Exit codes: 0 for a completed analysis (any verdict), 1 for a failed
-verification, 2 for input errors.
+verification, 2 for input errors and for a ``check`` whose decision of
+some file fails.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from pathlib import Path
 
 from . import docio, fixtures
-from .engine import chain_rejection, rigidity_test
+from .engine import chain_rejection, rigidity_test_batch
 from .separation import EmptySide, RadonCertificate, max_margin_quadric, maximal_support_radon
 from .stress import build_super_stable_stress
 
@@ -67,13 +69,14 @@ def _cmd_check(args) -> int:
     if args.dump_coords:
         for fw in frameworks:
             _dump_coords(fw, sys.stdout)
-    for path, fw in zip(args.files, frameworks):
+    code = EXIT_OK
+    for path, result in zip(args.files, rigidity_test_batch(frameworks)):
         prefix = f"{path}: " if len(frameworks) > 1 else ""
-        try:
-            verdict, chain = rigidity_test(fw)
-        except ValueError as exc:
-            print(f"{prefix}error: {exc}")
+        if isinstance(result, Exception):
+            print(f"{prefix}error: {result}")
+            code = EXIT_INPUT
             continue
+        verdict, chain = result
         if args.trace:
             for rec in chain.records:
                 detail = ""
@@ -87,7 +90,7 @@ def _cmd_check(args) -> int:
                 docio.serialize_chain(chain), encoding="utf-8"
             )
         print(f"{prefix}{verdict.value}")
-    return EXIT_OK
+    return code
 
 
 def _cmd_verify(args) -> int:

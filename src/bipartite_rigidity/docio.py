@@ -24,8 +24,9 @@ before Python 3.13 takes the pure-Python encoder, which costs several
 generator steps per value.  The readers take a whole list of rationals,
 or a whole ``omega`` row, at once, and fall back to reading value by
 value (and spelling out the locus of each value) only for a list that
-the one-pass reading does not cover: a value that is not canonical, or
-a part past the interpreter's digit limit.
+the one-pass reading does not cover: a value that is not canonical, a
+list longer than :data:`MAX_DIGITS` characters, or a part past the
+interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -134,17 +135,18 @@ _PLAIN = re.compile(r"(-?([0-9]+))(?:/(?!0+\Z)([0-9]+))?")
 def _rat_list(items: list, locus: str, index: Optional[int] = None) -> tuple[Fraction, ...]:
     """The rationals of a list, read as :func:`_rat_from` reads each item.
 
-    A list of canonical spellings (:data:`_PLAIN`) is converted at once;
-    any other list, or one with a part past the interpreter's digit limit,
-    goes value by value, so a refused value raises exactly the error
-    :func:`_rat_from` raises for it.  The list is item ``index`` of
-    ``locus``, which is spelled out only then.
+    A list of canonical spellings (:data:`_PLAIN`) of at most
+    :data:`MAX_DIGITS` characters in all is converted at once, so the bound
+    holds whatever the interpreter's digit limit; any other list, or one
+    with a part past that limit, goes value by value, so a refused value
+    raises exactly the error :func:`_rat_from` raises for it.  The list is
+    item ``index`` of ``locus``, which is spelled out only then.
     """
     try:
         matches = list(map(_PLAIN.fullmatch, items))
     except TypeError:  # an item that is not a string
         matches = None
-    if matches is not None and all(matches):
+    if matches is not None and all(matches) and len("".join(items)) <= MAX_DIGITS:
         try:
             return tuple([
                 Fraction(int(match[1]), int(match[3])) if match[3] else Fraction(int(match[1]))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bipartite_rigidity import cli, docio
+from bipartite_rigidity import cli, docio, engine
 from bipartite_rigidity.cli import main
 from bipartite_rigidity.engine import Verdict, rigidity_test, rigidity_test_batch, verify_chain
 from bipartite_rigidity.fixtures import emit_fixtures, fixture
@@ -230,23 +230,38 @@ def test_check_many_files_traces_each_file(corpus, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_check_many_files_reports_a_refused_framework(corpus, monkeypatch, capsys):
-    refused = docio.parse_framework((corpus / "k11.json").read_text())
+def refuse(monkeypatch, refused):
+    """Make the decision raise ``ValueError("refused")`` for ``refused`` only."""
 
     def decide(fw):
         if fw == refused:
             raise ValueError("refused")
         return rigidity_test(fw)
 
-    monkeypatch.setattr(cli, "rigidity_test", decide)
+    monkeypatch.setattr(engine, "rigidity_test", decide)
+
+
+def test_check_many_files_reports_a_refused_framework(corpus, monkeypatch, capsys):
+    # The other files are still decided; the exit code flags the failure.
+    refuse(monkeypatch, docio.parse_framework((corpus / "k11.json").read_text()))
     paths = [str(corpus / "k22_line.json"), str(corpus / "k11.json"),
              str(corpus / "separated_line.json")]
-    assert main(["check", *paths]) == 0
+    assert main(["check", *paths]) == cli.EXIT_INPUT
     assert capsys.readouterr().out.splitlines() == [
         f"{paths[0]}: universally-rigid",
         f"{paths[1]}: error: refused",
         f"{paths[2]}: not-dimensionally-rigid",
     ]
+
+
+def test_check_reports_a_refused_framework(corpus, monkeypatch, tmp_path, capsys):
+    # A single file: no verdict, no certificate, and a nonzero exit code.
+    path = corpus / "k11.json"
+    refuse(monkeypatch, docio.parse_framework(path.read_text()))
+    out = tmp_path / "chain.json"
+    assert main(["check", "--trace", str(path), "--certificate", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().out == "error: refused\n"
+    assert not out.exists()
 
 
 def test_certificate_flag_needs_single_file(corpus, capsys):

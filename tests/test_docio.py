@@ -296,6 +296,24 @@ def test_rat_from_keeps_the_digit_limit_error(text):
         docio._rat_from(text, "P", 2)
 
 
+@pytest.mark.parametrize("limit", [0, docio.MAX_DIGITS + 10], ids=["unlimited", "above-bound"])
+def test_rat_list_keeps_the_digit_limit_error(limit):
+    # The list reader holds the same bound when the interpreter's own limit
+    # is off or above it.
+    text = "9" * (docio.MAX_DIGITS + 1)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(docio.ParseError, match=re.escape(
+                f"P[2][1]: invalid rational {text[:40]!r}... ({len(text)} characters) "
+                f"(more than {docio.MAX_DIGITS} digits)")):
+            docio._rat_list(["1", text], "P", 2)
+        at_bound = "-" + "9" * (docio.MAX_DIGITS - 1)
+        assert docio._rat_list(["1/2", at_bound], "P") == (F(1, 2), F(int(at_bound)))
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @settings(max_examples=50, deadline=None)
 @given(bits=st.integers(0, 60_000), seed=st.integers(), negative=st.booleans())
 def test_rationals_write_and_read_at_any_size(bits, seed, negative):
