@@ -207,25 +207,25 @@ def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def _affine_members(
-    points: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]
+    hull: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]]
 ) -> list[bool]:
-    """Whether each candidate lies in the affine span of nonempty ``points``.
+    """Whether each candidate hat lies in the affine span of the nonempty ``hull`` hats.
 
     The hull's offset rows are reduced once, and each candidate's offset
     row is cleared against their pivots on integers (scaled by the
     kernel's denominator at each step); it lies in their span iff nothing
     is left.
     """
-    base, *hats = _hats([*points, *candidates])
-    rows = _differences(hats[: len(points) - 1], base)
+    base, *rest = hull
+    rows = _differences(rest, base)
     pivots, den = _reduce_ints(rows)
     members = []
-    for rest in _differences(hats[len(points) - 1 :], base):
+    for left in _differences(candidates, base):
         for row, c in zip(rows, pivots):
-            f = rest[c]
+            f = left[c]
             if f:
-                rest = [den * a - f * b for a, b in zip(rest, row)]
-        members.append(not any(rest))
+                left = [den * a - f * b for a, b in zip(left, row)]
+        members.append(not any(left))
     return members
 
 
@@ -235,11 +235,12 @@ def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
         raise EmptyInput("affine span of an empty point set")
     if len(v) != len(points[0]):
         raise ValueError("dimension mismatch")
-    return _affine_members(points, [v])[0]
+    return _affine_members(_hats(points), _hats([v]))[0]
 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact equality of two affine hulls: each lies in the other."""
+    """Exact equality of two affine hulls: each lies in the other, each cleared once."""
     if not a or not b:
         return not a and not b
-    return all(_affine_members(a, b)) and all(_affine_members(b, a))
+    ha, hb = _hats(a), _hats(b)
+    return all(_affine_members(ha, hb)) and all(_affine_members(hb, ha))

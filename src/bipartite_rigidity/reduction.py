@@ -190,14 +190,13 @@ def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
 
     One round suffices: an absorbed vertex already lies in the hull, so the
     hull does not grow.  Exact membership tests make the result independent
-    of processing order; the hull and the unmarked vertices are cleared
-    together and the hull is reduced once for all of them
-    (:func:`~.geometry._affine_members`).
+    of processing order; the hull is reduced once for all the unmarked
+    vertices (:func:`~.geometry._affine_members`).
     """
     if known.is_empty():
         return known
     rest = known.complement(fw)
-    inside = _affine_members(known.points(fw), rest.points(fw))
+    inside = _affine_members(_hats(known.points(fw)), _hats(rest.points(fw)))
     return known.union(
         [i for i, absorbed in zip(rest.p_indices, inside) if absorbed],
         [j for j, absorbed in zip(rest.q_indices, inside[len(rest.p_indices) :]) if absorbed],

@@ -148,24 +148,6 @@ def _farkas_quadric(d: int, y: Sequence[Fraction]) -> SeparationCertificate:
     )
 
 
-def _zero_on_region(prob: LPProblem, y: Sequence[Fraction]) -> set[int]:
-    """Coordinates a zero optimum's dual shows to vanish on the whole region.
-
-    A maximization of ``x_j`` over the balance region with optimum zero has
-    a dual ``y`` with ``y^T b = 0`` and ``y^T A_k >= 0`` on every column
-    ``k``.  Every feasible ``x`` then has ``sum_k (y^T A_k) x_k = 0`` with
-    no negative term, so ``x_k = 0`` wherever ``y^T A_k > 0`` (complementary
-    slackness; Goldman and Tucker 1956).  The signs are read on the integer
-    columns, positive multiples of ``A_k``, with ``y`` cleared to integers.
-    """
-    nums, _ = _clear(y)
-    acc = [0] * prob.n_vars
-    for f, row in zip(nums, prob.rows):
-        if f:
-            acc = [a + f * b for a, b in zip(acc, row)]
-    return {k for k, a in enumerate(acc) if a > 0}
-
-
 def maximal_support_radon(
     fw: BipartiteFramework,
 ) -> Union[RadonCertificate, SeparationCertificate]:
@@ -183,10 +165,8 @@ def maximal_support_radon(
     so the skipped solves change only the averaged coefficients.  Every
     maximization starts from the feasibility solve's phase-1 basis
     (``lp.maximize(start=...)``), so phase 1 runs once per call however
-    many coordinates are zero.  A maximum of zero comes with a dual that
-    shows further coordinates zero on the whole region
-    (:func:`_zero_on_region`); those are never maximized, and since no
-    point is added either way the coefficients do not change.
+    many coordinates are zero.  Only a Farkas vector is read off a balance
+    solve; no optimum's dual is.
 
     Each point is weighted by the multiple ``den * ceil(top / den)`` of its
     common denominator ``den`` (``top`` the largest of them), so every
@@ -203,9 +183,8 @@ def maximal_support_radon(
         return _farkas_quadric(fw.dimension, outcome.dual)
     points = [outcome.point]
     total = fw.n + fw.m
-    zero: set[int] = set()
     for coord in range(total):
-        if coord in zero or any(pt[coord] for pt in points):
+        if any(pt[coord] for pt in points):
             continue
         obj = [0] * total
         obj[coord] = 1
@@ -214,8 +193,6 @@ def maximal_support_radon(
             raise AssertionError("the balance region is nonempty and bounded")
         if best.value > 0:
             points.append(best.point)
-        else:
-            zero |= _zero_on_region(base, best.dual)
     cleared = [_clear(pt) for pt in points]
     top = max(den for _, den in cleared)
     nums = [0] * total

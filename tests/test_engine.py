@@ -25,6 +25,9 @@ from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
+    flag,
+    fraction_rref,
+    huge_k44,
     k10x10,
     line_strictly_separable,
     random_framework,
@@ -311,36 +314,113 @@ def test_termination_bound(rng):
         assert len(chain.records) <= fw.n + fw.m
 
 
+def moved(fw, f, swap=False):
+    """``fw`` with every point mapped by ``f``, its classes exchanged if ``swap``."""
+    p, q = tuple(map(f, fw.points_p)), tuple(map(f, fw.points_q))
+    return BipartiteFramework(len(p[0]), *((q, p) if swap else (p, q)))
+
+
+def affine(matrix, shift):
+    """The map ``x -> matrix x + shift``."""
+
+    def image(pt):
+        return tuple(sum((a * x for a, x in zip(row, pt)), s) for row, s in zip(matrix, shift))
+
+    return image
+
+
+def rational_similarity(rng, d):
+    """A uniform positive scaling of a rational orthogonal matrix.
+
+    A signed permutation, then a rotation by the angle with cosine 3/5 in
+    two coordinates when there are two.
+    """
+    perm = rng.sample(range(d), d)
+    rows = [[F(rng.choice((-1, 1))) if j == perm[i] else F(0) for j in range(d)] for i in range(d)]
+    if d >= 2:
+        a, b = rng.sample(range(d), 2)
+        c, s = F(3, 5), F(4, 5)
+        rows[a], rows[b] = (
+            [c * x - s * y for x, y in zip(rows[a], rows[b])],
+            [s * x + c * y for x, y in zip(rows[a], rows[b])],
+        )
+    scale = F(rng.randint(1, 9), rng.randint(1, 9))
+    return [[scale * v for v in row] for row in rows]
+
+
+def nonsingular(rng, d):
+    """A random rational matrix of rank ``d``."""
+    while True:
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)]
+        if len(fraction_rref([list(row) for row in rows])) == d:
+            return rows
+
+
+def chain_shape(chain, p_map=None, q_map=None, swap=False):
+    """Each record's kind, known sets and supports, relabelled by the maps.
+
+    ``p_map[i]`` is the new index of P vertex ``i`` (identity when None),
+    and ``swap`` exchanges the classes after relabelling.
+    """
+
+    def side(idx, mapping):
+        return tuple(sorted(mapping[i] for i in idx)) if mapping else idx
+
+    shape = []
+    for rec in chain.records:
+        sides = [(side(rec.known_p, p_map), side(rec.support_p, p_map)),
+                 (side(rec.known_q, q_map), side(rec.support_q, q_map))]
+        (kp, sp), (kq, sq) = sides[::-1] if swap else sides
+        shape.append((rec.kind, kp, kq, sp, sq))
+    return shape
+
+
+def shuffled(rng, fw):
+    """``fw`` with each class shuffled, and the maps from old to new indices."""
+    perm_p, perm_q = rng.sample(range(fw.n), fw.n), rng.sample(range(fw.m), fw.m)
+    image = BipartiteFramework(
+        fw.dimension,
+        tuple(fw.points_p[i] for i in perm_p),
+        tuple(fw.points_q[j] for j in perm_q),
+    )
+    return image, {i: k for k, i in enumerate(perm_p)}, {j: k for k, j in enumerate(perm_q)}
+
+
+def assert_equivariant(fw, transforms):
+    """Each transformed framework decides the same verdict with the mapped chain shape."""
+    verdict, chain = rigidity_test(fw)
+    for image, p_map, q_map, swap in transforms:
+        moved_verdict, moved_chain = rigidity_test(image)
+        assert moved_verdict is verdict
+        assert verify_chain(image, moved_chain)
+        assert chain_shape(moved_chain) == chain_shape(chain, p_map, q_map, swap)
+
+
 def test_verdict_invariance(rng):
-    # translation, class-internal permutation, uniform positive scaling
-    for _ in range(15):
-        fw = random_framework(rng, d_max=2, nm_max=7)
-        base, _ = rigidity_test(fw)
+    # Decide is equivariant: shuffling each class, exchanging P and Q,
+    # appending a zero coordinate, a rational similarity and a nonsingular
+    # rational affine map keep the verdict, and the record kinds, known
+    # sets and supports map over (relabelled, exchanged under the swap);
+    # every transformed chain verifies.  On the fixtures, flag seeds 1-5,
+    # K(10,10) seeds 1-2 and random draws; huge_k44 seed 0 is only
+    # shuffled, since its decide takes most of a second.
+    cases = [fx.framework for fx in all_fixtures().values()]
+    cases += [flag(seed) for seed in range(1, 6)] + [k10x10(seed) for seed in (1, 2)]
+    cases += [random_framework(rng, d_max=3, nm_max=9) for _ in range(20)]
+    for fw in cases:
         d = fw.dimension
-        shift = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
-        translated = BipartiteFramework(
-            d,
-            tuple(tuple(a + s for a, s in zip(p, shift)) for p in fw.points_p),
-            tuple(tuple(a + s for a, s in zip(q, shift)) for q in fw.points_q),
-        )
-        assert rigidity_test(translated)[0] is base
-        perm_p = list(range(fw.n))
-        perm_q = list(range(fw.m))
-        rng.shuffle(perm_p)
-        rng.shuffle(perm_q)
-        permuted = BipartiteFramework(
-            d,
-            tuple(fw.points_p[i] for i in perm_p),
-            tuple(fw.points_q[j] for j in perm_q),
-        )
-        assert rigidity_test(permuted)[0] is base
-        scale = F(rng.randint(1, 5), rng.randint(1, 5))
-        scaled = BipartiteFramework(
-            d,
-            tuple(tuple(scale * a for a in p) for p in fw.points_p),
-            tuple(tuple(scale * a for a in q) for q in fw.points_q),
-        )
-        assert rigidity_test(scaled)[0] is base
+        shift = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+        transforms = [
+            (*shuffled(rng, fw), False),
+            (moved(fw, lambda pt: (*pt, F(0))), None, None, False),
+            (moved(fw, affine(rational_similarity(rng, d), shift)), None, None, False),
+            (moved(fw, affine(nonsingular(rng, d), shift)), None, None, False),
+        ]
+        if fw.m:
+            transforms.append((moved(fw, tuple, swap=True), None, None, True))
+        assert_equivariant(fw, transforms)
+    fw = huge_k44(0)
+    assert_equivariant(fw, [(*shuffled(rng, fw), False)])
 
 
 def test_line_oracle_small(rng):

@@ -569,70 +569,6 @@ def test_balance_lp_matches_fraction_reference(fw):
     assert_same_balance_lp(fw)
 
 
-def skipped_coordinates(fw) -> list[int]:
-    """Coordinates outside the support that ``maximal_support_radon`` never maximized."""
-    maximized = []
-    solve = lp.maximize
-
-    def recorded(prob, start=None):
-        maximized.append(prob.objective.index(1))
-        return solve(prob, start=start)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "maximize", recorded)
-        cert = maximal_support_radon(fw)
-    if not isinstance(cert, RadonCertificate):
-        return []
-    values = cert.lambdas + cert.mus
-    return [j for j, v in enumerate(values) if v == 0 and j not in maximized]
-
-
-def ref_relative_interior(fw) -> list[F]:
-    """A relative-interior point of the balance region, by reference solves.
-
-    The mean of a feasible point and every coordinate's maximizer with a
-    positive optimum is positive on exactly the maximal support.
-    """
-    ref = ref_radon_problem(fw)
-    first = solve_feasibility(ref)
-    points = [first.point]
-    total = fw.n + fw.m
-    for j in range(total):
-        out = maximize(replace(ref, objective=unit(total, j)), start=first)
-        if out.value > 0:
-            points.append(out.point)
-    return [sum(column) / len(points) for column in zip(*points)]
-
-
-def assert_skips_are_zero(fw) -> int:
-    """Every dual-skipped coordinate is zero in a reference relative-interior point."""
-    skipped = skipped_coordinates(fw)
-    if skipped:
-        point = ref_relative_interior(fw)
-        assert [point[j] for j in skipped] == [0] * len(skipped)
-    return len(skipped)
-
-
-def test_dual_skips_are_zero_on_fixtures():
-    # The fixtures maximize every coordinate they leave out; the two line
-    # frameworks, each with one P point on the Q point, have coordinates
-    # that a zero optimum's dual shows to vanish.
-    cases = [fx.framework for fx in all_fixtures().values()]
-    cases += [
-        BipartiteFramework.from_lists(
-            1, [[-2], [F(-1, 12)], [1], [F(-7, 4)], [13]], [[-2]]),
-        BipartiteFramework.from_lists(
-            1, [[-1], [F(7, 8)], [F(8, 9)], [F(-3, 7)]], [[-1], [F(9, 7)]]),
-    ]
-    assert sum(assert_skips_are_zero(fw) for fw in cases) >= 4
-
-
-@LP_SETTINGS
-@given(frameworks())
-def test_dual_skips_are_zero(fw):
-    assert_skips_are_zero(fw)
-
-
 def test_balance_lp_builds_and_reads_on_ints(fraction_products):
     # The balance and distance LPs of K(10,10) seed 1 and of a separated
     # fixture are built, and that fixture's Farkas quadric is read, with no

@@ -124,9 +124,8 @@ def test_tableau_holds_structural_columns_only(monkeypatch, rng):
 
 def test_duals_are_solved_once_and_only_when_read(monkeypatch):
     # Deciding K(10,10) reads a Farkas vector after every infeasible phase 1
-    # (seed 3 is separated), a dual after a zero optimum (none occurs here)
-    # and nothing after a positive one (seed 1 maximizes six coordinates);
-    # each read solves the final basis once.
+    # (seed 3 is separated) and nothing after an optimum (seed 1 maximizes
+    # six coordinates); each read solves the final basis once.
     events = []  # [outcome, basis solves made before the next LP call]
     basis_duals = lp._basis_duals
 
@@ -147,11 +146,8 @@ def test_duals_are_solved_once_and_only_when_read(monkeypatch):
     for seed in (1, 3):
         rigidity_test(k10x10(seed))
 
-    def reads(out) -> int:
-        zero_optimum = out.status is LPStatus.OPTIMAL and out.value == 0
-        return int(out.status is LPStatus.INFEASIBLE or zero_optimum)
-
-    assert [solves for _, solves in events] == [reads(out) for out, _ in events]
+    reads = [int(out.status is LPStatus.INFEASIBLE) for out, _ in events]
+    assert [solves for _, solves in events] == reads
     infeasible = [out for out, _ in events if out.status is LPStatus.INFEASIBLE]
     positive = [out for out, _ in events if out.status is LPStatus.OPTIMAL and out.value > 0]
     assert infeasible and positive  # sampling sanity: both kinds occur

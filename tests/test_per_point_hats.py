@@ -15,12 +15,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipartite_rigidity import geometry
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
     SymmetricMatrix,
     _affine_members,
     _diagonal,
     _gram,
+    _hats,
     _lift,
     _reduce_ints,
     affine_span_dim,
@@ -190,7 +192,7 @@ def test_affine_span_dim_matches_joint_clear(points):
 def test_affine_members_match_joint_clear(data):
     points = data.draw(point_sets())
     candidates = span_points(data.draw, points, data.draw(st.integers(0, 5)))
-    assert _affine_members(points, candidates) == joint_members(points, candidates)
+    assert _affine_members(_hats(points), _hats(candidates)) == joint_members(points, candidates)
 
 
 @SETTINGS
@@ -203,6 +205,35 @@ def test_affine_spans_equal_matches_joint_clear(data):
     a = data.draw(st.sampled_from([a, []])) if not b else a
     assert affine_spans_equal(a, b) == joint_spans_equal(a, b)
     assert affine_spans_equal(b, a) == joint_spans_equal(b, a)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([(F(1, 3),), (F(-2, 7),)], [(F(5, 9),), (F(1, 3),), (F(4),)]),
+        (
+            [(F(0), F(0), F(1, 2)), (F(1), F(0), F(1, 2)), (F(0), F(1, 5), F(1, 2))],
+            [(F(3, 4), F(-1), F(1, 2)), (F(-2, 3), F(7, 9), F(1, 2)), (F(1, 8), F(2), F(1, 2))],
+        ),
+        (
+            [(F(0), F(0)), (F(1, 6), F(0)), (F(0), F(2, 3)), (F(5, 7), F(1, 11))],
+            [(F(1), F(1)), (F(-1, 2), F(3)), (F(2), F(-5, 13))],
+        ),
+    ],
+)
+def test_affine_spans_equal_clears_each_point_once(monkeypatch, a, b):
+    # Equal hulls, so both membership tests run to the end; each point of
+    # ``a`` and of ``b`` is cleared exactly once.
+    calls = []
+    clear = geometry._clear
+
+    def counted(values):
+        calls.append(values)
+        return clear(values)
+
+    monkeypatch.setattr(geometry, "_clear", counted)
+    assert affine_spans_equal(a, b)
+    assert len(calls) == len(a) + len(b)
 
 
 # -- certificates ----------------------------------------------------------------

@@ -9,8 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from bipartite_rigidity import lp
+from bipartite_rigidity.engine import _pass, rigidity_test
+from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import BipartiteFramework, SymmetricMatrix, veronese
 from bipartite_rigidity.lp import ZERO
+from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.separation import (
     EmptySide,
     _radon_problem,
@@ -21,7 +24,7 @@ from bipartite_rigidity.separation import (
     verify_radon,
     verify_separation,
 )
-from conftest import k10x10, random_framework
+from conftest import flag, k10x10, random_framework
 
 
 def line_fw(p_vals, q_vals):
@@ -177,21 +180,35 @@ def test_maximal_support_omits_conic_center():
     assert verify_radon(fw, cert)
 
 
+#: Two line frameworks, each with one P point on a Q point: their balance
+#: regions have coordinates whose maximum is exactly zero.
+POINT_ON_POINT = (
+    line_fw([-2, F(-1, 12), 1, F(-7, 4), 13], [-2]),
+    line_fw([-1, F(7, 8), F(8, 9), F(-3, 7)], [-1, F(9, 7)]),
+)
+
+
+def balance_passes(fw) -> list[BipartiteFramework]:
+    """The reduced framework of every pass of ``fw``'s chain that solved a balance LP."""
+    _, chain = rigidity_test(fw)
+    steps = [_pass(fw, KnownSet(rec.known_p, rec.known_q)) for rec in chain.records]
+    return [step.sub for step in steps if step.sub is not None]
+
+
 def test_support_maximality_is_exact(rng):
     # Every index outside the returned support has LP-max exactly zero
     # over the feasible region, by a cold solve.  Exercised on fixtures with
-    # forced-zero coefficients, a handful of random instances and the
-    # K(10,10) instances of seeds 1-3.
-    from bipartite_rigidity import lp
-    from bipartite_rigidity.fixtures import fixture
-    from bipartite_rigidity.separation import _radon_problem
-
+    # forced-zero coefficients, the point-on-point lines, every balance pass
+    # of flag seeds 1-5, a handful of random instances and the K(10,10)
+    # instances of seeds 1-3.
     cases = [
         fixture("k43_center").framework,
         BipartiteFramework.from_lists(
             2, [[0, 0], [2, 0], [1, 1], [1, -1]], [[1, 0], [3, 0]]
         ),
+        *POINT_ON_POINT,
     ]
+    cases += [sub for seed in range(1, 6) for sub in balance_passes(flag(seed))]
     cases += [random_framework(rng, d_max=2, nm_max=8) for _ in range(15)]
     cases += [k10x10(seed) for seed in (1, 2, 3)]
     checked = 0
@@ -213,6 +230,26 @@ def test_support_maximality_is_exact(rng):
             assert out.value == 0
             checked += 1
     assert checked >= 2  # the center vertex and an off-line vertex at least
+
+
+def test_only_a_farkas_vector_is_solved_for(monkeypatch):
+    # A balance pass reads no dual off a zero optimum: deciding the
+    # fixtures, flag seeds 1-10 and the point-on-point lines solves one
+    # basis for its duals per separated record, the Farkas vector.
+    solves = []
+    basis_duals = lp._basis_duals
+
+    def counted(*args):
+        solves.append(args)
+        return basis_duals(*args)
+
+    monkeypatch.setattr(lp, "_basis_duals", counted)
+    cases = [fx.framework for fx in all_fixtures().values()]
+    cases += [flag(seed) for seed in range(1, 11)]
+    cases += POINT_ON_POINT
+    kinds = Counter(rec.kind for fw in cases for rec in rigidity_test(fw)[1].records)
+    assert kinds["separated"] >= 1
+    assert len(solves) == kinds["separated"]
 
 
 def test_dichotomy_random(rng):
