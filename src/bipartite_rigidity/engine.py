@@ -27,6 +27,14 @@ given the certified set), then re-checks every certificate exactly:
 rational ones directly, and stress certificates by recomputing their
 correctly rounded entries and exact rank.  Neither decide nor replay
 imports ``numpy``.
+
+Both clear the input points into one table of hats per call
+(:func:`~.geometry._hats`), built only once a pass is balanced, and the
+projection, closure and span invariant index it; the slide hands on the
+hats of the points it builds.  Replay computes each balanced record's
+exact balance once: the Radon check yields it, and the stress is checked
+on its restriction to the support.  The public verifiers clear their own
+input and share those cores.
 """
 
 from __future__ import annotations
@@ -36,7 +44,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .geometry import BipartiteFramework, Point, affine_span_dim
+from .geometry import (
+    BipartiteFramework,
+    Point,
+    affine_span_dim,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    _hats,
+    _restricted,
+    _span_dim,
+)
 from .reduction import (
     KnownSet,
     affine_closure,
@@ -50,10 +65,16 @@ from .separation import (
     SeparationCertificate,
     max_margin_quadric,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     maximal_support_radon,
-    verify_radon,
+    verify_radon,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     verify_separation,
+    _radon_balance,
 )
-from .stress import StressCertificate, build_super_stable_stress, verify_super_stable_certificate
+from .stress import (
+    StressCertificate,
+    build_super_stable_stress,
+    verify_super_stable_certificate,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    _stress_holds,
+)
 
 
 class InvalidInput(ValueError):
@@ -105,22 +126,30 @@ _VERDICT = {
 }
 
 
+#: The hats of a list of points (:func:`~.geometry._hats`), one per point.
+_Hats = list[list[int]]
+
+
 def _reduce(
-    fw: BipartiteFramework, known: KnownSet, comp: KnownSet
-) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]], list[Point], list[Point]]:
+    fw: BipartiteFramework, known: KnownSet, comp: KnownSet, table: Optional[_Hats]
+) -> tuple[
+    Optional[Point], Optional[tuple[Fraction, ...]], list[Point], list[Point], Optional[_Hats]
+]:
     """Project out the certified set and slide; identity on the first pass.
 
-    The reduced points come in the order of ``comp.points(fw)``, so the
-    first ``len(comp.p_indices)`` are class P.
+    ``table`` holds the hats of ``fw.all_points()`` (P, then Q); it may be
+    None only on the first pass.  The reduced points come in the order of
+    ``comp.points(fw)``, so the first ``len(comp.p_indices)`` are class P;
+    their hats come last (on the first pass, ``table`` itself).
     """
     if known.is_empty():
-        cone_point, functional, reduced = None, None, comp.points(fw)
+        cone_point, functional, reduced, hats = None, None, comp.points(fw), table
     else:
-        cone_point, rays = project_out_known_set(fw, known)
+        cone_point, rays = project_out_known_set(fw, known, table)
         functional = slide_functional(rays)
-        reduced = slide_to_hyperplane(cone_point, rays, functional)
+        reduced, hats = slide_to_hyperplane(cone_point, rays, functional)
     n = len(comp.p_indices)
-    return cone_point, functional, reduced[:n], reduced[n:]
+    return cone_point, functional, reduced[:n], reduced[n:], hats
 
 
 class _Step(NamedTuple):
@@ -128,6 +157,8 @@ class _Step(NamedTuple):
 
     ``forced`` is the terminal kind the exit, dimspan or one-sided rule
     forces; when it is None the balance LP on ``sub`` decides the pass.
+    ``hats`` are the hats of ``sub``'s points, P then Q; they are None only
+    on a first pass given no table.
     """
 
     comp_p: tuple[int, ...]
@@ -136,24 +167,28 @@ class _Step(NamedTuple):
     functional: Optional[tuple[Fraction, ...]] = None
     sub: Optional[BipartiteFramework] = None
     forced: Optional[RecordKind] = None
+    hats: Optional[_Hats] = None
 
 
-def _pass(fw: BipartiteFramework, known: KnownSet) -> _Step:
-    """Steps 1-3 and the one-sided rule of one pass, for decide and replay."""
+def _pass(fw: BipartiteFramework, known: KnownSet, table: Optional[_Hats]) -> _Step:
+    """Steps 1-3 and the one-sided rule of one pass, for decide and replay.
+
+    ``table`` is as in :func:`_reduce`.
+    """
     comp = known.complement(fw)
     comp_p, comp_q = comp.p_indices, comp.q_indices
     if len(comp_p) <= 1 and len(comp_q) <= 1:
         return _Step(comp_p, comp_q, forced="exit")
-    cone_point, functional, red_p, red_q = _reduce(fw, known, comp)
+    cone_point, functional, red_p, red_q, hats = _reduce(fw, known, comp, table)
     reduced_all = red_p + red_q
     # More than d + 1 points of d-space are never affinely independent.
     count = len(reduced_all)
-    if count <= fw.dimension + 1 and affine_span_dim(reduced_all) == count - 1:
+    if count <= fw.dimension + 1 and _span_dim(hats or _hats(reduced_all)) == count - 1:
         return _Step(comp_p, comp_q, cone_point, functional, forced="dimspan")
     if not red_p or not red_q:
         return _Step(comp_p, comp_q, cone_point, functional, forced="one-sided")
     sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
-    return _Step(comp_p, comp_q, cone_point, functional, sub)
+    return _Step(comp_p, comp_q, cone_point, functional, sub, hats=hats)
 
 
 def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
@@ -165,9 +200,10 @@ def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
     if not isinstance(fw, BipartiteFramework):
         raise InvalidInput("expected a BipartiteFramework")
     known = KnownSet.empty()
+    table = None  # the hats of fw.all_points(), cleared once a pass is balanced
     records: list[IterationRecord] = []
     for _ in range(fw.n + fw.m + 1):
-        step = _pass(fw, known)
+        step = _pass(fw, known, table)
         header = dict(
             index=len(records),
             known_p=known.p_indices,
@@ -200,8 +236,10 @@ def rigidity_test(fw: BipartiteFramework) -> tuple[Verdict, CertificateChain]:
                 **header,
             )
         )
-        known = affine_closure(fw, known.union(support_p, support_q))
-        if not span_invariant_holds(fw, known):  # pragma: no cover - theory guard
+        if table is None:
+            table = _hats(fw.all_points())
+        known = affine_closure(fw, known.union(support_p, support_q), table)
+        if not span_invariant_holds(fw, known, table):  # pragma: no cover - theory guard
             raise AssertionError("certified classes stopped sharing their hull")
     raise AssertionError("loop exceeded its progress bound")  # pragma: no cover
 
@@ -241,9 +279,12 @@ def chain_rejection(
     if chain.framework != fw:
         return 0, "input"
     known = KnownSet.empty()
-    for pos in range(len(chain.records)):
+    table = None  # the hats of fw.all_points(), cleared for the first balanced record
+    for pos, rec in enumerate(chain.records):
+        if table is None and rec.kind == "balanced":
+            table = _hats(fw.all_points())
         try:
-            outcome = _replay(fw, chain, pos, known)
+            outcome = _replay(fw, chain, pos, known, table)
         except (ValueError, ArithmeticError):
             outcome = "unusable record"
         if isinstance(outcome, str):
@@ -253,12 +294,21 @@ def chain_rejection(
 
 
 def _replay(
-    fw: BipartiteFramework, chain: CertificateChain, pos: int, known: KnownSet
+    fw: BipartiteFramework,
+    chain: CertificateChain,
+    pos: int,
+    known: KnownSet,
+    table: Optional[_Hats],
 ) -> Union[str, KnownSet]:
     """Check record ``pos`` given the certified set before it.
 
-    Returns the name of the failed check, or the certified set after the
-    record when it holds.
+    ``table`` holds the hats of ``fw.all_points()``; it is None only while
+    no record so far is balanced.  Returns the name of the failed check, or
+    the certified set after the record when it holds.  A balanced record's
+    exact balance is computed once, on the reduced points' hats: the Radon
+    check yields it, and the stress is checked on its restriction to the
+    support, which is exactly the balance of the support alone
+    (:func:`~.geometry._restricted`).
     """
     rec = chain.records[pos]
     if rec.index != pos:
@@ -271,7 +321,7 @@ def _replay(
         return "kind"
     if (rec.kind == "separated") == (rec.separation is None):
         return "separation"
-    step = _pass(fw, known)
+    step = _pass(fw, known, table)
     if (rec.cone_point, rec.functional) != (step.cone_point, step.functional):
         return "cone/functional"
     if terminal:
@@ -291,7 +341,8 @@ def _replay(
     if step.forced:
         return "kind"
     cert = rec.radon
-    if cert is None or not verify_radon(step.sub, cert):
+    balanced = None if cert is None else _radon_balance(step.sub, step.hats, cert)
+    if balanced is None:
         return "balance"
     local_p = cert.support_p
     local_q = cert.support_q
@@ -306,16 +357,19 @@ def _replay(
         rec.stress is None
         or tuple(rec.stress.lambdas) != tuple(cert.lambdas[i] for i in local_p)
         or tuple(rec.stress.mus) != tuple(cert.mus[j] for j in local_q)
-        or not verify_super_stable_certificate(
-            step.sub.subframework(local_p, local_q), rec.stress
+        or not _stress_holds(
+            rec.stress,
+            len(local_p),
+            len(local_q),
+            _restricted(balanced, step.sub.n, local_p, local_q),
         )
     ):
         return "stress"
     grown = known.union(rec.support_p, rec.support_q)
     if grown.size <= known.size:
         return "closure"
-    known = affine_closure(fw, grown)
-    if not span_invariant_holds(fw, known):
+    known = affine_closure(fw, grown, table)
+    if not span_invariant_holds(fw, known, table):
         return "closure"
     return known
 

@@ -1,21 +1,30 @@
 """Configurations, the Veronese lift, and exact affine-span utilities.
 
-Points are tuples of ``Fraction``.  Every exact check reads them through
-one function, :func:`_hats`: each point ``p`` is cleared by its own common
-denominator ``c`` (:func:`~.lp._clear`) to the integer hat
-``h = (X, c) = c p^``, scale last.  No check takes a shared scale; each is
-unchanged when each hat is rescaled by its own positive factor.  Span
-dimensions and membership are ranks of the offset rows
+Points are tuples of ``Fraction``.  Every exact check reads them as
+integer hats: each point ``p`` is cleared by its own common denominator
+``c`` (:func:`~.lp._clear`) to ``h = (X, c) = c p^``, scale last.  Points
+become hats in :func:`_hats` alone, apart from the slide
+(:func:`~.reduction.slide_to_hyperplane`), which builds each slid point
+from integers and hands on exactly its hat.  A hat does not depend on the
+other points of a check, so decide and replay clear the input points into
+one table per call and their checks index it; each public check here
+clears its own input and runs the same hat-taking core (:func:`_span_dim`,
+:func:`_spans_equal`).  No check takes a shared scale; each is unchanged
+when each hat is rescaled by its own positive factor.  Span dimensions
+and membership are ranks of the offset rows
 ``c_b X - c X_b = c_b c (p - p_b)`` (:func:`_differences`), reduced by the
 shared fraction-free Gauss-Jordan kernel (:func:`~.lp._reduce_ints` over
 :func:`~.lp.pivot_rows`), reading only the pivots; the projection in
 :mod:`.reduction` reads the reduced rows themselves.  Since
 ``h h^T = c^2 p^ p^^T``, coefficients balance the lifted classes iff two
 integer Grams with weights ``W coeff / c^2`` agree (:func:`_balance`).  So
-no ``Fraction`` is built on the way.  The Veronese lift sends a point ``v``
-of d-space to the rank-one symmetric matrix ``v^ v^T`` (with a trailing 1
-appended to ``v``), turning questions about separating quadrics into
-questions about separating hyperplanes in the space of symmetric matrices.
+no ``Fraction`` is built on the way.  Zero coefficients add nothing to
+either, so a balance cut down to the positive support is that support's
+own balance (:func:`_restricted`), and replay computes one per record.
+The Veronese lift sends a point ``v`` of d-space to the rank-one
+symmetric matrix ``v^ v^T`` (with a trailing 1 appended to ``v``),
+turning questions about separating quadrics into questions about
+separating hyperplanes in the space of symmetric matrices.
 Lifts, quadrics and Grams share one layout, the row-major upper triangle
 that :class:`SymmetricMatrix` stores, built only here: :func:`_lift` (of a
 hatted point) and :func:`_diagonal` (which entries are diagonal).
@@ -177,20 +186,40 @@ def _gram(hats: Sequence[Sequence[int]], weights: Sequence[int], order: int) -> 
     return [sum(col) for col in zip(*lifts)] if lifts else _lift([0] * order)
 
 
+#: What :func:`_balance` gives: hats, integer weights, ``W`` and the Gram.
+_Balance = tuple[list[list[int]], list[int], int, list[int]]
+
+
 def _balance(
-    fw: BipartiteFramework, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
-) -> Optional[tuple[list[list[int]], list[int], int, list[int]]]:
+    hats: Sequence[Sequence[int]], n: int, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
+) -> Optional[_Balance]:
     """Hats, integer weights ``a_k = W coeff_k / c_k^2``, ``W`` and the Gram; None unless balanced.
 
+    ``hats`` are the points' hats, the first ``n`` of class P.
     ``sum a_k h_k h_k^T = W sum coeff_k p^_k p^_k^T`` on each side.  The
     coefficients are cleared first, so each ``Fraction`` is built from ints.
     """
-    n, hats = fw.n, _hats(fw.all_points())
+    order = len(hats[0])
     ints, w = _clear((*lambdas, *mus))
     weights, s = _clear([Fraction(v, h[-1] * h[-1]) for v, h in zip(ints, hats)])
-    upper = _gram(hats[:n], weights[:n], fw.dimension + 1)
-    balanced = upper == _gram(hats[n:], weights[n:], fw.dimension + 1)
+    upper = _gram(hats[:n], weights[:n], order)
+    balanced = upper == _gram(hats[n:], weights[n:], order)
     return (hats, weights, w * s, upper) if balanced else None
+
+
+def _restricted(
+    balanced: _Balance, n: int, p_idx: Sequence[int], q_idx: Sequence[int]
+) -> _Balance:
+    """A :func:`_balance` cut down to the P points ``p_idx`` and the Q points ``q_idx``.
+
+    When every other coefficient is zero this is exactly :func:`_balance`
+    of those points and coefficients: a zero coefficient has denominator
+    one, so it changes neither clear (nor ``W``), and it adds nothing to
+    either Gram.
+    """
+    hats, weights, w, upper = balanced
+    keep = [*p_idx, *(n + j for j in q_idx)]
+    return [hats[k] for k in keep], [weights[k] for k in keep], w, upper
 
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -202,8 +231,13 @@ def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine span: the rank of the hats' offset rows."""
     if not points:
         raise EmptyInput("affine span of an empty point set")
-    base, *hats = _hats(points)
-    return len(_reduce_ints(_differences(hats, base))[0])
+    return _span_dim(_hats(points))
+
+
+def _span_dim(hats: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine span of the nonempty ``hats``."""
+    base, *rest = hats
+    return len(_reduce_ints(_differences(rest, base))[0])
 
 
 def _affine_members(
@@ -240,7 +274,11 @@ def in_affine_span(v: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
 
 def affine_spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
     """Exact equality of two affine hulls: each lies in the other, each cleared once."""
+    return _spans_equal(_hats(a), _hats(b))
+
+
+def _spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Exact equality of the affine hulls of two lists of hats."""
     if not a or not b:
         return not a and not b
-    ha, hb = _hats(a), _hats(b)
-    return all(_affine_members(ha, hb)) and all(_affine_members(hb, ha))
+    return all(_affine_members(a, b)) and all(_affine_members(b, a))

@@ -11,7 +11,10 @@ The projection reduces the offset rows of the points' hats
 rays from the cone point, each a positive multiple of its image's offset;
 the slide, which no positive rescaling of a ray changes, searches its
 functional on integer dot products and builds each slid coordinate as
-one ``Fraction``.
+one ``Fraction``, handing on each slid point's hat as well.  The
+projection, the closure and the span invariant read the input points'
+hats off one table of ``fw.all_points()`` (P, then Q), which their caller
+clears once (:func:`~.geometry._hats`).
 """
 
 from __future__ import annotations
@@ -19,18 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, product
+from math import gcd
 from typing import Iterable, Sequence
 
 from .geometry import (
     BipartiteFramework,
     Point,
-    affine_spans_equal,
+    affine_spans_equal,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     in_affine_span,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     linear_rank,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     _affine_members,
     _differences,
-    _hats,
     _reduce_ints,
+    _spans_equal,
 )
 from .lp import _clear
 
@@ -90,17 +94,28 @@ class KnownSet:
         )
 
 
-def span_invariant_holds(fw: BipartiteFramework, known: KnownSet) -> bool:
-    """Exact check that both marked classes span the same affine hull."""
-    if known.is_empty():
-        return True
-    a = [fw.points_p[i] for i in known.p_indices]
-    b = [fw.points_q[j] for j in known.q_indices]
-    return affine_spans_equal(a, b)
+def _rows(
+    hats: Sequence[Sequence[int]], fw: BipartiteFramework, marked: KnownSet
+) -> list[Sequence[int]]:
+    """The hats of ``marked.points(fw)``, read off the table ``hats`` of ``fw.all_points()``."""
+    return [hats[i] for i in marked.p_indices] + [hats[fw.n + j] for j in marked.q_indices]
+
+
+def span_invariant_holds(
+    fw: BipartiteFramework, known: KnownSet, hats: Sequence[Sequence[int]]
+) -> bool:
+    """Exact check that both marked classes span the same affine hull.
+
+    ``hats`` is the table of ``fw.all_points()`` (P, then Q), as
+    :func:`~.geometry._hats` clears them.
+    """
+    a = [hats[i] for i in known.p_indices]
+    b = [hats[fw.n + j] for j in known.q_indices]
+    return _spans_equal(a, b)
 
 
 def project_out_known_set(
-    fw: BipartiteFramework, known: KnownSet
+    fw: BipartiteFramework, known: KnownSet, hats: Sequence[Sequence[int]]
 ) -> tuple[Point, list[list[int]]]:
     """Collapse the certified set to a single cone point, exactly.
 
@@ -109,7 +124,8 @@ def project_out_known_set(
     Q, in increasing index order): its image minus the cone point, as
     numerators over one denominator.  The projection along the certified
     hull's directions is ``x - B^T (B B^T)^{-1} B x`` for any basis ``B``
-    of them, and it is linear, so it runs on the hats: ``B`` is the nonzero
+    of them, and it is linear, so it runs on the hats, read off the table
+    ``hats`` of ``fw.all_points()`` (P, then Q): ``B`` is the nonzero
     reduced offset rows of the certified hull, and one fraction-free
     reduction of ``[B B^T | B Y]`` over ``den`` maps ``X_0`` (over
     ``den c_0``) and every complement offset row at once.  A zero ray, a
@@ -118,12 +134,11 @@ def project_out_known_set(
     """
     if known.is_empty():
         raise ValueError("cannot project out an empty certified set")
-    anchors = known.points(fw)
     comp = known.complement(fw)
-    base, *hats = _hats(anchors + comp.points(fw))
-    basis = _differences(hats[: len(anchors) - 1], base)
+    base, *anchors = _rows(hats, fw, known)
+    basis = _differences(anchors, base)
     basis = basis[: len(_reduce_ints(basis)[0])]
-    targets = [base[:-1]] + _differences(hats[len(anchors) - 1 :], base)
+    targets = [base[:-1]] + _differences(_rows(hats, fw, comp), base)
     system = [[sum(a * b for a, b in zip(u, v)) for v in basis + targets] for u in basis]
     _, den = _reduce_ints(system)
     k = len(basis)
@@ -166,37 +181,49 @@ def slide_functional(rays: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
 
 def slide_to_hyperplane(
     p0: Point, rays: Sequence[Sequence[int]], functional: Sequence[Fraction]
-) -> list[Point]:
+) -> tuple[list[Point], list[list[int]]]:
     """Slide each vertex along its ray onto ``functional . (x - p0) = 1``.
 
     Each output is ``p0 + r / (functional . r)``, the same for any positive
     multiple of ``r``; with ``p0`` and the functional cleared once, each
-    coordinate is one ``Fraction`` of integers.  Coincident outputs are
-    permitted; rescaling along rays preserves both rigidity notions.
+    output is integers over one denominator, ``(x0 s + r fs c0) / (c0 s)``.
+    Returns the outputs, each coordinate one ``Fraction``, and their hats:
+    those integers with the denominator made positive and all divided by
+    their gcd, which is exactly :func:`~.geometry._hats` of the output.
+    Coincident outputs are permitted; rescaling along rays preserves both
+    rigidity notions.
     """
     f, fs = _clear(functional)
     x0, c0 = _clear(p0)
-    out = []
+    points, hats = [], []
     for ray in rays:
         s = sum(a * b for a, b in zip(f, ray))
         if s == 0:
             raise ValueError("functional vanishes on a ray; search it first")
-        out.append(tuple(Fraction(a * s + b * fs * c0, c0 * s) for a, b in zip(x0, ray)))
-    return out
+        den = c0 * s
+        hat = [a * s + b * fs * c0 for a, b in zip(x0, ray)] + [den]
+        g = gcd(*hat) if den > 0 else -gcd(*hat)
+        hat = [v // g for v in hat]
+        points.append(tuple(Fraction(v, hat[-1]) for v in hat[:-1]))
+        hats.append(hat)
+    return points, hats
 
 
-def affine_closure(fw: BipartiteFramework, known: KnownSet) -> KnownSet:
+def affine_closure(
+    fw: BipartiteFramework, known: KnownSet, hats: Sequence[Sequence[int]]
+) -> KnownSet:
     """Absorb every unmarked vertex lying in the certified affine hull.
 
     One round suffices: an absorbed vertex already lies in the hull, so the
     hull does not grow.  Exact membership tests make the result independent
     of processing order; the hull is reduced once for all the unmarked
-    vertices (:func:`~.geometry._affine_members`).
+    vertices (:func:`~.geometry._affine_members`), on hats read off the
+    table ``hats`` of ``fw.all_points()``.
     """
     if known.is_empty():
         return known
     rest = known.complement(fw)
-    inside = _affine_members(_hats(known.points(fw)), _hats(rest.points(fw)))
+    inside = _affine_members(_rows(hats, fw, known), _rows(hats, fw, rest))
     return known.union(
         [i for i, absorbed in zip(rest.p_indices, inside) if absorbed],
         [j for j, absorbed in zip(rest.q_indices, inside[len(rest.p_indices) :]) if absorbed],

@@ -29,10 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import lp
-from .geometry import BipartiteFramework, SymmetricMatrix, _balance, _diagonal, _hats, _lift
+from .geometry import (
+    BipartiteFramework,
+    SymmetricMatrix,
+    _Balance,
+    _balance,
+    _diagonal,
+    _hats,
+    _lift,
+)
 from .lp import LPProblem, LPStatus, _clear
 
 
@@ -208,20 +216,33 @@ def maximal_support_radon(
 def verify_radon(fw: BipartiteFramework, cert: RadonCertificate) -> bool:
     """Exact re-verification of a Radon certificate (zero residual).
 
-    Balance is checked by :func:`~.geometry._balance`, and each side's
-    coefficients sum to one iff its ``sum a_k c_k^2`` is ``W``.
+    The points are cleared here (:func:`~.geometry._hats`) and the
+    certificate is checked by :func:`_radon_balance`.
+    """
+    return _radon_balance(fw, _hats(fw.all_points()), cert) is not None
+
+
+def _radon_balance(
+    fw: BipartiteFramework, hats: Sequence[Sequence[int]], cert: RadonCertificate
+) -> Optional[_Balance]:
+    """The balance of a verified Radon certificate on ``fw``, or None.
+
+    ``hats`` are the hats of ``fw.all_points()``.  The coefficients must
+    fit the classes and be nonnegative; balance is checked by
+    :func:`~.geometry._balance`, and each side's coefficients sum to one
+    iff its ``sum a_k c_k^2`` is ``W``.
     """
     n = fw.n
     if len(cert.lambdas) != n or len(cert.mus) != fw.m:
-        return False
+        return None
     if any(v < 0 for v in (*cert.lambdas, *cert.mus)):
-        return False
-    balanced = _balance(fw, cert.lambdas, cert.mus)
+        return None
+    balanced = _balance(hats, n, cert.lambdas, cert.mus)
     if balanced is None:
-        return False
-    hats, weights, w, _ = balanced
+        return None
+    _, weights, w, _ = balanced
     sums = [a * h[-1] * h[-1] for a, h in zip(weights, hats)]
-    return sum(sums[:n]) == w == sum(sums[n:])
+    return balanced if sum(sums[:n]) == w == sum(sums[n:]) else None
 
 
 def _distance_problem(fw: BipartiteFramework) -> LPProblem:

@@ -54,7 +54,11 @@ P points and also of the hatted Q points, so the class spans are equal and
 ``n + m - rank G`` (super stability, Connelly 2005).  So ``omega`` must
 equal the correctly rounded closed form bit for bit and ``rank`` the exact
 ``n + m - rank G``, with no eigenvalue, residual or tolerance.  Verdicts in
-the decision engine never depend on floating point.
+the decision engine never depend on floating point.  The check runs on a
+given balance (:func:`_stress_holds`): the public verifier clears its
+points and balances the coefficients itself, while chain replay hands on
+the Radon check's balance restricted to the support, which is exactly the
+support's own (:func:`~.geometry._restricted`).
 """
 
 from __future__ import annotations
@@ -62,14 +66,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .geometry import (
     BipartiteFramework,
     SymmetricMatrix,
     affine_span_dim,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
     affine_spans_equal,  # unused here; kept so perfbench/spans.py HOOKS can rebind it
+    _Balance,
     _balance,
+    _hats,
     _reduce_ints,
 )
 from .lp import _clear
@@ -175,30 +181,30 @@ def _hatted(fw: BipartiteFramework) -> Any:
     return np.array([[v / den for v in pt] + [1.0] for pt in ints]).T
 
 
-def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]], int, int]:
+def _cross_block(balanced: Optional[_Balance], n: int) -> tuple[list[list[int]], int, int]:
     """The cross block ``B = -L P^^T X`` as integer numerators over one denominator.
 
-    On the hats and weights of :func:`~.geometry._balance`, ``a_k c_k h_k``
-    is ``W coeff_k p^_k``; ``[W G | W Q^ M]`` is row reduced on integers, and
-    ``X`` takes the reduced right side in its pivot rows and zeros
-    elsewhere (balance keeps every pivot off the right side).  Returns the
-    numerators ``-a_i c_i h_i^T X_j``, their denominator ``W den`` and
-    ``rank G`` (the pivot count).
+    On the hats and weights of a :func:`~.geometry._balance` (the first
+    ``n`` of class P), ``a_k c_k h_k`` is ``W coeff_k p^_k``;
+    ``[W G | W Q^ M]`` is row reduced on integers, and ``X`` takes the
+    reduced right side in its pivot rows and zeros elsewhere (balance keeps
+    every pivot off the right side).  Returns the numerators
+    ``-a_i c_i h_i^T X_j``, their denominator ``W den`` and ``rank G`` (the
+    pivot count).  No balance (None) raises :class:`DegenerateInput`.
     """
-    hat, n = fw.dimension + 1, fw.n
-    balanced = _balance(fw, lambdas, mus)
     if balanced is None:
         raise DegenerateInput("coefficients do not balance the lifted classes")
     hats, weights, w, upper = balanced
+    hat, m = len(hats[0]), len(hats) - n
     rhs = [[b * q[-1] * v for v in q] for q, b in zip(hats[n:], weights[n:])]
     gram = SymmetricMatrix(hat, tuple(upper)).rows()
     system = [row + [q[i] for q in rhs] for i, row in enumerate(gram)]
     pivots, den = _reduce_ints(system)
-    x = [[0] * fw.m for _ in range(hat)]
+    x = [[0] * m for _ in range(hat)]
     for row, col in zip(system, pivots):
         x[col] = row[hat:]
     nums = [
-        [-a * p[-1] * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(fw.m)]
+        [-a * p[-1] * sum(c * x[k][j] for k, c in enumerate(p)) for j in range(m)]
         for p, a in zip(hats[:n], weights)
     ]
     return nums, w * den, len(pivots)
@@ -207,21 +213,33 @@ def _cross_block(fw: BipartiteFramework, lambdas, mus) -> tuple[list[list[int]],
 def _exact_stress(
     fw: BipartiteFramework, lambdas: Sequence[Fraction], mus: Sequence[Fraction]
 ) -> tuple[Rows, int]:
+    """:func:`_closed_form` of the coefficients on ``fw``, whose points are cleared here."""
+    balanced = _balance(_hats(fw.all_points()), fw.n, lambdas, mus)
+    return _closed_form(fw.n, fw.m, lambdas, mus, balanced)
+
+
+def _closed_form(
+    n: int,
+    m: int,
+    lambdas: Sequence[Fraction],
+    mus: Sequence[Fraction],
+    balanced: Optional[_Balance],
+) -> tuple[Rows, int]:
     """The correctly rounded closed-form stress matrix and its exact rank.
 
-    The diagonal holds ``float`` of each coefficient and the cross block
-    ``nums / den`` from :func:`_cross_block`; the rank is
-    ``n + m - rank G``.  Raises :class:`ShapeMismatch` or
-    :class:`DegenerateInput` unless the coefficients fit the classes, are
-    strictly positive and balance exactly, and ``OverflowError`` when an
-    entry exceeds the floating range.
+    ``balanced`` is the coefficients' :func:`~.geometry._balance` on ``n``
+    P points and ``m`` Q points.  The diagonal holds ``float`` of each
+    coefficient and the cross block ``nums / den`` from
+    :func:`_cross_block`; the rank is ``n + m - rank G``.  Raises
+    :class:`ShapeMismatch` or :class:`DegenerateInput` unless the
+    coefficients fit the classes, are strictly positive and balance
+    exactly, and ``OverflowError`` when an entry exceeds the floating range.
     """
-    n, m = fw.n, fw.m
     if len(lambdas) != n or len(mus) != m:
         raise ShapeMismatch("coefficient lengths must match the class sizes")
     if any(v <= 0 for v in lambdas) or any(v <= 0 for v in mus):
         raise DegenerateInput("all coefficients must be strictly positive")
-    nums, den, rank_g = _cross_block(fw, lambdas, mus)
+    nums, den, rank_g = _cross_block(balanced, n)
     cross = [[v / den for v in row] for row in nums]
     rows = []
     for i, (lam, row) in enumerate(zip(lambdas, cross)):
@@ -372,14 +390,27 @@ def verify_super_stable_certificate(fw: BipartiteFramework, cert: StressCertific
     consulted.  Returns False rather than raising, also for coefficients
     too large for a double and for an ``omega`` that is not a tuple of
     tuple rows.  Row comparison by ``==`` takes ``-0.0`` for ``0.0``, and
-    a NaN equals nothing.
+    a NaN equals nothing.  The points are cleared here; the check is
+    :func:`_stress_holds`.
+    """
+    balanced = _balance(_hats(fw.all_points()), fw.n, cert.lambdas, cert.mus)
+    return _stress_holds(cert, fw.n, fw.m, balanced)
+
+
+def _stress_holds(
+    cert: StressCertificate, n: int, m: int, balanced: Optional[_Balance]
+) -> bool:
+    """The check of :func:`verify_super_stable_certificate`, given the coefficients' balance.
+
+    ``balanced`` is :func:`~.geometry._balance` of ``cert``'s coefficients
+    on ``n`` P points and ``m`` Q points, or None when they do not balance.
     """
     if not isinstance(cert.omega, tuple) or not all(
         isinstance(row, tuple) for row in cert.omega
     ):
         return False
     try:
-        omega, rank = _exact_stress(fw, cert.lambdas, cert.mus)
+        omega, rank = _closed_form(n, m, cert.lambdas, cert.mus, balanced)
     except (ShapeMismatch, DegenerateInput, OverflowError):
         return False
     return cert.rank == rank and cert.omega == omega

@@ -15,7 +15,7 @@ import numpy as np
 
 from bipartite_rigidity.engine import Verdict, _reduce, rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import fixture
-from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
+from bipartite_rigidity.geometry import BipartiteFramework, _hats, affine_span_dim
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.separation import (
     RadonCertificate,
@@ -45,7 +45,7 @@ def _balanced_subframeworks(fw: BipartiteFramework, chain):
         if rec.kind != "balanced":
             continue
         known = KnownSet.of(rec.known_p, rec.known_q)
-        _, _, red_p, red_q = _reduce(fw, known, known.complement(fw))
+        _, _, red_p, red_q, _ = _reduce(fw, known, known.complement(fw), _hats(fw.all_points()))
         sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
         yield rec, sub.subframework(rec.radon.support_p, rec.radon.support_q)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipartite_rigidity import engine, stress
+from bipartite_rigidity import engine, geometry, lp, reduction, separation, stress
 from bipartite_rigidity.engine import (
     InvalidInput,
     Verdict,
@@ -21,7 +22,7 @@ from bipartite_rigidity.engine import (
     verify_chain,
 )
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
+from bipartite_rigidity.geometry import BipartiteFramework, _hats, affine_span_dim
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
@@ -166,14 +167,40 @@ def test_chain_rejects_mutations():
     bad_omega = with_first(dataclasses.replace(rec, stress=bad_stress))
     # verdict swapped
     bad_verdict = dataclasses.replace(chain, verdict=Verdict.NOT_DIMENSIONALLY_RIGID)
+    # stress coefficients off the Radon restriction by one part in their denominator
+    lam = rec.stress.lambdas[0]
+    bad_lambdas = [
+        with_first(dataclasses.replace(rec, stress=dataclasses.replace(
+            rec.stress, lambdas=(lam + step,) + rec.stress.lambdas[1:])))
+        for step in (F(1, lam.denominator), F(-1, lam.denominator))
+    ]
+    # Radon coefficients doubled: still balanced, but each side sums to two
+    bad_sums = with_first(dataclasses.replace(rec, radon=dataclasses.replace(
+        rec.radon,
+        lambdas=tuple(2 * v for v in rec.radon.lambdas),
+        mus=tuple(2 * v for v in rec.radon.mus),
+    )))
     for bad, named in (
         (bad_balance, (0, "balance")),
         (bad_support, (0, "support")),
         (bad_omega, (0, "stress")),
         (bad_verdict, (1, "verdict")),
+        *((bad, (0, "stress")) for bad in bad_lambdas),
+        (bad_sums, (0, "balance")),
     ):
         assert not verify_chain(fw, bad)
         assert chain_rejection(fw, bad) == named
+    # A Radon coefficient outside the support made positive: the off-line
+    # vertex of a certified line core.
+    pinned = BipartiteFramework.from_lists(2, [[0, 0], [2, 0], [1, 1]], [[1, 0], [3, 0]])
+    _, chain = rigidity_test(pinned)
+    rec = chain.records[0]
+    assert rec.radon.lambdas[2] == 0
+    radon = dataclasses.replace(rec.radon, lambdas=rec.radon.lambdas[:2] + (F(1, 8),))
+    bad = dataclasses.replace(
+        chain, records=(dataclasses.replace(rec, radon=radon),) + chain.records[1:])
+    assert not verify_chain(pinned, bad)
+    assert chain_rejection(pinned, bad) in {(0, "support"), (0, "balance")}
 
 
 def test_rejections_name_their_check():
@@ -207,7 +234,7 @@ def test_unusable_record_is_named(monkeypatch):
     def unusable(*args, **kwargs):
         raise ValueError("shape does not fit")
 
-    monkeypatch.setattr(engine, "verify_radon", unusable)
+    monkeypatch.setattr(engine, "_radon_balance", unusable)
     assert chain_rejection(fw, chain) == (0, "unusable record")
     assert not verify_chain(fw, chain)
 
@@ -238,7 +265,7 @@ def test_verifier_faults_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("verifier fault")
 
-    monkeypatch.setattr(engine, "verify_radon", broken)
+    monkeypatch.setattr(engine, "_radon_balance", broken)
     with pytest.raises(RuntimeError, match="verifier fault"):
         verify_chain(fw, chain)
 
@@ -444,7 +471,8 @@ def test_consistency_of_chained_certificates(rng):
                 from bipartite_rigidity.reduction import KnownSet
 
                 known = KnownSet.of(rec.known_p, rec.known_q)
-                _, _, red_p, red_q = _reduce(fw, known, known.complement(fw))
+                table = _hats(fw.all_points())
+                _, _, red_p, red_q, _ = _reduce(fw, known, known.complement(fw), table)
                 sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
                 local_p = rec.radon.support_p
                 local_q = rec.radon.support_q
@@ -469,6 +497,63 @@ def test_monotone_certainty(rng):
             continue
         sub = fw.subframework(known_p, known_q)
         assert rigidity_test(sub)[0] is Verdict.UNIVERSALLY_RIGID
+
+
+def counting_cases():
+    """The fixtures, flag seeds 1-5 and K(10,10) seed 1, with their decided chains."""
+    frameworks = [fx.framework for fx in all_fixtures().values()]
+    frameworks += [flag(seed) for seed in range(1, 6)] + [k10x10(1)]
+    return [(fw, rigidity_test(fw)[1]) for fw in frameworks]
+
+
+def count_calls(monkeypatch, name, modules):
+    """Record the arguments of every call of ``name``, in each module that looks it up."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def input_point_clears(calls, fw):
+    """Per input point object, the ``_clear`` calls on it and its copies in ``fw``."""
+    cleared = Counter(id(args[0]) for args in calls)
+    held = Counter(id(pt) for pt in fw.all_points())
+    return [(cleared[key], times) for key, times in held.items()]
+
+
+CLEAR_LOOKUPS = (lp, geometry, reduction, separation, stress)
+
+
+def test_replay_clears_each_input_point_once(monkeypatch):
+    # One table per call: no check clears an input point again.
+    for fw, chain in counting_cases():
+        calls = count_calls(monkeypatch, "_clear", CLEAR_LOOKUPS)
+        assert chain_rejection(fw, chain) is None
+        assert all(cleared <= times for cleared, times in input_point_clears(calls, fw))
+
+
+def test_replay_balances_each_balanced_record_once(monkeypatch):
+    # The Radon check's balance, restricted to the support, is the stress's.
+    for fw, chain in counting_cases():
+        calls = count_calls(monkeypatch, "_balance", (geometry, separation, stress))
+        assert chain_rejection(fw, chain) is None
+        assert len(calls) == sum(rec.kind == "balanced" for rec in chain.records)
+
+
+def test_decide_clears_each_input_point_at_most_four_times(monkeypatch):
+    # Once for each of the first pass's affine rank, balance LP and stress,
+    # which clear their own input, and once into the table; later passes
+    # read the table and the slid points' hats.
+    for fw, _ in counting_cases():
+        calls = count_calls(monkeypatch, "_clear", CLEAR_LOOKUPS)
+        rigidity_test(fw)
+        assert all(cleared <= 4 * times for cleared, times in input_point_clears(calls, fw))
 
 
 def test_replay_runs_no_eigensolver(monkeypatch):
@@ -513,28 +598,30 @@ def test_balance_coefficients_stay_short():
         assert coefficients and max(map(bits, coefficients)) <= 600
 
 
-def ref_pass(fw, known):
+def ref_pass(fw, known, table):
     """The pass step with the affine rank of the reduced points always taken, kept as a reference."""
     comp_p = tuple(i for i in range(fw.n) if i not in known.p_indices)
     comp_q = tuple(j for j in range(fw.m) if j not in known.q_indices)
     if len(comp_p) <= 1 and len(comp_q) <= 1:
         return engine._Step(comp_p, comp_q, forced="exit")
-    cone_point, functional, red_p, red_q = engine._reduce(fw, known, KnownSet(comp_p, comp_q))
+    cone_point, functional, red_p, red_q, hats = engine._reduce(
+        fw, known, KnownSet(comp_p, comp_q), table)
     reduced_all = red_p + red_q
     if affine_span_dim(reduced_all) == len(reduced_all) - 1:
         return engine._Step(comp_p, comp_q, cone_point, functional, forced="dimspan")
     if not red_p or not red_q:
         return engine._Step(comp_p, comp_q, cone_point, functional, forced="one-sided")
     sub = BipartiteFramework(fw.dimension, tuple(red_p), tuple(red_q))
-    return engine._Step(comp_p, comp_q, cone_point, functional, sub)
+    return engine._Step(comp_p, comp_q, cone_point, functional, sub, hats=hats)
 
 
 def assert_passes_match(fw):
     """``_pass`` equals the reference on every certified set the decision meets."""
     _, chain = rigidity_test(fw)
+    table = _hats(fw.all_points())
     for rec in chain.records:
         known = KnownSet(rec.known_p, rec.known_q)
-        assert engine._pass(fw, known) == ref_pass(fw, known)
+        assert engine._pass(fw, known, table) == ref_pass(fw, known, table)
     return [rec.kind for rec in chain.records]
 
 

@@ -25,6 +25,7 @@ from bipartite_rigidity.fixtures import all_fixtures, fixture
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
     SymmetricMatrix,
+    _hats,
     affine_span_dim,
     in_affine_span,
     linear_rank,
@@ -294,7 +295,7 @@ def test_affine_closure_matches_per_vertex_membership(data):
     hull = known.points(fw)
     inside = [in_affine_span(pt, hull) for pt in fw.all_points()]
     assert inside == [ref_in_span(pt, hull) for pt in fw.all_points()]
-    assert affine_closure(fw, known) == known.union(
+    assert affine_closure(fw, known, _hats(fw.all_points())) == known.union(
         [i for i in range(fw.n) if inside[i]],
         [j for j in range(fw.m) if inside[fw.n + j]],
     )
@@ -453,8 +454,9 @@ def test_verifiers_run_on_ints(fraction_products):
     support = rigid.subframework(radon.support_p, radon.support_q)
     assert affine_span_dim(support.points_p) == affine_span_dim(support.all_points())
     assert verify_super_stable_certificate(support, cert)
-    known = affine_closure(rigid, KnownSet.of(radon.support_p, radon.support_q))
-    assert span_invariant_holds(rigid, known)
+    table = _hats(rigid.all_points())
+    known = affine_closure(rigid, KnownSet.of(radon.support_p, radon.support_q), table)
+    assert span_invariant_holds(rigid, known, table)
     assert fraction_products == []
 
 
@@ -618,16 +620,17 @@ def test_project_out_matches_fraction_reference(data):
         data.draw(st.lists(st.integers(0, fw.n - 1), min_size=1, max_size=fw.n)),
         data.draw(st.lists(st.integers(0, fw.m - 1), max_size=fw.m)) if fw.m else [],
     )
+    table = _hats(fw.all_points())
     with pytest.raises(ValueError, match="empty certified set"):
-        project_out_known_set(fw, KnownSet.empty())
+        project_out_known_set(fw, KnownSet.empty(), table)
     try:
         expected = ref_project_out(fw, known)
     except ValueError as err:  # ClosureViolated is a ValueError
         with pytest.raises(type(err)) as raised:
-            project_out_known_set(fw, known)
+            project_out_known_set(fw, known, table)
         assert str(raised.value) == str(err)
     else:
-        assert_rays_like_reference(*project_out_known_set(fw, known), expected)
+        assert_rays_like_reference(*project_out_known_set(fw, known, table), expected)
 
 
 def test_project_out_runs_on_ints(fraction_products):
@@ -643,10 +646,11 @@ def test_project_out_runs_on_ints(fraction_products):
     F(1, 2) * F(1, 3)
     F(1, 2) + F(1, 3)
     assert fraction_products == ["__mul__", "__add__"]  # the counter sees both
+    table = _hats(fw.all_points())
     fraction_products.clear()
-    p0, rays = project_out_known_set(fw, known)
+    p0, rays = project_out_known_set(fw, known, table)
     functional = slide_functional(rays)
-    slid = slide_to_hyperplane(p0, rays, functional)
+    slid, _ = slide_to_hyperplane(p0, rays, functional)
     assert fraction_products == []
     assert (p0, functional) == (record.cone_point, record.functional)
     assert_rays_like_reference(p0, rays, ref_project_out(fw, known))
@@ -703,7 +707,7 @@ def random_known_sets(draw):
         draw(st.lists(st.integers(0, fw.n - 1), min_size=1, max_size=fw.n)),
         draw(st.lists(st.integers(0, fw.m - 1), max_size=fw.m)) if fw.m else [],
     )
-    return fw, affine_closure(fw, known) if draw(st.booleans()) else known
+    return fw, affine_closure(fw, known, _hats(fw.all_points())) if draw(st.booleans()) else known
 
 
 @SETTINGS
@@ -718,12 +722,13 @@ def test_reduce_matches_fraction_pipeline(case):
     # the same error with the same message.
     fw, known = case
     comp = known.complement(fw)
+    table = _hats(fw.all_points())
     assume(comp.size)  # a pass with no complement exits before reducing
     try:
         expected = ref_reduce(fw, known)
     except ValueError as err:  # ClosureViolated is a ValueError
         with pytest.raises(type(err)) as raised:
-            _reduce(fw, known, comp)
+            _reduce(fw, known, comp, table)
         assert str(raised.value) == str(err)
     else:
-        assert _reduce(fw, known, comp) == expected
+        assert _reduce(fw, known, comp, table)[:4] == expected

@@ -6,6 +6,9 @@ below is the same check on the older integer format: the whole point set
 cleared by one common denominator.  Both are exact, so the property tests
 demand equal answers (the projection's rays up to a positive factor) on
 d = 0..3, repeated and collinear points and denominators up to 10**400.
+Replay clears the input points once per call and computes one balance per
+balanced record; the hats the slide hands on and the balance restricted to
+the support are checked here against fresh clears and the joint clear.
 """
 
 from __future__ import annotations
@@ -15,16 +18,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipartite_rigidity import geometry
+from bipartite_rigidity import engine, geometry
+from bipartite_rigidity.fixtures import all_fixtures
 from bipartite_rigidity.geometry import (
     BipartiteFramework,
     SymmetricMatrix,
     _affine_members,
+    _balance,
     _diagonal,
     _gram,
     _hats,
     _lift,
     _reduce_ints,
+    _restricted,
     affine_span_dim,
     affine_spans_equal,
 )
@@ -33,10 +39,12 @@ from bipartite_rigidity.reduction import ClosureViolated, KnownSet, project_out_
 from bipartite_rigidity.separation import (
     RadonCertificate,
     SeparationCertificate,
+    _radon_balance,
     verify_radon,
     verify_separation,
 )
 from bipartite_rigidity.stress import DegenerateInput, _cross_block
+from conftest import huge_k44
 from test_integer_geometry import (
     ENTRIES,
     POSITIVE,
@@ -44,9 +52,11 @@ from test_integer_geometry import (
     SMALL,
     TINY,
     assert_positive_multiple,
+    frameworks,
     point_sets,
     split,
 )
+from test_stress import cross_block
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -277,9 +287,9 @@ def test_cross_block_matches_joint_clear(case, edit, eps):
         nums, den, rank = joint_cross_block(fw, lambdas, mus)
     except DegenerateInput:
         with pytest.raises(DegenerateInput):
-            _cross_block(fw, lambdas, mus)
+            cross_block(fw, lambdas, mus)
         return
-    got_nums, got_den, got_rank = _cross_block(fw, lambdas, mus)
+    got_nums, got_den, got_rank = cross_block(fw, lambdas, mus)
     assert got_den > 0 and got_rank == rank
     assert [[F(v, got_den) for v in row] for row in got_nums] == [
         [F(v, den) for v in row] for row in nums
@@ -347,15 +357,84 @@ def test_project_out_matches_joint_clear(data):
         data.draw(st.lists(st.integers(0, fw.n - 1), min_size=1, max_size=fw.n)),
         data.draw(st.lists(st.integers(0, fw.m - 1), max_size=fw.m)) if fw.m else [],
     )
+    table = _hats(fw.all_points())
     try:
         cone, rays = joint_project_out(fw, known)
     except ClosureViolated as err:
         with pytest.raises(ClosureViolated) as raised:
-            project_out_known_set(fw, known)
+            project_out_known_set(fw, known, table)
         assert str(raised.value) == str(err)
         return
-    got_cone, got_rays = project_out_known_set(fw, known)
+    got_cone, got_rays = project_out_known_set(fw, known, table)
     assert got_cone == cone
     assert len(got_rays) == len(rays)
     for got, ray in zip(got_rays, rays):
         assert_positive_multiple(got, ray)
+
+
+# -- one clear and one balance per replayed record --------------------------------
+
+
+def assert_replay_inputs_match(fw):
+    """Each pass of ``fw``'s chain that solved a balance LP, as replay reads it.
+
+    The hats the slide hands on (the table's on a first pass) are the
+    slid points' own hats.  On a balanced pass, the record's balance
+    restricted to its support is the support's own balance, and the cross
+    block built on it is the joint clear's.
+    """
+    _, chain = engine.rigidity_test(fw)
+    table = _hats(fw.all_points())
+    for rec in chain.records:
+        step = engine._pass(fw, KnownSet(rec.known_p, rec.known_q), table)
+        if step.sub is None:
+            continue
+        assert step.hats == _hats(step.sub.all_points())
+        if rec.kind != "balanced":
+            continue
+        cert = rec.radon
+        local_p, local_q = cert.support_p, cert.support_q
+        support = step.sub.subframework(local_p, local_q)
+        lambdas = [cert.lambdas[i] for i in local_p]
+        mus = [cert.mus[j] for j in local_q]
+        restricted = _restricted(
+            _radon_balance(step.sub, step.hats, cert), step.sub.n, local_p, local_q
+        )
+        assert restricted == _balance(_hats(support.all_points()), support.n, lambdas, mus)
+        nums, den, rank = _cross_block(restricted, support.n)
+        ref_nums, ref_den, ref_rank = joint_cross_block(support, lambdas, mus)
+        assert rank == ref_rank
+        assert [[F(v, den) for v in row] for row in nums] == [
+            [F(v, ref_den) for v in row] for row in ref_nums
+        ]
+    return chain
+
+
+def huge_two_pass() -> BipartiteFramework:
+    """``huge_k44(3)`` with its first two Q points moved onto the first two P points.
+
+    The shared pair balances on a line, so a second pass projects it out
+    and slides the rest, on coordinates of up to 400 digits.
+    """
+    fw = huge_k44(3)
+    return BipartiteFramework(3, fw.points_p, fw.points_p[:2] + fw.points_q[2:])
+
+
+@pytest.mark.parametrize("name", sorted(all_fixtures()))
+def test_replay_inputs_match_fresh_clears_on_fixtures(name):
+    fw = all_fixtures()[name].framework
+    assert engine.verify_chain(fw, assert_replay_inputs_match(fw))
+
+
+def test_replay_inputs_match_fresh_clears_on_huge_coordinates():
+    fw = huge_two_pass()
+    chain = assert_replay_inputs_match(fw)
+    assert [rec.kind for rec in chain.records] == ["balanced", "separated"]
+    assert chain.records[1].cone_point is not None  # the second pass slides
+    assert engine.verify_chain(fw, chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frameworks())
+def test_replay_inputs_match_fresh_clears(fw):
+    assert_replay_inputs_match(fw)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bipartite_rigidity.engine import Verdict, rigidity_test
-from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
+from bipartite_rigidity.geometry import BipartiteFramework, _hats, affine_span_dim
+from bipartite_rigidity.lp import _clear
 from bipartite_rigidity.reduction import (
     ClosureViolated,
     DegeneratePoint,
@@ -35,7 +36,7 @@ def fw_collinear_with_offline():
 def test_projection_kills_line():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
-    p0, rays = project_out_known_set(fw, known)
+    p0, rays = project_out_known_set(fw, known, _hats(fw.all_points()))
     assert p0 == (F(0), F(0))
     [(x, y)] = rays  # the off-line vertex keeps its height
     assert x == 0 and y > 0
@@ -45,7 +46,7 @@ def test_projection_closure_violation():
     fw = BipartiteFramework.from_lists(2, [[0, 0], [2, 0], [3, 0]], [[1, 0]])
     known = KnownSet.of([0, 1], [0])
     with pytest.raises(ClosureViolated):
-        project_out_known_set(fw, known)
+        project_out_known_set(fw, known, _hats(fw.all_points()))
 
 
 @st.composite
@@ -76,16 +77,16 @@ def test_projector_idempotent(pts):
 
 def test_slide_examples():
     # Scaling along rays from the origin onto the line y = 1.
-    out = slide_to_hyperplane(
+    out, _ = slide_to_hyperplane(
         (F(0), F(0)),
         [(0, 1), (1, 1), (0, 2)],
         functional=(F(0), F(1)),
     )
     assert out == [(F(0), F(1)), (F(1), F(1)), (F(0), F(1))]
-    out = slide_to_hyperplane((F(0),), [(2,)], functional=(F(1),))
+    out, _ = slide_to_hyperplane((F(0),), [(2,)], functional=(F(1),))
     assert out == [(F(1),)]
     # A rational cone point and functional: 1/3 + 3 / (3/2).
-    out = slide_to_hyperplane((F(1, 3),), [(3,), (-6,)], functional=(F(1, 2),))
+    out, _ = slide_to_hyperplane((F(1, 3),), [(3,), (-6,)], functional=(F(1, 2),))
     assert out == [(F(7, 3),), (F(7, 3),)]
 
 
@@ -149,8 +150,10 @@ def test_slide_idempotent_on_hyperplane():
     p0 = (F(0), F(0))
     rays = [(1, 2), (-2, 4)]
     c = slide_functional(rays)
-    once = slide_to_hyperplane(p0, rays, c)
-    twice = slide_to_hyperplane(p0, [tuple(a - b for a, b in zip(v, p0)) for v in once], c)
+    once, _ = slide_to_hyperplane(p0, rays, c)
+    # Rays are integers; each offset is cleared by a positive factor.
+    again = [_clear([a - b for a, b in zip(v, p0)])[0] for v in once]
+    twice, _ = slide_to_hyperplane(p0, again, c)
     assert once == twice
 
 
@@ -168,30 +171,30 @@ def test_slide_functional_in_zero_space():
     assert slide_functional([]) == ()
     with pytest.raises(DegeneratePoint):
         slide_functional([()])
-    assert slide_to_hyperplane((), [], ()) == []
+    assert slide_to_hyperplane((), [], ()) == ([], [])
 
 
 def test_rationality_preserved():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
-    p0, rays = project_out_known_set(fw, known)
+    p0, rays = project_out_known_set(fw, known, _hats(fw.all_points()))
     assert all(isinstance(c, F) for c in p0)
     assert all(isinstance(c, int) for ray in rays for c in ray)
-    slid = slide_to_hyperplane(p0, rays, slide_functional(rays))
+    slid, _ = slide_to_hyperplane(p0, rays, slide_functional(rays))
     assert all(isinstance(c, F) for pt in slid for c in pt)
 
 
 def test_affine_closure_absorbs_line_point():
     fw = BipartiteFramework.from_lists(1, [[0], [2], [5]], [[1], [3]])
     known = KnownSet.of([0, 1], [0, 1])
-    closed = affine_closure(fw, known)
+    closed = affine_closure(fw, known, _hats(fw.all_points()))
     assert closed.p_indices == (0, 1, 2)
 
 
 def test_affine_closure_leaves_offline_vertex():
     fw = fw_collinear_with_offline()
     known = KnownSet.of([0, 1], [0, 1])
-    closed = affine_closure(fw, known)
+    closed = affine_closure(fw, known, _hats(fw.all_points()))
     assert closed == KnownSet.of([0, 1], [0, 1])
 
 
@@ -204,10 +207,11 @@ def test_affine_closure_idempotent_and_monotone(rng):
             [i for i in range(fw.n) if rng.random() < 0.5] or [0],
             [j for j in range(fw.m) if rng.random() < 0.5],
         )
-        closed = affine_closure(fw, known)
+        table = _hats(fw.all_points())
+        closed = affine_closure(fw, known, table)
         assert set(known.p_indices) <= set(closed.p_indices)
         assert set(known.q_indices) <= set(closed.q_indices)
-        assert affine_closure(fw, closed) == closed
+        assert affine_closure(fw, closed, table) == closed
 
 
 def test_closure_certifies_center_vertex():
@@ -216,15 +220,16 @@ def test_closure_certifies_center_vertex():
 
     fw = fixture("k43_center").framework
     known = KnownSet.of([0, 1, 2], [0, 1, 2])
-    closed = affine_closure(fw, known)
+    closed = affine_closure(fw, known, _hats(fw.all_points()))
     assert closed.p_indices == (0, 1, 2, 3)
 
 
 def test_span_invariant():
     fw = fw_collinear_with_offline()
-    assert span_invariant_holds(fw, KnownSet.of([0, 1], [0, 1]))
-    assert not span_invariant_holds(fw, KnownSet.of([0, 2], [0]))
-    assert span_invariant_holds(fw, KnownSet.empty())
+    table = _hats(fw.all_points())
+    assert span_invariant_holds(fw, KnownSet.of([0, 1], [0, 1]), table)
+    assert not span_invariant_holds(fw, KnownSet.of([0, 2], [0]), table)
+    assert span_invariant_holds(fw, KnownSet.empty(), table)
 
 
 # The cone over a base framework in d-space: the base at final coordinate
@@ -267,8 +272,8 @@ def test_reduced_framework_spans():
 
     fw = fixture("projection_k44").framework
     known = KnownSet.of([0, 1], [0, 1])
-    p0, rays = project_out_known_set(fw, known)
-    slid = slide_to_hyperplane(p0, rays, slide_functional(rays))
+    p0, rays = project_out_known_set(fw, known, _hats(fw.all_points()))
+    slid, _ = slide_to_hyperplane(p0, rays, slide_functional(rays))
     assert affine_span_dim(slid) == 1
     xs = sorted(pt[0] for pt in slid)
     assert xs == [F(0), F(1), F(2), F(3)]

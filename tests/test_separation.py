@@ -11,7 +11,7 @@ import pytest
 from bipartite_rigidity import lp
 from bipartite_rigidity.engine import _pass, rigidity_test
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework, SymmetricMatrix, veronese
+from bipartite_rigidity.geometry import BipartiteFramework, SymmetricMatrix, _hats, veronese
 from bipartite_rigidity.lp import ZERO
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.separation import (
@@ -191,7 +191,8 @@ POINT_ON_POINT = (
 def balance_passes(fw) -> list[BipartiteFramework]:
     """The reduced framework of every pass of ``fw``'s chain that solved a balance LP."""
     _, chain = rigidity_test(fw)
-    steps = [_pass(fw, KnownSet(rec.known_p, rec.known_q)) for rec in chain.records]
+    table = _hats(fw.all_points())
+    steps = [_pass(fw, KnownSet(rec.known_p, rec.known_q), table) for rec in chain.records]
     return [step.sub for step in steps if step.sub is not None]
 
 

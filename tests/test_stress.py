@@ -11,7 +11,7 @@ import pytest
 from bipartite_rigidity import engine, stress
 from bipartite_rigidity.engine import rigidity_test, verify_chain
 from bipartite_rigidity.fixtures import all_fixtures, fixture
-from bipartite_rigidity.geometry import BipartiteFramework, affine_span_dim
+from bipartite_rigidity.geometry import BipartiteFramework, _balance, _hats, affine_span_dim
 from bipartite_rigidity.lp import ONE
 from bipartite_rigidity.separation import RadonCertificate, maximal_support_radon
 from bipartite_rigidity.stress import (
@@ -316,13 +316,18 @@ def balanced_supports():
         yield fw, lambdas, mus
 
 
+def cross_block(fw, lambdas, mus):
+    """:func:`_cross_block` of the coefficients' balance on the points of ``fw``."""
+    return _cross_block(_balance(_hats(fw.all_points()), fw.n, lambdas, mus), fw.n)
+
+
 def test_cross_block_exact_equilibrium():
     # lambda_i p^_i + sum_j B_ij q^_j = 0 and sum_i B_ij p^_i + mu_j q^_j = 0,
     # in rationals, on the balanced support of every balanced fixture.
     balanced = 0
     for fw, lambdas, mus in balanced_supports():
         balanced += 1
-        nums, den, _ = _cross_block(fw, lambdas, mus)
+        nums, den, _ = cross_block(fw, lambdas, mus)
         cross = [[F(v, den) for v in row] for row in nums]
         p_hat = [tuple(p) + (ONE,) for p in fw.points_p]
         q_hat = [tuple(q) + (ONE,) for q in fw.points_q]
@@ -374,7 +379,7 @@ def test_cross_block_integers_match_fraction_reference():
     checked = 0
     for fw, lambdas, mus in balanced_supports():
         for image in (fw, thin_image(fw), shrink(fw)):
-            nums, den, rank_g = _cross_block(image, lambdas, mus)
+            nums, den, rank_g = cross_block(image, lambdas, mus)
             assert den > 0
             assert rank_g == affine_span_dim(image.all_points()) + 1
             reference = fraction_cross_block(image, lambdas, mus)
@@ -393,7 +398,7 @@ def test_cross_block_runs_on_ints():
     cert = maximal_support_radon(fw)
     assert isinstance(cert, RadonCertificate)
     sub = fw.subframework(cert.support_p, cert.support_q)
-    nums, den, _ = _cross_block(
+    nums, den, _ = cross_block(
         sub, [cert.lambdas[i] for i in cert.support_p], [cert.mus[j] for j in cert.support_q]
     )
     assert type(den) is int and den > 0
