@@ -470,17 +470,13 @@ def _record_from(doc: Any, locus: str) -> IterationRecord:
     )
 
 
-def chain_to_document(chain: CertificateChain) -> dict:
-    return {
+def serialize_chain(chain: CertificateChain) -> str:
+    return canonical_json({
         "format": FORMAT_VERSION,
         "verdict": chain.verdict.value,
         "input": framework_to_document(chain.framework),
         "iterations": [_record_to_doc(rec) for rec in chain.records],
-    }
-
-
-def serialize_chain(chain: CertificateChain) -> str:
-    return canonical_json(chain_to_document(chain))
+    })
 
 
 def parse_chain(text: str) -> CertificateChain:

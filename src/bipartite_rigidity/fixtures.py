@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .docio import canonical_json, framework_to_document
+from .docio import canonical_json, serialize_framework
 from .engine import Verdict
 from .geometry import BipartiteFramework
 
@@ -260,12 +260,7 @@ def emit_fixtures(out_dir) -> list[Path]:
         fx = fixture(name)
         path = out / f"{name}.json"
         path.write_text(
-            canonical_json(
-                framework_to_document(
-                    fx.framework, name=name, expected_verdict=fx.expected.value
-                )
-            ),
-            encoding="utf-8",
+            serialize_framework(fx.framework, name, fx.expected.value), encoding="utf-8"
         )
         written.append(path)
         manifest.append(

@@ -164,11 +164,6 @@ def veronese(v: Sequence) -> SymmetricMatrix:
 # -- exact elimination -------------------------------------------------------
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row cleared by its least common denominator; the row space stays."""
-    return [_clear(row)[0] for row in rows]
-
-
 def _hats(points: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Each point cleared by its own common denominator: the hat ``(X, c) = c * p^``."""
     return [[*ints, c] for ints, c in map(_clear, points)]
@@ -223,8 +218,8 @@ def _restricted(
 
 
 def linear_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Exact linear rank of a list of rational vectors."""
-    return len(_reduce_ints(_int_rows(vectors))[0])
+    """Exact linear rank of a list of rational vectors, each cleared as a hat without its scale."""
+    return len(_reduce_ints([h[:-1] for h in _hats(vectors)])[0])
 
 
 def affine_span_dim(points: Sequence[Sequence[Fraction]]) -> int:

@@ -27,6 +27,10 @@ columns, are solved from the final basis (``y^T B = c_B``) the first time
 an outcome's ``dual`` is read, and an outcome whose dual is never read
 never pays for it.
 
+Both phases read their objective off one entry, the rhs of the cost row,
+which the pivots keep current: phase 1 stops once the artificial sum there
+is zero, and :func:`maximize` reads its optimum there after phase 2.
+
 Phase 1 never reads the objective, so every problem with the same rows and
 rhs ends phase 1 in the same basis.  A FEASIBLE outcome of
 :func:`solve_feasibility` keeps that tableau, and :func:`maximize` can start
@@ -284,7 +288,12 @@ class _Simplex:
     :meth:`duals`).  Exact arithmetic keeps every basic column a unit
     column with reduced cost zero, so no per-variable status is stored: a
     column with a negative reduced cost, or with a nonzero entry in another
-    basic variable's row, is nonbasic.
+    basic variable's row, is nonbasic.  The cost row's rhs holds the
+    objective: pivots keep it at ``-den`` times the cost of the basic
+    solution, in tableau units.  In phase 1 that is minus ``den`` times the
+    sum of the basic artificials, so it is never positive and is zero
+    exactly when no artificial is positive; after phase 2 it is ``den *
+    rhs_scale * cost_scale`` times the optimum of :func:`maximize`.
 
     The problem arrives cleared (:class:`LPProblem`), so the tableau is
     integral from the start and the constructor reads only ints.  The
@@ -314,13 +323,10 @@ class _Simplex:
 
     # -- pivoting core ---------------------------------------------------
 
-    def _artificials_positive(self) -> bool:
-        return any(row[-1] for row, b in zip(self.T, self.basis) if b >= self.nx)
-
     def _run(self, stop_at_zero: bool = False) -> str:
         T, basis = self.T, self.basis
         while True:
-            if stop_at_zero and not self._artificials_positive():
+            if stop_at_zero and not T[-1][-1]:
                 return "optimal"
             rc = T[-1]
             j = next((j for j in range(self.nx) if rc[j] < 0), -1)
@@ -357,7 +363,8 @@ class _Simplex:
     # -- phases ----------------------------------------------------------
 
     def phase1(self) -> bool:
-        # Reduced costs of the artificial sum: minus each column sum.
+        # Reduced costs of the artificial sum: minus each column sum, rhs
+        # included, so ``T[-1][-1]`` is minus ``den`` times that sum.
         if self.m:
             self.T[-1] = [-sum(col) for col in zip(*self.T[: self.m])]
         # The artificial sum is bounded below by zero, so hitting zero is
@@ -365,7 +372,7 @@ class _Simplex:
         outcome = self._run(stop_at_zero=True)
         if outcome != "optimal":  # pragma: no cover - sum of artificials >= 0
             raise AssertionError("phase-1 simplex cannot be unbounded")
-        if self._artificials_positive():
+        if self.T[-1][-1]:  # an artificial is still positive
             return False
         self._drive_out_artificials()
         return True
@@ -461,9 +468,6 @@ def maximize(prob: LPProblem, start: Optional[LPOutcome] = None) -> LPOutcome:
     outcome = splx.phase2([-v for v in prob.objective])
     if outcome == "unbounded":
         return LPOutcome(status=LPStatus.UNBOUNDED)
-    point = tuple(splx.solution())
-    value = sum(
-        (c * x for c, x in zip(prob.objective, point) if c), ZERO
-    )
-    return LPOutcome(status=LPStatus.OPTIMAL, point=point, value=value,
+    value = Fraction(splx.T[-1][-1], splx.den * splx.rhs_scale * splx.cost_scale)
+    return LPOutcome(status=LPStatus.OPTIMAL, point=tuple(splx.solution()), value=value,
                      solve_dual=splx.duals())

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from bipartite_rigidity.geometry import BipartiteFramework
 from bipartite_rigidity.lp import ZERO, ONE
@@ -30,6 +31,17 @@ def random_framework(
         )
 
     return BipartiteFramework(d, tuple(pt() for _ in range(n)), tuple(pt() for _ in range(m)))
+
+
+@st.composite
+def drawn_frameworks(draw, nm_max: int = 8) -> BipartiteFramework:
+    """:func:`random_framework` drawn by Hypothesis: d = 1..3, ``n + m <= nm_max``, bound 16."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, nm_max - 1))
+    m = draw(st.integers(1, nm_max - n))
+    coord = st.builds(F, st.integers(-16, 16), st.integers(1, 16))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=n + m, max_size=n + m))
+    return BipartiteFramework(d, tuple(points[:n]), tuple(points[n:]))
 
 
 def k10x10(seed: int) -> BipartiteFramework:

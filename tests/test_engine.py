@@ -26,6 +26,7 @@ from bipartite_rigidity.geometry import BipartiteFramework, _hats, affine_span_d
 from bipartite_rigidity.reduction import KnownSet
 from bipartite_rigidity.stress import verify_super_stable_certificate
 from conftest import (
+    drawn_frameworks,
     flag,
     fraction_rref,
     huge_k44,
@@ -423,6 +424,26 @@ def assert_equivariant(fw, transforms):
         assert chain_shape(moved_chain) == chain_shape(chain, p_map, q_map, swap)
 
 
+def invariance_transforms(rng, fw):
+    """The five transforms of ``fw`` that keep its verdict, as :func:`assert_equivariant` takes them.
+
+    A shuffle of each class, an appended zero coordinate, a rational
+    similarity and a nonsingular rational affine map (both with one shift),
+    and the exchange of P and Q when Q is nonempty; ``rng`` draws them.
+    """
+    d = fw.dimension
+    shift = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+    transforms = [
+        (*shuffled(rng, fw), False),
+        (moved(fw, lambda pt: (*pt, F(0))), None, None, False),
+        (moved(fw, affine(rational_similarity(rng, d), shift)), None, None, False),
+        (moved(fw, affine(nonsingular(rng, d), shift)), None, None, False),
+    ]
+    if fw.m:
+        transforms.append((moved(fw, tuple, swap=True), None, None, True))
+    return transforms
+
+
 def test_verdict_invariance(rng):
     # Decide is equivariant: shuffling each class, exchanging P and Q,
     # appending a zero coordinate, a rational similarity and a nonsingular
@@ -435,17 +456,7 @@ def test_verdict_invariance(rng):
     cases += [flag(seed) for seed in range(1, 6)] + [k10x10(seed) for seed in (1, 2)]
     cases += [random_framework(rng, d_max=3, nm_max=9) for _ in range(20)]
     for fw in cases:
-        d = fw.dimension
-        shift = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
-        transforms = [
-            (*shuffled(rng, fw), False),
-            (moved(fw, lambda pt: (*pt, F(0))), None, None, False),
-            (moved(fw, affine(rational_similarity(rng, d), shift)), None, None, False),
-            (moved(fw, affine(nonsingular(rng, d), shift)), None, None, False),
-        ]
-        if fw.m:
-            transforms.append((moved(fw, tuple, swap=True), None, None, True))
-        assert_equivariant(fw, transforms)
+        assert_equivariant(fw, invariance_transforms(rng, fw))
     fw = huge_k44(0)
     assert_equivariant(fw, [(*shuffled(rng, fw), False)])
 
@@ -660,3 +671,11 @@ def test_pass_skips_the_affine_rank_only_when_the_count_decides():
 @given(pass_frameworks())
 def test_pass_matches_the_always_ranked_reference(fw):
     assert_passes_match(fw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(pass_frameworks(), drawn_frameworks(nm_max=9)), st.randoms(use_true_random=False))
+def test_verdict_invariance_drawn(fw, rng):
+    # test_verdict_invariance with the frameworks, degenerate ones among
+    # them, and every draw of the transforms made by Hypothesis.
+    assert_equivariant(fw, invariance_transforms(rng, fw))

@@ -13,7 +13,7 @@ from bipartite_rigidity.geometry import (
     BipartiteFramework,
     EmptyInput,
     SymmetricMatrix,
-    _int_rows,
+    _hats,
     _reduce_ints,
     affine_span_dim,
     in_affine_span,
@@ -74,7 +74,7 @@ def test_rank_and_null_vector(matrix):
     assert rank == linear_rank([list(col) for col in zip(*rows)])
     # Each non-pivot column of the reduced form gives a null vector, so
     # the null space has dimension ``cols - rank``.
-    reduced = _int_rows(rows)
+    reduced = [h[:-1] for h in _hats(rows)]
     pivots, den = _reduce_ints(reduced)
     assert len(pivots) == rank
     # True reduced row echelon form on integers over ``den``: ``den`` at
